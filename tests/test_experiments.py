@@ -1,3 +1,4 @@
+import hashlib
 import os
 import time
 from dataclasses import replace
@@ -12,6 +13,8 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     load_config, load_dataset, run_experiment,
                                     run_grid)
 from fedbalance import datasets
+from fedbalance.protocol import ProtocolTrace
+from fedbalance.training import training_arrays
 
 
 TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
@@ -122,6 +125,55 @@ class TestBalancePhase:
                                 str(tmp_path / "out"))
         assert result.tag == "No Supplement"
         assert not os.path.exists(tmp_path / "out" / "trace.csv")
+
+
+# SHA-256 of everything the balance phase produces for PINNED_BALANCE: the
+# three CSVs, then each client's training_arrays x and y bytes. Balancing does
+# no BLAS matmul, so these pin the partition, mixup, trim and noise bytes
+# independently of the model. A change to any of them must be explained.
+PINNED_BALANCE = replace(TINY, classes_per_client=2, supplement_pct=50,
+                         mix_fraction=0.5)
+PINNED_DIGESTS = {
+    "partition_manifest.csv":
+        "d6f391632e28599bd4b7e27e5b84d20a192c6815463fa5133cc6fe56ae45c3c4",
+    "balance_manifest.csv":
+        "b17a214b2286263067b77b9901cc495d45c1e3f576c110169515e83e70aee855",
+    "trace.csv": "766b44207a27d09d1076c98e4f25cab7e07a3cb16c84c9971b351c5e9c8f3d7b",
+    "client0.x": "19ad914b63c60e46e9aade0bb4d054a090aeeab18d1ebfb97a9f33c19e687976",
+    "client0.y": "86e197b876e9cab2d4014ba5aa73233ea914740f1174938f3a4bf0a792d40d6a",
+    "client1.x": "623f743459e4798187aa4c9d62356beaa3f2f876367268c974f5f6ac2b9fbca3",
+    "client1.y": "7eda9cf43bec11d725096dc74b28b373fc2a2dedce57b3377868ca1923062fce",
+    "client2.x": "818e16ce27b59e0f7c7438c4c75fb450ce83530c621dc5ed41cf44ffaf09d7f1",
+    "client2.y": "86e197b876e9cab2d4014ba5aa73233ea914740f1174938f3a4bf0a792d40d6a",
+    "client3.x": "c7e843323d05e17b6b6004013a0061893b23210b716b570969a4a897d896ea62",
+    "client3.y": "7eda9cf43bec11d725096dc74b28b373fc2a2dedce57b3377868ca1923062fce",
+}
+
+
+def test_balance_outputs_match_pinned_digests(tmp_path):
+    cfg = PINNED_BALANCE
+    train, _, dims, _ = load_dataset(cfg)
+    clients = datasets.partition(train, build_partition_spec(cfg))
+    datasets.write_partition_manifest(clients, str(tmp_path / "partition_manifest.csv"))
+    trace = ProtocolTrace()
+    balance_clients(clients, cfg, dims, trace)
+    datasets.write_partition_manifest(clients, str(tmp_path / "balance_manifest.csv"))
+    trace.write_csv(str(tmp_path / "trace.csv"))
+
+    # the fixture exercises every balance path: 32 mixups served, 16 kept
+    # after the trim, 8 natural-noise images backfilled
+    assert sum(r[5] for r in trace.records if r[1] == "response") == 32
+    added = [ex.provenance for c in clients for ex in c.examples]
+    assert (added.count(Provenance.MIXUP), added.count(Provenance.NATURAL_NOISE)) == (16, 8)
+
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("partition_manifest.csv", "balance_manifest.csv", "trace.csv")}
+    for client in clients:
+        arrays = training_arrays(client)
+        for field, array in (("x", arrays.x), ("y", arrays.y)):
+            digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
+                array.tobytes()).hexdigest()
+    assert digests == PINNED_DIGESTS
 
 
 class TestRunExperiment:
