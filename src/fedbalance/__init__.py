@@ -18,9 +18,8 @@ from .protocol import (BountyRequest, BountyResponse, NaturalNoiseSource,
                        ProtocolTrace, Responder, SupplyPolicy, Topology,
                        plan_deficits, route, run_balance, serve_bounty)
 from .training import (ModelParams, OptState, RoundReport, TrainConfig,
-                       adam_step, backward, build_model, evaluate,
-                       fedavg_aggregate, forward, init_model, loss_and_grad,
-                       run_round)
+                       adam_step, build_model, evaluate, fedavg_aggregate,
+                       forward, init_model, loss_and_grad, run_round)
 from .experiments import (ExperimentConfig, load_config, run_experiment,
                           run_grid)
 

@@ -30,7 +30,7 @@ def _load_pool(in_dir: str) -> datasets.ClientDataset:
     if not labeled:
         raise ConfigError(f"images under {in_dir} carry no labels; cannot mix")
     num_classes = max(img.label for img in labeled) + 1
-    return datasets.ClientDataset(0, labeled, num_classes)
+    return datasets.ClientDataset.from_images(0, labeled, num_classes)
 
 
 def _cmd_partition(args) -> int:

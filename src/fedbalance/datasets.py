@@ -4,6 +4,9 @@ Real datasets are read from their on-disk binary formats (IDX for MNIST-style
 files, 3073-byte records for CIFAR-10 batches). A synthetic "toy" dataset with
 class-specific blob templates stands in when no files are available, so the
 full pipeline runs with zero downloads.
+
+Labeled sets are column-wise: loaders return `(pixels, labels)` pairs of an
+(N, H, W, Ch) float32 array and an (N,) int64 array.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +66,10 @@ class Provenance(enum.Enum):
     NATURAL_NOISE = "natural_noise"
 
 
+# ClientDataset.provenance stores each example's index into this tuple.
+PROVENANCES = tuple(Provenance)
+
+
 @dataclass
 class LabeledImage:
     """One example: an (H, W, Ch) float32 pixel tensor plus a class label.
@@ -75,38 +82,54 @@ class LabeledImage:
     label: int
     provenance: Provenance = Provenance.REAL
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        h, w, c = self.pixels.shape
-        return h, w, c
+
+def _columns(images: Sequence[LabeledImage]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pixels, labels, provenance codes) of a non-empty image list."""
+    return (np.stack([im.pixels for im in images]).astype(np.float32, copy=False),
+            np.array([im.label for im in images], dtype=np.int64),
+            np.array([PROVENANCES.index(im.provenance) for im in images], dtype=np.int8))
 
 
 @dataclass
 class ClientDataset:
-    """A client's local multiset of examples with per-label bookkeeping."""
+    """A client's local multiset of examples, stored column-wise.
+
+    `pixels` is (N, H, W, Ch) float32, `labels` (N,) int64 and `provenance`
+    (N,) int8 codes into PROVENANCES. `add` rebinds fresh arrays and never
+    writes into the old ones, so a shallow `dataclasses.replace` is a snapshot.
+    """
 
     client_id: int
-    examples: list[LabeledImage]
     num_classes: int
+    pixels: np.ndarray
+    labels: np.ndarray
+    provenance: np.ndarray
+
+    @classmethod
+    def from_images(cls, client_id: int, images: Sequence[LabeledImage],
+                    num_classes: int) -> "ClientDataset":
+        return cls(client_id, num_classes, *_columns(images))
 
     @property
     def label_histogram(self) -> np.ndarray:
-        labels = np.fromiter((ex.label for ex in self.examples), dtype=np.int64,
-                             count=len(self.examples))
-        return np.bincount(labels, minlength=self.num_classes)
+        return np.bincount(self.labels, minlength=self.num_classes)
 
-    def count(self, label: int) -> int:
-        return int(sum(1 for ex in self.examples if ex.label == label))
+    @property
+    def examples(self) -> tuple[LabeledImage, ...]:
+        """Read-only row view: one LabeledImage per example, pixels shared."""
+        return tuple(LabeledImage(p, int(y), PROVENANCES[c])
+                     for p, y, c in zip(self.pixels, self.labels, self.provenance))
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
-    def add(self, new_examples: Iterable[LabeledImage]) -> None:
-        self.examples.extend(new_examples)
-
-    def snapshot(self) -> "ClientDataset":
-        """Shallow copy: fresh list, same image objects."""
-        return ClientDataset(self.client_id, list(self.examples), self.num_classes)
+    def add(self, images: Sequence[LabeledImage]) -> None:
+        if not images:
+            return
+        pixels, labels, provenance = _columns(images)
+        self.pixels = np.concatenate([self.pixels, pixels])
+        self.labels = np.concatenate([self.labels, labels])
+        self.provenance = np.concatenate([self.provenance, provenance])
 
 
 class Scheme(enum.Enum):
@@ -190,38 +213,24 @@ def encode_idx(tensor: np.ndarray) -> bytes:
     return header + arr.tobytes()
 
 
-def parse_cifar10(data: bytes) -> list[LabeledImage]:
+def parse_cifar10(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Decode CIFAR-10 binary batch records (1 label byte + 3072 planar pixels)."""
     if len(data) % CIFAR10_RECORD_BYTES != 0:
         raise BadRecordLength(
             f"{len(data)} bytes is not a multiple of {CIFAR10_RECORD_BYTES}")
-    images = []
-    for off in range(0, len(data), CIFAR10_RECORD_BYTES):
-        record = data[off:off + CIFAR10_RECORD_BYTES]
-        label = record[0]
-        if label >= CIFAR10_CLASSES:
-            raise LabelOutOfRange(f"label byte {label} at record offset {off}")
-        planes = np.frombuffer(record, dtype=np.uint8, offset=1).reshape(3, 32, 32)
-        pixels = planes.transpose(1, 2, 0).astype(np.float32)
-        images.append(LabeledImage(pixels, int(label)))
-    return images
+    records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR10_RECORD_BYTES)
+    labels = records[:, 0].astype(np.int64)
+    bad = np.flatnonzero(labels >= CIFAR10_CLASSES)
+    if bad.size:
+        raise LabelOutOfRange(f"label byte {labels[bad[0]]} at record offset "
+                              f"{bad[0] * CIFAR10_RECORD_BYTES}")
+    planes = records[:, 1:].reshape(-1, 3, 32, 32)
+    return planes.transpose(0, 2, 3, 1).astype(np.float32), labels
 
 
-def encode_cifar10(images: Sequence[LabeledImage]) -> bytes:
-    out = bytearray()
-    for img in images:
-        planes = img.pixels.astype(np.uint8).transpose(2, 0, 1)
-        out.append(img.label)
-        out.extend(planes.tobytes())
-    return bytes(out)
-
-
-def idx_to_labeled_images(pixels: np.ndarray, labels: np.ndarray) -> list[LabeledImage]:
-    """Pair an IDX image tensor with an IDX label vector."""
-    if pixels.shape[0] != labels.shape[0]:
-        raise DatasetError(f"{pixels.shape[0]} images vs {labels.shape[0]} labels")
-    return [LabeledImage(pixels[i].astype(np.float32)[..., None], int(labels[i]))
-            for i in range(pixels.shape[0])]
+def encode_cifar10(pixels: np.ndarray, labels: np.ndarray) -> bytes:
+    planes = pixels.astype(np.uint8).transpose(0, 3, 1, 2).reshape(len(labels), -1)
+    return np.column_stack([labels.astype(np.uint8), planes]).tobytes()
 
 
 _MNIST_FILES = {
@@ -240,26 +249,29 @@ def _find_file(directory: str, candidates: tuple[str, ...]) -> str:
     raise FileNotFoundError(f"none of {candidates} found under {directory}")
 
 
-def load_mnist_dir(directory: str) -> tuple[list[LabeledImage], list[LabeledImage]]:
-    """Load the four standard MNIST IDX files from a directory."""
+def load_mnist_dir(directory: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Load the four standard MNIST IDX files: ((train pixels, labels), (test ...))."""
     tensors = {}
     for key, names in _MNIST_FILES.items():
         with open(_find_file(directory, names), "rb") as fh:
             tensors[key], _ = parse_idx(fh.read())
-    train = idx_to_labeled_images(tensors["train_images"], tensors["train_labels"])
-    test = idx_to_labeled_images(tensors["test_images"], tensors["test_labels"])
-    return train, test
+    splits = []
+    for split in ("train", "test"):
+        pixels, labels = tensors[f"{split}_images"], tensors[f"{split}_labels"]
+        if pixels.shape[0] != labels.shape[0]:
+            raise DatasetError(f"{pixels.shape[0]} images vs {labels.shape[0]} labels")
+        splits.append((pixels[..., None].astype(np.float32), labels.astype(np.int64)))
+    return tuple(splits)
 
 
-def load_cifar10_dir(directory: str) -> tuple[list[LabeledImage], list[LabeledImage]]:
+def load_cifar10_dir(directory: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Load CIFAR-10 binary batches data_batch_{1..5}.bin plus test_batch.bin."""
-    train: list[LabeledImage] = []
-    for i in range(1, 6):
-        with open(os.path.join(directory, f"data_batch_{i}.bin"), "rb") as fh:
-            train.extend(parse_cifar10(fh.read()))
-    with open(os.path.join(directory, "test_batch.bin"), "rb") as fh:
-        test = parse_cifar10(fh.read())
-    return train, test
+    batches = []
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        with open(os.path.join(directory, name), "rb") as fh:
+            batches.append(parse_cifar10(fh.read()))
+    train = tuple(np.concatenate(column) for column in zip(*batches[:5]))
+    return train, batches[5]
 
 
 def toy_templates(num_classes: int, dims: tuple[int, int, int]) -> np.ndarray:
@@ -283,27 +295,24 @@ def toy_templates(num_classes: int, dims: tuple[int, int, int]) -> np.ndarray:
 
 
 def make_toy_dataset(n_per_class: int, num_classes: int, dims: tuple[int, int, int],
-                     seed: int, jitter: int = 16) -> list[LabeledImage]:
+                     seed: int, jitter: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize a linearly separable dataset: class template + bounded jitter.
 
     Pixels are integer-valued in [0, 255] (these stand in for real files), and
-    output is byte-for-byte deterministic under the seed.
+    output is byte-for-byte deterministic under the seed. Examples are ordered
+    by label.
     """
     if n_per_class < 1:
         raise DatasetError(f"n_per_class must be >= 1, got {n_per_class}")
     templates = toy_templates(num_classes, dims)
     rng = np.random.default_rng(seed)
-    images = []
-    for y in range(num_classes):
-        for _ in range(n_per_class):
-            noise = rng.integers(-jitter, jitter + 1, size=dims)
-            pixels = np.clip(np.rint(templates[y] + noise), 0, 255).astype(np.float32)
-            images.append(LabeledImage(pixels, y))
-    return images
-
-
-def _infer_num_classes(dataset: Sequence[LabeledImage]) -> int:
-    return max(ex.label for ex in dataset) + 1
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    pixels = np.empty((labels.size, *dims), dtype=np.float32)
+    # One jitter draw per image keeps the generator stream of the seed.
+    for i, y in enumerate(labels):
+        noise = rng.integers(-jitter, jitter + 1, size=dims)
+        pixels[i] = np.clip(np.rint(templates[y] + noise), 0, 255)
+    return pixels, labels
 
 
 def _even_split_sizes(total: int, parts: int) -> list[int]:
@@ -322,59 +331,52 @@ def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray
     return counts
 
 
-def partition(dataset: Sequence[LabeledImage], spec: PartitionSpec) -> list[ClientDataset]:
-    """Split a dataset across clients under C-class label skew or Dirichlet skew.
+def partition(dataset: tuple[np.ndarray, np.ndarray],
+              spec: PartitionSpec) -> list[ClientDataset]:
+    """Split a `(pixels, labels)` dataset across clients under C-class label
+    skew or Dirichlet skew.
 
     Class skew: labels are assigned round-robin over a seeded shuffle so every
     client holds exactly C distinct labels, and each label's examples are split
     evenly (±1) among the clients holding it. Dirichlet: each label's examples
     are apportioned by a Dir(concentration) draw over clients.
 
-    The union of client examples is always exactly the input dataset.
+    The union of client examples is always exactly the input dataset, and each
+    client keeps its examples in dataset order.
     """
-    num_classes = _infer_num_classes(dataset)
+    pixels, labels = dataset
+    label_counts = np.bincount(labels)
+    num_classes = label_counts.size
     spec.validate(num_classes)
     rng = np.random.default_rng(spec.seed)
-    by_label: list[list[int]] = [[] for _ in range(num_classes)]
-    for idx, ex in enumerate(dataset):
-        by_label[ex.label].append(idx)
+    by_label = np.split(np.argsort(labels, kind="stable"), np.cumsum(label_counts)[:-1])
 
-    assignment: list[list[int]] = [[] for _ in range(spec.num_clients)]
+    owner = np.empty(labels.size, dtype=np.int64)   # receiving client per example
     if spec.scheme is Scheme.CLASS_SKEW:
         c = spec.classes_per_client
         shuffled = rng.permutation(num_classes)
         holders: list[list[int]] = [[] for _ in range(num_classes)]
         for slot in range(spec.num_clients * c):
-            label = int(shuffled[slot % num_classes])
-            holders[label].append(slot // c)
-        for label in range(num_classes):
-            idxs = by_label[label]
+            holders[int(shuffled[slot % num_classes])].append(slot // c)
+        for label, idxs in enumerate(by_label):
             owners = holders[label]
             if len(idxs) < len(owners):
                 raise InfeasibleSpec(
                     f"label {label} has {len(idxs)} examples for {len(owners)} holders")
             order = rng.permutation(len(idxs))
-            sizes = _even_split_sizes(len(idxs), len(owners))
-            cursor = 0
-            for owner, size in zip(owners, sizes):
-                for j in order[cursor:cursor + size]:
-                    assignment[owner].append(idxs[j])
-                cursor += size
+            owner[idxs[order]] = np.repeat(owners, _even_split_sizes(len(idxs), len(owners)))
     else:
         alpha = np.full(spec.num_clients, spec.concentration, dtype=np.float64)
-        for label in range(num_classes):
-            idxs = by_label[label]
+        for idxs in by_label:
             proportions = rng.dirichlet(alpha)
             counts = _largest_remainder_counts(len(idxs), proportions)
             order = rng.permutation(len(idxs))
-            cursor = 0
-            for client, size in enumerate(counts):
-                for j in order[cursor:cursor + size]:
-                    assignment[client].append(idxs[j])
-                cursor += size
+            owner[idxs[order]] = np.repeat(np.arange(spec.num_clients), counts)
 
-    return [ClientDataset(cid, [dataset[i] for i in sorted(indices)], num_classes)
-            for cid, indices in enumerate(assignment)]
+    members = (np.flatnonzero(owner == cid) for cid in range(spec.num_clients))
+    return [ClientDataset(cid, num_classes, pixels[idx], labels[idx],
+                          np.zeros(idx.size, dtype=np.int8))
+            for cid, idx in enumerate(members)]
 
 
 def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:

@@ -57,7 +57,6 @@ class ExperimentConfig:
     deadline: int = 2
     capacity_fraction: float = 1.0
     topology: str = "star"               # "star" or an edge list "0-1,1-2"
-    rebalance_every: int = 0
     # natural noise generator
     noise_base_resolution: int = 4
     noise_channels: int = 8
@@ -151,8 +150,7 @@ _SECTIONS = {
                 "k": ("k", int), "sigma": ("sigma", float),
                 "deadline": ("deadline", int),
                 "capacity_fraction": ("capacity_fraction", float),
-                "topology": ("topology", str),
-                "rebalance_every": ("rebalance_every", int)},
+                "topology": ("topology", str)},
     "noise": {"base_resolution": ("noise_base_resolution", int),
               "channels_per_scale": ("noise_channels", int),
               "wavelet_bank": ("noise_bank", str),
@@ -222,8 +220,9 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     return cfg
 
 
-def load_dataset(cfg: ExperimentConfig) -> tuple[list, list, tuple[int, int, int], int]:
-    """Returns (train, test, dims, num_classes) for the configured dataset."""
+def load_dataset(cfg: ExperimentConfig) -> tuple[tuple, tuple, tuple[int, int, int], int]:
+    """Returns (train, test, dims, num_classes) for the configured dataset;
+    train and test are (pixels, labels) pairs."""
     data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
     if cfg.dataset == "toy":
         train = datasets.make_toy_dataset(cfg.toy_per_class, cfg.toy_classes,
@@ -245,18 +244,18 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[list, list, tuple[int, int, int
     return train, test, dims, num_classes
 
 
-def _stratified_subset(examples: list, per_class: int, num_classes: int,
-                       rng: np.random.Generator) -> list:
-    by_label: list[list[int]] = [[] for _ in range(num_classes)]
-    for i, ex in enumerate(examples):
-        by_label[ex.label].append(i)
-    chosen: list[int] = []
+def _stratified_subset(dataset: tuple[np.ndarray, np.ndarray], per_class: int,
+                       num_classes: int, rng: np.random.Generator) -> tuple:
+    """Up to `per_class` examples of each label, grouped by label, each group
+    in dataset order."""
+    pixels, labels = dataset
+    chosen = []
     for label in range(num_classes):
-        idxs = by_label[label]
-        take = min(per_class, len(idxs))
-        pick = rng.choice(len(idxs), size=take, replace=False)
-        chosen.extend(idxs[i] for i in sorted(pick))
-    return [examples[i] for i in chosen]
+        idxs = np.flatnonzero(labels == label)
+        pick = rng.choice(idxs.size, size=min(per_class, idxs.size), replace=False)
+        chosen.append(idxs[np.sort(pick)])
+    chosen = np.concatenate(chosen)
+    return pixels[chosen], labels[chosen]
 
 
 def build_partition_spec(cfg: ExperimentConfig) -> PartitionSpec:
@@ -268,24 +267,24 @@ def build_partition_spec(cfg: ExperimentConfig) -> PartitionSpec:
 
 def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
                     dims: tuple[int, int, int],
-                    trace: ProtocolTrace | None = None) -> dict[int, np.ndarray]:
+                    trace: ProtocolTrace | None = None) -> None:
     """Run the balance protocol for every client against pre-balance snapshots.
 
     Responders always serve from the datasets as they stood before any client
     balanced, so outcomes do not depend on the order clients run in and
-    pseudo-images never become mixup sources. Returns each client's target
-    vector (used again by the rebalance hook).
+    pseudo-images never become mixup sources. An empty client's target is 0,
+    so it requests nothing.
     """
     mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
     policy = SupplyPolicy(capacity_fraction=cfg.capacity_fraction)
     topology = _parse_topology(cfg.topology)
-    snapshots = {c.client_id: Responder(c.snapshot(), policy, mix_cfg) for c in clients}
-    targets: dict[int, np.ndarray] = {}
+    # `add` rebinds its arrays, so a shallow copy is a pre-balance snapshot.
+    snapshots = {c.client_id: Responder(replace(c), policy, mix_cfg) for c in clients}
     for client in clients:
         peak = int(client.label_histogram.max())
         target = math.ceil(cfg.supplement_pct / 100.0 * peak)
-        targets[client.client_id] = np.full(client.num_classes, target, dtype=np.float64)
-        deficits = plan_deficits(client, targets[client.client_id])
+        deficits = plan_deficits(client, np.full(client.num_classes, target,
+                                                 dtype=np.float64))
         if not deficits:
             continue
         gen_cfg = noisegen.GeneratorConfig(
@@ -300,7 +299,6 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
         run_balance(client, deficits, cfg.mix_fraction, topology, peers, nat,
                     rng_for(cfg.seed, "balance", client.client_id),
                     deadline=cfg.deadline, trace=trace)
-    return targets
 
 
 @dataclass
@@ -340,9 +338,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
             clients, os.path.join(out_dir, "partition_manifest.csv"))
 
     trace = ProtocolTrace()
-    targets: dict[int, np.ndarray] = {}
     if cfg.supplement_pct > 0:
-        targets = balance_clients(clients, cfg, dims, trace)
+        balance_clients(clients, cfg, dims, trace)
         if out_dir:
             datasets.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
@@ -352,22 +349,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     params = init_model(schema, derive_seed(cfg.seed, "model-init"))
     train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
                             cfg.local_epochs, cfg.participation_fraction, cfg.seed)
-    train_clients = [training.training_arrays(c) for c in clients]
-    test_x = np.stack([ex.pixels for ex in test]).astype(np.float32) / 255.0
-    test_y = np.array([ex.label for ex in test], dtype=np.int64)
+    # Empty clients (a Dirichlet draw can leave some) sit out every round.
+    train_clients = [training.training_arrays(c) for c in clients if len(c)]
+    test_pixels, test_y = test
+    test_x = test_pixels / 255.0
 
     reports = []
     rows = []
     for round_index in range(cfg.rounds):
-        if (cfg.rebalance_every > 0 and round_index > 0
-                and round_index % cfg.rebalance_every == 0 and targets):
-            sizes = [len(c) for c in clients]
-            for client in clients:
-                deficits = plan_deficits(client, targets[client.client_id])
-                if deficits:
-                    balance_clients([client], cfg, dims, trace)
-            if [len(c) for c in clients] != sizes:
-                train_clients = [training.training_arrays(c) for c in clients]
         started = time.perf_counter()
         params, report = run_round(params, train_clients, test_x, test_y,
                                    train_cfg, round_index)

@@ -135,16 +135,16 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
     """
     cfg.validate()
     k = cfg.k
-    anchors = [i for i, ex in enumerate(source.examples) if ex.label == target_label]
-    if not anchors:
+    anchors = np.flatnonzero(source.labels == target_label)
+    if anchors.size == 0:
         raise InsufficientLabel(
             f"client {source.client_id} holds no example with label {target_label}")
-    if len(source.examples) < k:
+    if len(source) < k:
         raise InsufficientPool(
-            f"client {source.client_id} holds {len(source.examples)} examples, need {k}")
+            f"client {source.client_id} holds {len(source)} examples, need {k}")
 
-    anchor = anchors[int(rng.integers(len(anchors)))]
-    pool = np.array([i for i in range(len(source.examples)) if i != anchor])
+    anchor = int(anchors[rng.integers(anchors.size)])
+    pool = np.delete(np.arange(len(source)), anchor)
     fillers = rng.choice(pool, size=k - 1, replace=False)
 
     if weights is None:
@@ -155,12 +155,12 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
         if w.size != k:
             raise MixupError(f"forced weights have length {w.size}, k is {k}")
 
-    selected = [anchor] + [int(i) for i in fillers]
+    rows = source.pixels[[anchor, *fillers]]
     # Accumulate in float32, term by term, so the sigma=0 output is bitwise
     # reproducible by a plain loop oracle.
-    mixed = np.zeros_like(source.examples[anchor].pixels, dtype=np.float32)
-    for wi, idx in zip(w, selected):
-        mixed += np.float32(wi) * source.examples[idx].pixels
+    mixed = np.zeros(rows.shape[1:], dtype=np.float32)
+    for wi, row in zip(w, rows):
+        mixed += np.float32(wi) * row
     if cfg.sigma > 0:
         eta = sample_laplace(mixed.size, cfg.sigma, rng).reshape(mixed.shape)
         mixed = mixed + eta.astype(np.float32)

@@ -119,7 +119,6 @@ class ProtocolTrace:
     """Audit log of every delivered message."""
 
     records: list[tuple[int, str, int, int, int, int]] = field(default_factory=list)
-    messages: list[Message] = field(default_factory=list)
 
     def log(self, message: Message, round_delivered: int) -> None:
         payload = message.payload
@@ -130,7 +129,6 @@ class ProtocolTrace:
             count = len(payload.samples)
         self.records.append(
             (round_delivered, message.kind, message.src, message.dst, label, count))
-        self.messages.append(message)
 
     def request_count(self) -> int:
         return sum(1 for r in self.records if r[1] == "request")
@@ -263,9 +261,6 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         if len(collected) > quantity:
             keep = rng.choice(len(collected), size=quantity, replace=False)
             collected = [collected[i] for i in sorted(keep)]
-        served = len(collected)
-        noise = nat_source.take(deficit - served, label)
-        requester.add(collected)
-        requester.add(noise)
+        requester.add(collected + nat_source.take(deficit - len(collected), label))
         round_base += deadline + 1
     return requester

@@ -36,22 +36,37 @@ def save_tensor_image(path: str, image: LabeledImage) -> None:
         fh.write(np.ascontiguousarray(image.pixels, dtype="<f4").tobytes())
 
 
+def _read_header(path: str, fh) -> dict:
+    """The JSON object on the first line of a tensor or checkpoint file."""
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as exc:     # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: header is not JSON") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    return header
+
+
 def load_tensor_image(path: str) -> LabeledImage:
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad tensor header") from exc
-        dims = header["dims"]
-        count = int(np.prod(dims))
+        header = _read_header(path, fh)
         raw = fh.read()
+    dims = header.get("dims")
+    if (not isinstance(dims, list) or len(dims) != 3
+            or not all(type(d) is int and d > 0 for d in dims)):
+        raise FormatError(f"{path}: dims must be three positive integers, got {dims!r}")
+    label = header.get("label")
+    if label is not None and type(label) is not int:
+        raise FormatError(f"{path}: label must be an integer or null, got {label!r}")
+    try:
+        provenance = Provenance(header.get("provenance", "real"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: unknown provenance") from exc
+    count = int(np.prod(dims))
     if len(raw) != 4 * count:
         raise FormatError(f"{path}: expected {4 * count} payload bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-    label = header.get("label")
-    provenance = Provenance(header.get("provenance", "real"))
-    return LabeledImage(pixels, -1 if label is None else int(label), provenance)
+    return LabeledImage(pixels, -1 if label is None else label, provenance)
 
 
 def save_ppm(path: str, pixels: np.ndarray) -> None:
@@ -93,10 +108,10 @@ def _layer_to_json(layer) -> list:
 
 
 def _layer_from_json(entry: Sequence) -> object:
-    name, *args = entry
     try:
+        name, *args = entry
         return _LAYER_NAMES[name](*args)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad layer entry {entry!r}") from exc
 
 
@@ -109,8 +124,10 @@ def save_checkpoint(path: str, params: training.ModelParams) -> None:
 
 def load_checkpoint(path: str) -> training.ModelParams:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
+        header = _read_header(path, fh)
         raw = fh.read()
+    if not isinstance(header.get("schema"), list):
+        raise FormatError(f"{path}: header has no schema list")
     schema = tuple(_layer_from_json(e) for e in header["schema"])
     expected = training.schema_param_count(schema)
     if len(raw) != 4 * expected:

@@ -235,7 +235,6 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
             cache.append(None)
         else:
             raise SchemaMismatch(f"unknown layer {layer!r}")
-    cache.append(act)  # final logits, consumed by backward
     return act, cache
 
 
@@ -250,14 +249,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     return float(loss), dlogits
-
-
-def backward(params: ModelParams, labels: np.ndarray, cache: list) -> np.ndarray:
-    """Gradient of the mean cross-entropy w.r.t. the flat parameter vector,
-    from a matching forward's cache."""
-    logits = cache[-1]
-    _, delta = softmax_cross_entropy(logits, labels)
-    return _backward_from_delta(params, delta, cache)
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray):
@@ -382,10 +373,8 @@ class TrainClient:
 
 
 def training_arrays(dataset: ClientDataset) -> TrainClient:
-    """Stack a client dataset into model-boundary arrays (pixels / 255)."""
-    x = np.stack([ex.pixels for ex in dataset.examples]).astype(np.float32) / 255.0
-    y = np.array([ex.label for ex in dataset.examples], dtype=np.int64)
-    return TrainClient(dataset.client_id, x, y)
+    """A client dataset as model-boundary arrays (pixels / 255)."""
+    return TrainClient(dataset.client_id, dataset.pixels / 255.0, dataset.labels)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Shared oracles for the training tests and the acceptance suite."""
+"""Shared fixtures and oracles for the training tests and the acceptance suite."""
 
 import numpy as np
 
+from fedbalance.datasets import ClientDataset
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
                                  softmax_cross_entropy)
@@ -83,3 +84,9 @@ def gradient_check_cases():
                  Conv3x3(3, 4), MaxPool2(), ReLU(), Dense(4, 3), Softmax()),
          x_cnn, y_cnn, 105),
     ]
+
+
+def real_client(client_id, pixels, labels, num_classes):
+    """A ClientDataset holding the given rows as real examples."""
+    return ClientDataset(client_id, num_classes, pixels, labels,
+                         np.zeros(len(labels), dtype=np.int8))

@@ -12,17 +12,18 @@ from dataclasses import replace
 import numpy as np
 from scipy import stats
 
-from helpers import finite_difference_worst, gradient_check_cases
+from helpers import finite_difference_worst, gradient_check_cases, real_client
 
+from fedbalance import protocol
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance, make_toy_dataset
 from fedbalance.experiments import ExperimentConfig, grid_cells, run_experiment, run_grid
 from fedbalance.mixing import (DpMixConfig, WeightMode, dp_labelhide,
                                sample_laplace, sample_weight_matrix)
 from fedbalance.noisegen import (GeneratorConfig, generate, init_generator,
                                  power_spectrum_slope)
-from fedbalance.protocol import (BountyResponse, NaturalNoiseSource,
-                                 ProtocolTrace, Responder, SupplyPolicy,
-                                 Topology, run_balance)
+from fedbalance.protocol import (NaturalNoiseSource, ProtocolTrace, Responder,
+                                 SupplyPolicy, Topology, run_balance,
+                                 serve_bounty)
 from fedbalance.seeding import rng_for
 from fedbalance.training import (TrainConfig, build_model, fedavg_aggregate,
                                  init_model, local_train, run_round,
@@ -78,7 +79,7 @@ def test_criterion_03_mixup_oracle_bitwise():
     # knowledge of the selection order
     anchor = _img([1.5, 2.5, 3.5, 4.5], 1)
     filler = _img([10.0, 20.0, 30.0, 40.0], 0)
-    client_a = ClientDataset(0, [anchor, filler, filler, filler], 2)
+    client_a = ClientDataset.from_images(0, [anchor, filler, filler, filler], 2)
     out = dp_labelhide(client_a, 1, cfg, rng_for(3, "acc3a"), weights=forced)
     expected = np.zeros((2, 2, 1), dtype=np.float32)
     for w, img in zip(forced, [anchor, filler, filler, filler]):
@@ -88,8 +89,9 @@ def test_criterion_03_mixup_oracle_bitwise():
     assert out.label == 1
 
     # fixture B: distinct images, selection captured through the audit record
-    client_b = ClientDataset(0, [_img([0, 1, 2, 3], 0), _img([9, 8, 7, 6], 1),
-                                 _img([5, 5, 5, 5], 2), _img([2, 4, 6, 8], 3)], 4)
+    client_b = ClientDataset.from_images(
+        0, [_img([0, 1, 2, 3], 0), _img([9, 8, 7, 6], 1),
+            _img([5, 5, 5, 5], 2), _img([2, 4, 6, 8], 3)], 4)
     record = []
     out_b = dp_labelhide(client_b, 2, cfg, rng_for(3, "acc3b"), weights=forced,
                          record=record)
@@ -107,7 +109,14 @@ def _noise_source(seed):
     return NaturalNoiseSource(state, seed)
 
 
-def test_criterion_04_protocol_conservation():
+def test_criterion_04_protocol_conservation(monkeypatch):
+    served = []
+
+    def recording_serve(*args, **kwargs):
+        served.append(serve_bounty(*args, **kwargs))
+        return served[-1]
+
+    monkeypatch.setattr(protocol, "serve_bounty", recording_serve)
     rng = np.random.default_rng(44)
     scenarios = 0
     while scenarios < 200:
@@ -121,12 +130,12 @@ def test_criterion_04_protocol_conservation():
         def image(label, i):
             return LabeledImage(np.full((4, 4, 1), float(i), dtype=np.float32), label)
 
-        requester = ClientDataset(0, [image(0, i) for i in range(6)], 2)
+        requester = ClientDataset.from_images(0, [image(0, i) for i in range(6)], 2)
         peers = {}
         for p, stock in enumerate(peer_stock, start=1):
             examples = ([image(1, i) for i in range(stock)]
                         + [image(0, i) for i in range(4)])
-            peers[p] = Responder(ClientDataset(p, examples, 2),
+            peers[p] = Responder(ClientDataset.from_images(p, examples, 2),
                                  SupplyPolicy(capacity_fraction=capacity),
                                  DpMixConfig(k=3, sigma=1.0))
         if star:
@@ -136,6 +145,7 @@ def test_criterion_04_protocol_conservation():
             topology = Topology.peers(edges) if edges else Topology.star()
 
         trace = ProtocolTrace()
+        served.clear()
         before = len(requester)
         run_balance(requester, [(1, deficit)], alpha, topology, peers,
                     _noise_source(scenarios), np.random.default_rng(scenarios),
@@ -147,10 +157,8 @@ def test_criterion_04_protocol_conservation():
         assert len(mixed) <= math.ceil(alpha * deficit)
         assert all(ex.provenance in (Provenance.MIXUP, Provenance.NATURAL_NOISE)
                    for ex in added)
-        for msg in trace.messages:
-            if isinstance(msg.payload, BountyResponse):
-                assert all(s.provenance is Provenance.MIXUP
-                           for s in msg.payload.samples)
+        assert all(s.provenance is Provenance.MIXUP
+                   for resp in served for s in resp.samples)
         if alpha == 0.0:
             assert trace.request_count() == 0
         scenarios += 1
@@ -191,8 +199,8 @@ def test_criterion_06_gradient_correctness():
 
 
 def test_criterion_07_fedavg_degeneracy():
-    data = make_toy_dataset(12, 4, (6, 6, 1), seed=7)
-    client = training_arrays(ClientDataset(0, data, 4))
+    pixels, labels = make_toy_dataset(12, 4, (6, 6, 1), seed=7)
+    client = training_arrays(real_client(0, pixels, labels, 4))
     cfg = TrainConfig(batch_size=16, seed=70)
     schema = build_model("mlp", (6, 6, 1), 4)
     fed = init_model(schema, 7)
@@ -206,8 +214,8 @@ def test_criterion_07_fedavg_degeneracy():
         assert rel.max() < 1e-6
 
     # multi-client: aggregation stays in the elementwise convex hull
-    chunks = np.array_split(np.arange(len(data)), 4)
-    clients = [training_arrays(ClientDataset(i, [data[j] for j in chunk], 4))
+    chunks = np.array_split(np.arange(len(labels)), 4)
+    clients = [training_arrays(real_client(i, pixels[chunk], labels[chunk], 4))
                for i, chunk in enumerate(chunks)]
     params = init_model(schema, 8)
     trained = []

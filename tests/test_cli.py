@@ -94,10 +94,11 @@ def test_gen_noise_and_spectrum(tmp_path):
 def test_mix_from_tensor_directory(tmp_path):
     pool = tmp_path / "pool"
     pool.mkdir()
-    images = make_toy_dataset(3, 3, (8, 8, 1), seed=0)
-    for i, img in enumerate(images):
+    pixels, labels = make_toy_dataset(3, 3, (8, 8, 1), seed=0)
+    for i, (p, y) in enumerate(zip(pixels, labels)):
         serialization.save_tensor_image(
-            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"), img)
+            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"),
+            LabeledImage(p, int(y)))
     out = tmp_path / "mixed"
     assert main(["mix", "--in", str(pool), "--out", str(out), "--label", "1",
                  "--count", "4", "--k", "3", "--sigma", "1.0"]) == EXIT_OK
@@ -119,6 +120,37 @@ def test_io_error_exit_code(tmp_path, config_path):
     cfg = tmp_path / "mnist.cfg"
     cfg.write_text("[dataset]\nkind = mnist\npath = /nonexistent-dir\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("header", [
+    b"not json",
+    b"[4, 4, 1]",
+    b'{"label": 1}',
+    b'{"dims": [4, "4", 1]}',
+    b'{"dims": [4, 4]}',
+    b'{"dims": [4, 4, 1], "label": "one"}',
+    b'{"dims": [4, 4, 1], "provenance": "x"}',
+], ids=["not-json", "not-object", "no-dims", "str-dim", "two-dims", "str-label",
+        "unknown-provenance"])
+def test_malformed_tensor_header_exits_3(tmp_path, header):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    (in_dir / f"bad{serialization.TENSOR_SUFFIX}").write_bytes(
+        header + b"\n" + bytes(4 * 16))
+    out_csv = str(tmp_path / "slopes.csv")
+    assert main(["spectrum", "--in", str(in_dir), "--out", out_csv]) == EXIT_IO
+    assert main(["mix", "--in", str(in_dir), "--out", str(tmp_path / "m"),
+                 "--label", "0"]) == EXIT_IO
+
+
+@pytest.mark.parametrize("header", [b"\x00garbage", b"[]", b'{"dims": [1]}',
+                                    b'{"schema": [["dense", 2, 2], 7]}'],
+                         ids=["not-json", "not-object", "no-schema", "bad-layer"])
+def test_malformed_checkpoint_header_raises_format_error(tmp_path, header):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(header + b"\n" + bytes(24))
+    with pytest.raises(serialization.FormatError):
+        serialization.load_checkpoint(str(path))
 
 
 def test_tensor_image_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbalance.datasets import (BadMagic, BadRecordLength, ClientDataset,
-                                 DimensionOverflow, InfeasibleSpec,
-                                 LabelOutOfRange, PartitionSpec, Provenance,
-                                 TruncatedFile, encode_cifar10,
-                                 encode_idx, make_toy_dataset, parse_cifar10,
-                                 parse_idx, partition, toy_templates,
+                                 DatasetError, DimensionOverflow, InfeasibleSpec,
+                                 LabeledImage, LabelOutOfRange, PartitionSpec,
+                                 Provenance, TruncatedFile, encode_cifar10,
+                                 encode_idx, load_cifar10_dir, load_mnist_dir,
+                                 make_toy_dataset, parse_cifar10, parse_idx,
+                                 partition, toy_templates,
                                  write_partition_manifest)
 
 
@@ -83,67 +85,106 @@ class TestParseIdx:
 
 class TestParseCifar10:
     def test_zero_record(self):
-        images = parse_cifar10(bytes(3073))
-        assert len(images) == 1
-        assert images[0].label == 0
-        assert images[0].pixels.shape == (32, 32, 3)
-        assert images[0].pixels.max() == 0
+        pixels, labels = parse_cifar10(bytes(3073))
+        assert labels.tolist() == [0]
+        assert pixels.shape == (1, 32, 32, 3)
+        assert pixels.dtype == np.float32
+        assert pixels.max() == 0
 
     def test_two_records_hand_decoded(self):
         rec1 = bytes([3]) + bytes([10] * 1024 + [20] * 1024 + [30] * 1024)
         rec2 = bytes([7]) + bytes([1] * 3072)
-        images = parse_cifar10(rec1 + rec2)
-        assert [im.label for im in images] == [3, 7]
+        pixels, labels = parse_cifar10(rec1 + rec2)
+        assert labels.tolist() == [3, 7]
         # channel-planar layout: R then G then B
-        assert images[0].pixels[0, 0].tolist() == [10.0, 20.0, 30.0]
-        assert images[0].pixels[31, 31].tolist() == [10.0, 20.0, 30.0]
+        assert pixels[0, 0, 0].tolist() == [10.0, 20.0, 30.0]
+        assert pixels[0, 31, 31].tolist() == [10.0, 20.0, 30.0]
+        assert np.all(pixels[1] == 1.0)
 
     def test_bad_record_length(self):
         with pytest.raises(BadRecordLength):
             parse_cifar10(bytes(3072))
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
-            parse_cifar10(bytes([10]) + bytes(3072))
+        with pytest.raises(LabelOutOfRange, match="offset 3073"):
+            parse_cifar10(bytes(3073) + bytes([10]) + bytes(3072))
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        raw = bytes([int(rng.integers(0, 10))]) + bytes(
-            rng.integers(0, 256, 3072, dtype=np.uint8))
-        assert encode_cifar10(parse_cifar10(raw)) == raw
+        raw = b"".join(bytes([int(rng.integers(0, 10))]) + bytes(
+            rng.integers(0, 256, 3072, dtype=np.uint8)) for _ in range(3))
+        assert encode_cifar10(*parse_cifar10(raw)) == raw
+
+
+class TestLoadDirectories:
+    def test_mnist_idx_files(self, tmp_path):
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
+        labels = np.array([3, 1, 4, 1, 5], dtype=np.uint8)
+        for split in ("train", "t10k"):
+            (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(encode_idx(images))
+            (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(encode_idx(labels))
+        (train_x, train_y), (test_x, test_y) = load_mnist_dir(str(tmp_path))
+        assert train_x.shape == (5, 3, 4, 1) and train_x.dtype == np.float32
+        assert np.array_equal(train_x[..., 0], images)
+        assert train_y.dtype == np.int64 and train_y.tolist() == labels.tolist()
+        assert np.array_equal(test_x, train_x) and np.array_equal(test_y, train_y)
+
+        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(encode_idx(labels[:4]))
+        with pytest.raises(DatasetError, match="5 images vs 4 labels"):
+            load_mnist_dir(str(tmp_path))
+
+    def test_cifar10_batches_concatenate(self, tmp_path):
+        for i, name in enumerate([f"data_batch_{b}.bin" for b in range(1, 6)]
+                                 + ["test_batch.bin"]):
+            (tmp_path / name).write_bytes(bytes([i]) + bytes([i] * 3072))
+        (train_x, train_y), (test_x, test_y) = load_cifar10_dir(str(tmp_path))
+        assert train_x.shape == (5, 32, 32, 3)
+        assert train_y.tolist() == [0, 1, 2, 3, 4]
+        assert np.all(train_x[3] == 3.0)
+        assert test_y.tolist() == [5] and np.all(test_x == 5.0)
 
 
 class TestToyDataset:
     def test_counts_and_labels(self):
-        images = make_toy_dataset(1, 2, (8, 8, 1), seed=0)
-        assert len(images) == 2
-        assert sorted(im.label for im in images) == [0, 1]
-        assert not np.array_equal(images[0].pixels, images[1].pixels)
+        pixels, labels = make_toy_dataset(1, 2, (8, 8, 1), seed=0)
+        assert pixels.shape == (2, 8, 8, 1) and pixels.dtype == np.float32
+        assert labels.tolist() == [0, 1] and labels.dtype == np.int64
+        assert not np.array_equal(pixels[0], pixels[1])
 
     def test_determinism(self):
         a = make_toy_dataset(3, 4, (8, 8, 1), seed=7)
         b = make_toy_dataset(3, 4, (8, 8, 1), seed=7)
-        for x, y in zip(a, b):
-            assert x.pixels.tobytes() == y.pixels.tobytes()
+        assert a[0].tobytes() == b[0].tobytes()
+        assert np.array_equal(a[1], b[1])
 
     def test_nearest_template_classifier_is_perfect(self):
         # brute-force oracle: L2 distance to each noiseless template
-        images = make_toy_dataset(100, 4, (8, 8, 1), seed=11)
+        pixels, labels = make_toy_dataset(100, 4, (8, 8, 1), seed=11)
         templates = toy_templates(4, (8, 8, 1))
-        for im in images:
-            dists = ((templates - im.pixels[None]) ** 2).sum(axis=(1, 2, 3))
-            assert int(np.argmin(dists)) == im.label
+        dists = ((templates[None] - pixels[:, None]) ** 2).sum(axis=(2, 3, 4))
+        assert np.array_equal(dists.argmin(axis=1), labels)
 
     def test_pixels_are_integer_valued_in_range(self):
-        images = make_toy_dataset(5, 3, (6, 6, 1), seed=2)
-        for im in images:
-            assert im.provenance is Provenance.REAL
-            assert im.pixels.min() >= 0 and im.pixels.max() <= 255
-            assert np.array_equal(im.pixels, np.rint(im.pixels))
+        pixels, _ = make_toy_dataset(5, 3, (6, 6, 1), seed=2)
+        assert pixels.min() >= 0 and pixels.max() <= 255
+        assert np.array_equal(pixels, np.rint(pixels))
 
 
-def global_histogram(images, num_classes):
-    return np.bincount([im.label for im in images], minlength=num_classes)
+def global_histogram(data, num_classes):
+    return np.bincount(data[1], minlength=num_classes)
+
+
+def tagged(data):
+    """The dataset with each example's index written into its first pixel."""
+    pixels, labels = data
+    pixels = pixels.copy()
+    pixels[:, 0, 0, 0] = np.arange(len(labels))
+    return pixels, labels
+
+
+def tags(client):
+    return client.pixels[:, 0, 0, 0].astype(np.int64)
 
 
 class TestPartitionClassSkew:
@@ -159,7 +200,9 @@ class TestPartitionClassSkew:
         data = make_toy_dataset(10, 4, (6, 6, 1), seed=0)
         clients = partition(data, PartitionSpec.class_skew(4, 1, seed=1))
         assert len(clients) == 1
-        assert len(clients[0]) == len(data)
+        assert np.array_equal(clients[0].pixels, data[0])
+        assert np.array_equal(clients[0].labels, data[1])
+        assert np.all(clients[0].provenance == 0)
 
     def test_support_is_exactly_c(self):
         data = make_toy_dataset(40, 10, (6, 6, 1), seed=3)
@@ -169,10 +212,14 @@ class TestPartitionClassSkew:
                 assert (client.label_histogram > 0).sum() == c_classes
 
     def test_conservation_and_disjointness(self):
-        data = make_toy_dataset(25, 8, (6, 6, 1), seed=4)
+        data = tagged(make_toy_dataset(25, 8, (6, 6, 1), seed=4))
         clients = partition(data, PartitionSpec.class_skew(2, 8, seed=2))
-        seen = [id(ex) for c in clients for ex in c.examples]
-        assert len(seen) == len(set(seen)) == len(data)
+        seen = np.concatenate([tags(c) for c in clients])
+        assert np.array_equal(np.sort(seen), np.arange(len(data[1])))
+        for c in clients:
+            # rows keep dataset order and their own labels
+            assert np.all(np.diff(tags(c)) > 0)
+            assert np.array_equal(c.labels, data[1][tags(c)])
         total = sum(c.label_histogram for c in clients)
         assert np.array_equal(total, global_histogram(data, 8))
 
@@ -186,11 +233,11 @@ class TestPartitionClassSkew:
             partition(data, PartitionSpec.dirichlet(0.0, 4, seed=0))   # bad concentration
 
     def test_determinism(self):
-        data = make_toy_dataset(20, 6, (6, 6, 1), seed=8)
+        data = tagged(make_toy_dataset(20, 6, (6, 6, 1), seed=8))
         a = partition(data, PartitionSpec.class_skew(2, 6, seed=3))
         b = partition(data, PartitionSpec.class_skew(2, 6, seed=3))
         for ca, cb in zip(a, b):
-            assert [id(x) for x in ca.examples] == [id(x) for x in cb.examples]
+            assert np.array_equal(tags(ca), tags(cb))
 
 
 def oracle_dirichlet_histograms(num_examples_per_label, concentration, num_clients,
@@ -241,13 +288,21 @@ def test_manifest_csv(tmp_path):
     assert lines[0] == "client_id,label,count"
     assert len(lines) == 1 + 3 * 3
     counts = sum(int(line.split(",")[2]) for line in lines[1:])
-    assert counts == len(data)
+    assert counts == len(data[1])
 
 
 def test_client_dataset_histogram_recomputed():
-    data = make_toy_dataset(4, 3, (4, 4, 1), seed=0)
-    client = ClientDataset(0, list(data), 3)
+    pixels, labels = make_toy_dataset(4, 3, (4, 4, 1), seed=0)
+    client = ClientDataset.from_images(
+        0, [LabeledImage(p, int(y)) for p, y in zip(pixels, labels)], 3)
     assert client.label_histogram.tolist() == [4, 4, 4]
-    client.add([data[0]])
+    snapshot = replace(client)
+    noise = LabeledImage(np.ones((4, 4, 1)), 0, Provenance.NATURAL_NOISE)
+    client.add([noise])
     assert client.label_histogram.tolist() == [5, 4, 4]
-    assert client.count(0) == 5
+    last = client.examples[-1]
+    assert (last.label, last.provenance) == (0, Provenance.NATURAL_NOISE)
+    assert client.pixels.dtype == np.float32
+    # add rebinds fresh arrays, so the shallow copy still holds the old rows
+    assert len(snapshot) == 12 and snapshot.label_histogram.tolist() == [4, 4, 4]
+    assert np.array_equal(snapshot.pixels, client.pixels[:12])

@@ -251,19 +251,30 @@ class TestGrid:
         assert len(lines) == 1 + 4
 
 
-def test_rebalance_hook_is_noop_once_balanced(tmp_path):
-    # counts never drop below target after the initial fill, so the periodic
-    # hook adds nothing; it must still run without disturbing determinism
-    cfg = replace(TINY, supplement_pct=10, rounds=4, rebalance_every=2)
-    plain = replace(cfg, rebalance_every=0)
-    a = run_experiment(cfg, str(tmp_path / "hook"))
-    b = run_experiment(plain, str(tmp_path / "plain"))
-    assert [r.test_accuracy for r in a.reports] == [r.test_accuracy for r in b.reports]
-
-
 class TestDirichletMode:
     def test_dirichlet_partition_runs(self, tmp_path):
         cfg = replace(TINY, scheme="dirichlet", concentration=0.5,
                       supplement_pct=10, mix_fraction=0.5)
         result = run_experiment(cfg, str(tmp_path / "out"))
         assert len(result.reports) == TINY.rounds
+
+    def test_empty_clients_sit_out(self, tmp_path):
+        # this draw leaves several of the 12 clients with no examples at all
+        cfg = replace(TINY, scheme="dirichlet", concentration=0.05,
+                      num_clients=12, supplement_pct=10, mix_fraction=0.5)
+        train, _, _, _ = load_dataset(cfg)
+        sizes = [len(c) for c in datasets.partition(train, build_partition_spec(cfg))]
+        assert 0 in sizes
+        out = tmp_path / "out"
+        result = run_experiment(cfg, str(out))
+        # empty clients keep their zero rows in both manifests (they request
+        # nothing) and never train
+        for name in ("partition_manifest.csv", "balance_manifest.csv"):
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            assert len(rows) == 12 * 4
+            for cid, size in enumerate(sizes):
+                if size == 0:
+                    assert all(int(r[2]) == 0 for r in rows if int(r[0]) == cid)
+        for report in result.reports:
+            assert len(report.client_losses) == 12 - sizes.count(0)
+            assert report.mean_train_loss == pytest.approx(np.mean(report.client_losses))

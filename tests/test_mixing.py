@@ -81,7 +81,7 @@ def image(values, label, provenance=Provenance.REAL):
 
 @pytest.fixture
 def four_image_client():
-    return ClientDataset(0, [
+    return ClientDataset.from_images(0, [
         image([0, 1, 2, 3], 0),
         image([10, 20, 30, 40], 1),
         image([5, 5, 5, 5], 2),
@@ -144,7 +144,7 @@ class TestDpLabelHide:
 
     def test_linearity_at_sigma_zero(self, four_image_client):
         cfg = DpMixConfig(k=4, sigma=0.0)
-        scaled = ClientDataset(1, [
+        scaled = ClientDataset.from_images(1, [
             LabeledImage(ex.pixels * np.float32(3.0), ex.label)
             for ex in four_image_client.examples], 4)
         out1 = dp_labelhide(four_image_client, 0, cfg, np.random.default_rng(21))
@@ -152,7 +152,7 @@ class TestDpLabelHide:
         assert np.allclose(out3.pixels, 3.0 * out1.pixels, rtol=1e-6)
 
     def test_noise_streams_uncorrelated(self):
-        blank = ClientDataset(0, [image([0, 0, 0, 0], 0) for _ in range(4)], 1)
+        blank = ClientDataset.from_images(0, [image([0, 0, 0, 0], 0) for _ in range(4)], 1)
         cfg = DpMixConfig(k=4, sigma=10.0)
         outs = [dp_labelhide(blank, 0, cfg, np.random.default_rng(s),
                              weights=[1, 0, 0, 0]).pixels.ravel()
@@ -167,7 +167,7 @@ class TestDpLabelHide:
                          np.random.default_rng(0))
 
     def test_insufficient_pool(self):
-        tiny = ClientDataset(0, [image([1, 2, 3, 4], 0)], 1)
+        tiny = ClientDataset.from_images(0, [image([1, 2, 3, 4], 0)], 1)
         with pytest.raises(InsufficientPool):
             dp_labelhide(tiny, 0, DpMixConfig(k=2), np.random.default_rng(0))
 

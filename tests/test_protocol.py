@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedbalance import protocol
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance
 from fedbalance.mixing import DpMixConfig
 from fedbalance.noisegen import GeneratorConfig, init_generator
-from fedbalance.protocol import (BountyRequest, BountyResponse, DeadlineZero,
+from fedbalance.protocol import (BountyRequest, DeadlineZero,
                                  Message, NaturalNoiseSource, ProtocolTrace,
                                  Responder, SupplyPolicy, Topology,
                                  plan_deficits, route, run_balance,
@@ -25,7 +26,7 @@ def client(client_id, counts, num_classes=None):
     num_classes = num_classes or len(counts)
     examples = [fake_image(label, fill=label * 10.0 + i)
                 for label, n in enumerate(counts) for i in range(n)]
-    return ClientDataset(client_id, examples, num_classes)
+    return ClientDataset.from_images(client_id, examples, num_classes)
 
 
 def noise_source(seed=0):
@@ -133,7 +134,7 @@ class TestRunBalance:
         requester, deficits, trace = run_simple_balance(
             0.0, [8, 0], [[5, 5], [5, 5]])
         assert trace.request_count() == 0
-        assert requester.count(1) == 10
+        assert requester.label_histogram[1] == 10
         added = [ex for ex in requester.examples if ex.label == 1]
         assert all(ex.provenance is Provenance.NATURAL_NOISE for ex in added)
 
@@ -175,11 +176,14 @@ class TestRunBalance:
 
     def test_never_removes_existing_examples(self):
         requester = client(0, [8, 0])
-        before = list(requester.examples)
+        before = requester.pixels.copy(), requester.labels.copy()
         peers = {1: Responder(client(1, [5, 5]), SupplyPolicy(), DpMixConfig(k=2))}
         run_balance(requester, [(1, 4)], 0.5, Topology.star(), peers,
                     noise_source(), np.random.default_rng(0))
-        assert requester.examples[:len(before)] == before
+        assert len(requester) == 8 + 4
+        assert np.array_equal(requester.pixels[:8], before[0])
+        assert np.array_equal(requester.labels[:8], before[1])
+        assert np.all(requester.provenance[:8] == 0)
 
     def test_determinism(self):
         a, _, ta = run_simple_balance(0.5, [8, 0, 0], [[6, 3, 2], [4, 0, 5]], seed=9)
@@ -205,12 +209,18 @@ class TestRunBalance:
         if mix == 0.0:
             assert trace.request_count() == 0
 
-    def test_no_real_image_ever_crosses_a_boundary(self):
-        _, _, trace = run_simple_balance(1.0, [8, 0, 0], [[9, 4, 0], [5, 5, 5]])
-        for msg in trace.messages:
-            if isinstance(msg.payload, BountyResponse):
-                for sample in msg.payload.samples:
-                    assert sample.provenance is Provenance.MIXUP
+    def test_no_real_image_ever_crosses_a_boundary(self, monkeypatch):
+        served = []
+
+        def recording_serve(*args, **kwargs):
+            served.append(serve_bounty(*args, **kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(protocol, "serve_bounty", recording_serve)
+        run_simple_balance(1.0, [8, 0, 0], [[9, 4, 0], [5, 5, 5]])
+        samples = [sample for resp in served for sample in resp.samples]
+        assert samples
+        assert all(sample.provenance is Provenance.MIXUP for sample in samples)
 
 
 class TestTrace:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fedbalance.datasets import ClientDataset, make_toy_dataset
+from helpers import finite_difference_worst, gradient_check_cases, real_client
+
+from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
 from fedbalance.training import (Dense, ModelParams, NonFiniteGradient,
                                  NonFiniteParam, OptState, ReLU, SchemaMismatch,
                                  ShapeMismatch, Softmax, TrainConfig, adam_step,
-                                 backward, build_model, fedavg_aggregate,
-                                 forward, init_model, local_train,
-                                 loss_and_grad, run_round, schema_param_count,
+                                 build_model, fedavg_aggregate, forward,
+                                 init_model, local_train, loss_and_grad,
+                                 run_round, schema_param_count,
                                  softmax_cross_entropy, training_arrays)
 
 
@@ -35,7 +37,7 @@ class TestForward:
 
     def test_batch_of_128_has_finite_loss(self):
         data = make_toy_dataset(13, 10, (10, 10, 1), seed=0)
-        client = training_arrays(ClientDataset(0, data, 10))
+        client = training_arrays(real_client(0, *data, 10))
         schema = build_model("cnn", (10, 10, 1), 10)
         params = init_model(schema, 1)
         loss, grad = loss_and_grad(params, client.x[:128], client.y[:128])
@@ -51,9 +53,6 @@ class TestForward:
             forward(conv, np.zeros((2, 8, 8, 1), dtype=np.float32))
 
 
-from helpers import finite_difference_worst, gradient_check_cases
-
-
 class TestBackward:
     def test_finite_difference_all_layer_types(self):
         for name, schema, x, y, seed in gradient_check_cases():
@@ -61,16 +60,6 @@ class TestBackward:
             # precondition: no pool argmax can flip inside the probe interval
             assert gap > 0.008, f"{name}: pool gap {gap} too small for h=1e-3"
             assert worst < 1e-4, f"{name}: max relative error {worst}"
-
-    def test_backward_uses_forward_cache(self):
-        schema = build_model("mlp", (4, 4, 1), 3)
-        params = init_model(schema, 5)
-        x = np.random.default_rng(1).random((5, 4, 4, 1)).astype(np.float32)
-        y = np.array([0, 1, 2, 0, 1])
-        _, cache = forward(params, x)
-        grad = backward(params, y, cache)
-        _, grad2 = loss_and_grad(params, x, y)
-        assert np.array_equal(grad, grad2)
 
     def test_duplicated_example_matches_single(self):
         schema = (Dense(6, 3), Softmax())
@@ -189,11 +178,11 @@ class TestFedAvgAggregate:
 
 
 def toy_clients(n_clients, per_class, num_classes=4, dims=(6, 6, 1), seed=0):
-    data = make_toy_dataset(per_class * n_clients, num_classes, dims, seed=seed)
+    pixels, labels = make_toy_dataset(per_class * n_clients, num_classes, dims, seed=seed)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(data))
+    order = rng.permutation(len(labels))
     chunks = np.array_split(order, n_clients)
-    return [training_arrays(ClientDataset(i, [data[j] for j in chunk], num_classes))
+    return [training_arrays(real_client(i, pixels[chunk], labels[chunk], num_classes))
             for i, chunk in enumerate(chunks)]
 
 
@@ -260,7 +249,9 @@ class TestRunRound:
 
 
 def test_training_arrays_scales_pixels():
-    data = make_toy_dataset(2, 2, (4, 4, 1), seed=0)
-    client = training_arrays(ClientDataset(0, data, 2))
+    pixels, labels = make_toy_dataset(2, 2, (4, 4, 1), seed=0)
+    client = training_arrays(real_client(0, pixels, labels, 2))
     assert client.x.max() <= 1.0
     assert client.x.dtype == np.float32
+    assert np.allclose(client.x * 255.0, pixels)
+    assert np.array_equal(client.y, labels)
