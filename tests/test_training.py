@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import finite_difference_worst, gradient_check_cases, real_client
+from helpers import (finite_difference_worst, gradient_check_cases, min_pool_gap,
+                     real_client)
 
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
@@ -84,6 +86,41 @@ class TestBackward:
         y = np.array([0, 1, 0, 1])
         _, grad = loss_and_grad(params, x, y)
         assert np.all(grad[:n_w1] == 0.0)
+
+
+def pinned_cnn_batch(dtype):
+    """CNN params and a 12-image batch with constant images and exact ties in
+    the first pool's windows (every zero-input region gives conv output = bias)."""
+    rng = np.random.default_rng(11)
+    x = rng.random((12, 10, 10, 1))
+    x[0] = 0.0
+    x[1] = 0.5
+    x[2] = -0.0
+    x[3, ::2] = -0.0
+    x[4] = np.repeat(np.repeat(rng.random((5, 5, 1)), 2, axis=0), 2, axis=1)
+    params = init_model(build_model("cnn", (10, 10, 1), 10), 3, dtype=dtype)
+    params.flat += np.random.default_rng(4).normal(
+        0, 0.1, params.flat.size).astype(dtype)
+    return params, x.astype(dtype), np.arange(12) % 10
+
+
+# (loss.hex(), SHA-256 of the gradient bytes) per dtype
+PINNED_CNN_GRADS = {
+    "float32": ("0x1.3288ce0000000p+1",
+                "c17caf8dc2c9863b53dbb27d40b83f531a200167828c36275662df5cca508d06"),
+    "float64": ("0x1.3288cd2857fb3p+1",
+                "bf84393bc092c13ff9ad60954a0bc4b67be90b3ddf3b0dda0ec810950e4465f1"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cnn_loss_and_grad_match_pinned_digests(dtype):
+    params, x, y = pinned_cnn_batch(dtype)
+    assert min_pool_gap(params, x) == 0.0     # the batch exercises pool ties
+    loss, grad = loss_and_grad(params, x, y)
+    assert grad.dtype == dtype
+    got = (loss.hex(), hashlib.sha256(grad.tobytes()).hexdigest())
+    assert got == PINNED_CNN_GRADS[np.dtype(dtype).name]
 
 
 class TestAdam:
