@@ -379,9 +379,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+        serialization.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params)
+        # Written last: run_grid counts a cell as done once its summary exists.
         _write_summary(os.path.join(out_dir, "summary.csv"), cfg, tag,
                        final_acc, best_acc)
-        serialization.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params)
     return ExperimentResult(cfg, reports, final_acc, best_acc, tag, out_dir)
 
 
@@ -398,10 +399,16 @@ def _write_summary(path: str, cfg: ExperimentConfig, tag: str,
            _fmt_num(cfg.supplement_pct), _fmt_num(cfg.mix_fraction),
            cfg.k, _fmt_num(cfg.sigma), cfg.rounds, cfg.seed, tag,
            f"{final_acc:.6f}", f"{best_acc:.6f}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_FIELDS)
-        writer.writerow(row)
+    _write_csv_atomic(path, [_SUMMARY_FIELDS, row])
+
+
+def _write_csv_atomic(path: str, rows) -> None:
+    """Write rows through a temp file and os.replace, so a reader sees either
+    the whole file or none of it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    os.replace(tmp, path)
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[ExperimentConfig]:
@@ -438,13 +445,11 @@ def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
             continue
         run_experiment(cell, cell_dir)
 
+    rows = [_SUMMARY_FIELDS]
+    for cell in cells:
+        cell_summary = os.path.join(cells_dir, cell_dirname(cell), "summary.csv")
+        with open(cell_summary, newline="") as cell_fh:
+            rows.append(list(csv.reader(cell_fh))[1])
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_FIELDS)
-        for cell in cells:
-            cell_summary = os.path.join(cells_dir, cell_dirname(cell), "summary.csv")
-            with open(cell_summary, newline="") as cell_fh:
-                rows = list(csv.reader(cell_fh))
-            writer.writerow(rows[1])
+    _write_csv_atomic(summary_path, rows)
     return summary_path

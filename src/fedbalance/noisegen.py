@@ -167,23 +167,25 @@ def init_generator(cfg: GeneratorConfig) -> GeneratorState:
 
 
 def correlate2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Same-size 2-D cross-correlation with zero padding (odd kernels only)."""
+    """Same-size 2-D cross-correlation with zero padding (odd kernels only),
+    applied to the last two axes of an (..., H, W) array."""
     kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise NoiseGenError(f"kernel dims must be odd, got {kernel.shape}")
     ph, pw = kh // 2, kw // 2
-    h, w = image.shape
-    padded = np.pad(image, ((ph, ph), (pw, pw)))
-    out = np.zeros_like(image, dtype=np.float64)
+    h, w = image.shape[-2:]
+    padded = np.zeros(image.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=image.dtype)
+    padded[..., ph:ph + h, pw:pw + w] = image
+    out = np.zeros(image.shape, dtype=np.float64)
     for dy in range(kh):
         for dx in range(kw):
-            out += kernel[dy, dx] * padded[dy:dy + h, dx:dx + w]
+            out += kernel[dy, dx] * padded[..., dy:dy + h, dx:dx + w]
     return out
 
 
 def apply_conv(x: np.ndarray, conv: ConvInit) -> np.ndarray:
     """y_k = sum_i amplitudes[k, i] * (x_i * f) + biases[k] over (C, H, W) input."""
-    shared = np.stack([correlate2d_same(x[i], conv.kernel) for i in range(x.shape[0])])
+    shared = correlate2d_same(x, conv.kernel)
     return np.einsum("oi,ihw->ohw", conv.amplitudes, shared) + conv.biases[:, None, None]
 
 

@@ -140,38 +140,57 @@ def init_model(schema: Sequence[Layer], seed: int, dtype=np.float32) -> ModelPar
     return ModelParams(schema, flat)
 
 
+def _pool_corners(x: np.ndarray) -> list[np.ndarray]:
+    """The four strided views of 2x2 windows, in (0,0), (0,1), (1,0), (1,1)
+    order; an odd last row or column is cropped."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    return [x[:, dy:h2 * 2:2, dx:w2 * 2:2, :] for dy in (0, 1) for dx in (0, 1)]
+
+
 def _pool_forward(x: np.ndarray):
-    b, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    cropped = x[:, :h2 * 2, :w2 * 2, :]
-    windows = cropped.reshape(b, h2, 2, w2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-    windows = windows.reshape(b, h2, w2, c, 4)
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-    return out, (x.shape, argmax)
+    # A corner replaces the running winner only when strictly larger, so ties
+    # go to the first maximum in corner order (argmax's rule). The output is
+    # selected bitwise, so it is the winning element itself, sign of zero
+    # included (NaN inputs aside, where argmax would pick the first NaN).
+    corners = [np.ascontiguousarray(c) for c in _pool_corners(x)]
+    bits = np.dtype(f"u{x.itemsize}")
+    out = corners[0]
+    out_bits = out.view(bits)
+    winner = np.zeros(out.shape, dtype=np.int8)
+    for k, corner in enumerate(corners[1:], start=1):
+        larger = corner > out
+        out_bits ^= (out_bits ^ corner.view(bits)) & -larger.astype(bits)
+        np.maximum(winner, larger * np.int8(k), out=winner)
+    return out, (x.shape, winner)
 
 
 def _pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    in_shape, argmax = cache
-    b, h, w, c = in_shape
-    h2, w2 = h // 2, w // 2
-    grad_windows = np.zeros((b, h2, w2, c, 4), dtype=dout.dtype)
-    np.put_along_axis(grad_windows, argmax[..., None], dout[..., None], axis=-1)
-    grad = grad_windows.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    grad = grad.reshape(b, h2 * 2, w2 * 2, c)
+    in_shape, winner = cache
+    bits = np.dtype(f"u{dout.itemsize}")
+    dout_bits = np.ascontiguousarray(dout).view(bits)
     dx = np.zeros(in_shape, dtype=dout.dtype)
-    dx[:, :h2 * 2, :w2 * 2, :] = grad
+    for k, corner in enumerate(_pool_corners(dx)):
+        corner[...] = (dout_bits & -(winner == k).astype(bits)).view(dout.dtype)
     return dx
+
+
+def _conv_taps(h: int, w: int):
+    """For each 3x3 tap dy*3+dx, the output rows/cols whose shifted source
+    pixel lies inside an (h, w) image, and those source rows/cols."""
+    for dy in range(3):
+        for dx in range(3):
+            y0, y1 = max(0, 1 - dy), min(h, h + 1 - dy)
+            x0, x1 = max(0, 1 - dx), min(w, w + 1 - dx)
+            yield (dy * 3 + dx, (slice(y0, y1), slice(x0, x1)),
+                   (slice(y0 + dy - 1, y1 + dy - 1), slice(x0 + dx - 1, x1 + dx - 1)))
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
     """(B, H, W, C) -> (B*H*W, 9*C) patch matrix for same-padded 3x3 convs."""
     b, h, w, c = x.shape
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((b, h, w, 9, c), dtype=x.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, :, :, dy * 3 + dx, :] = padded[:, dy:dy + h, dx:dx + w, :]
+    cols = np.zeros((b, h, w, 9, c), dtype=x.dtype)
+    for tap, (oy, ox), (sy, sx) in _conv_taps(h, w):
+        cols[:, oy, ox, tap, :] = x[:, sy, sx, :]
     return cols.reshape(b * h * w, 9 * c)
 
 
@@ -179,23 +198,25 @@ def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
                   bias: np.ndarray) -> np.ndarray:
     b, h, width, c_in = x.shape
     out2d = cols @ w.reshape(9 * c_in, w.shape[-1])
-    return out2d.reshape(b, h, width, w.shape[-1]) + bias
+    out2d += bias
+    return out2d.reshape(b, h, width, w.shape[-1])
 
 
-def _conv_backward(dout: np.ndarray, x: np.ndarray, cols: np.ndarray,
-                   w: np.ndarray):
-    b, h, width, c_in = x.shape
-    c_out = w.shape[-1]
-    dout2d = dout.reshape(b * h * width, c_out)
-    w_mat = w.reshape(9 * c_in, c_out)
-    dw = (cols.T @ dout2d).reshape(3, 3, c_in, c_out)
-    db = dout2d.sum(axis=0)
-    dcols = (dout2d @ w_mat.T).reshape(b, h, width, 9, c_in)
-    dpadded = np.zeros((b, h + 2, width + 2, c_in), dtype=dout.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            dpadded[:, dy:dy + h, dx:dx + width, :] += dcols[:, :, :, dy * 3 + dx, :]
-    return dpadded[:, 1:1 + h, 1:1 + width, :], dw, db
+def _conv_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    dout2d = dout.reshape(-1, w.shape[-1])
+    return (cols.T @ dout2d).reshape(w.shape), dout2d.sum(axis=0)
+
+
+def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order."""
+    b, h, width, c_out = dout.shape
+    c_in = w.shape[2]
+    dcols = dout.reshape(-1, c_out) @ w.reshape(9 * c_in, c_out).T
+    dcols = dcols.reshape(b, h, width, 9, c_in)
+    dx = np.zeros((b, h, width, c_in), dtype=dout.dtype)
+    for tap, (oy, ox), (sy, sx) in _conv_taps(h, width):
+        dx[:, sy, sx, :] += dcols[:, oy, ox, tap, :]
+    return dx
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -223,7 +244,7 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
                     f"Conv3x3 expects (B,H,W,{layer.in_channels}), got {act.shape}")
             w, b = view
             cols = _im2col(act)
-            cache.append((act, cols))
+            cache.append(cols)
             act = _conv_forward(act, cols, w, b)
         elif isinstance(layer, MaxPool2):
             act, pool_cache = _pool_forward(act)
@@ -263,6 +284,7 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
     views = _param_views(params.schema, params.flat)
     grad_flat = np.zeros_like(params.flat)
     grad_views = _param_views(params.schema, grad_flat)
+    # The input gradient of layer 0 would be discarded, so it is not computed.
     for i in range(len(params.schema) - 1, -1, -1):
         layer = params.schema[i]
         if isinstance(layer, Dense):
@@ -271,14 +293,14 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
             gw, gb = grad_views[i]
             gw[...] = flat_in.T @ delta
             gb[...] = delta.sum(axis=0)
-            delta = (delta @ w.T).reshape(in_shape)
+            if i:
+                delta = (delta @ w.T).reshape(in_shape)
         elif isinstance(layer, Conv3x3):
-            x_in, cols = cache[i]
             w, _ = views[i]
             gw, gb = grad_views[i]
-            delta, dw, db = _conv_backward(delta, x_in, cols, w)
-            gw[...] = dw
-            gb[...] = db
+            gw[...], gb[...] = _conv_param_grads(delta, cache[i], w)
+            if i:
+                delta = _conv_input_grad(delta, w)
         elif isinstance(layer, MaxPool2):
             delta = _pool_backward(delta, cache[i])
         elif isinstance(layer, ReLU):

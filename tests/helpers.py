@@ -6,7 +6,8 @@ from fedbalance.datasets import ClientDataset
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
                                  softmax_cross_entropy)
-from fedbalance.training import _im2col, _conv_forward, _param_views, _pool_forward
+from fedbalance.training import (_conv_forward, _im2col, _param_views,
+                                 _pool_corners, _pool_forward)
 
 
 def min_pool_gap(params, x):
@@ -25,11 +26,7 @@ def min_pool_gap(params, x):
             cols = _im2col(act)
             act = _conv_forward(act, cols, view[0], view[1])
         elif isinstance(layer, MaxPool2):
-            b, h, w, c = act.shape
-            h2, w2 = h // 2, w // 2
-            windows = (act[:, :h2 * 2, :w2 * 2, :]
-                       .reshape(b, h2, 2, w2, 2, c)
-                       .transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4))
+            windows = np.stack(_pool_corners(act), axis=-1)
             top2 = np.sort(windows, axis=-1)[..., 2:]
             gaps.append(float((top2[..., 1] - top2[..., 0]).min()))
             act, _ = _pool_forward(act)

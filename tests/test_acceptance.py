@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The trend criteria (9, 10)
-train real desk-scale federated runs and take a few minutes; everything else
-finishes in seconds.
+train real desk-scale federated runs and take a few minutes, so they carry
+the `slow` marker; everything else finishes in seconds.
 """
 
 import math
@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from helpers import finite_difference_worst, gradient_check_cases, real_client
@@ -275,6 +276,7 @@ def desk_accuracy(seed, classes_per_client, supplement_pct, mix_fraction):
     return _DESK_CACHE[key]
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_trends():
     started = time.time()
     seeds = (0, 1, 2)
@@ -299,6 +301,7 @@ def test_criterion_09_desk_scale_trends():
        f"{passes}/3 seeds, {elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_10_skew_monotonicity():
     seeds = (0, 1, 2)
     monotone = 0

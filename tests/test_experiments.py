@@ -12,7 +12,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     cell_dirname, config_tag, grid_cells,
                                     load_config, load_dataset, run_experiment,
                                     run_grid)
-from fedbalance import datasets
+from fedbalance import datasets, serialization
 from fedbalance.protocol import ProtocolTrace
 from fedbalance.training import training_arrays
 
@@ -242,6 +242,37 @@ class TestGrid:
         run_grid(cfg, str(out))
         assert kept.stat().st_mtime_ns == mtime_before
         assert (removed_dir / "summary.csv").exists()
+
+    def test_resume_after_interrupted_cell(self, tmp_path, monkeypatch):
+        cfg = replace(TINY, grid_classes_per_client=(1, 2),
+                      grid_mix_fraction=(0.0, 1.0), supplement_pct=10)
+        cells = grid_cells(cfg)
+        calls = []
+        save_checkpoint = serialization.save_checkpoint
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupted_save(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise Interrupted
+            save_checkpoint(*args)
+
+        out = tmp_path / "grid"
+        monkeypatch.setattr(serialization, "save_checkpoint", interrupted_save)
+        with pytest.raises(Interrupted):
+            run_grid(cfg, str(out))
+        monkeypatch.undo()
+        first, second = (out / "cells" / cell_dirname(c) for c in cells[:2])
+        assert (first / "summary.csv").exists()
+        assert not (second / "summary.csv").exists()
+        assert not (out / "summary.csv").exists()
+
+        resumed = run_grid(cfg, str(out))
+        uninterrupted = run_grid(cfg, str(tmp_path / "clean"))
+        assert open(resumed, "rb").read() == open(uninterrupted, "rb").read()
+        assert sorted(os.listdir(out)) == ["cells", "summary.csv"]
 
     def test_grid_summary_rows(self, tmp_path):
         cfg = replace(TINY, grid_classes_per_client=(1, 2),

@@ -16,6 +16,7 @@ from fedbalance.training import (Dense, ModelParams, NonFiniteGradient,
                                  init_model, local_train, loss_and_grad,
                                  run_round, schema_param_count,
                                  softmax_cross_entropy, training_arrays)
+from fedbalance.training import _pool_backward, _pool_forward
 
 
 class TestForward:
@@ -53,6 +54,50 @@ class TestForward:
         conv = init_model(build_model("cnn", (8, 8, 3), 4), 0)
         with pytest.raises(ShapeMismatch):
             forward(conv, np.zeros((2, 8, 8, 1), dtype=np.float32))
+
+
+class TestMaxPool2:
+    # One hand-built 2x2 window per channel, listed in corner order (0,0),
+    # (0,1), (1,0), (1,1), with the expected winning corner.
+    WINDOWS = [
+        ([2.0, 2.0, 2.0, 2.0], 0),        # all four equal
+        ([1.0, 5.0, 0.0, 5.0], 1),        # tie between corners 1 and 3
+        ([0.0, 3.0, 3.0, 1.0], 1),        # tie between corners 1 and 2
+        ([-0.0, 0.0, -1.0, -1.0], 0),     # -0.0 first against +0.0
+        ([-1.0, 0.0, -2.0, -0.0], 1),     # +0.0 first against -0.0
+    ]
+
+    def pool_input(self, dtype):
+        # 3x3 input: the odd last row and column hold a large value that a
+        # pool which failed to crop them would pick.
+        x = np.full((1, 3, 3, len(self.WINDOWS)), 99.0, dtype=dtype)
+        for c, (values, _) in enumerate(self.WINDOWS):
+            x[0, :2, :2, c] = np.array(values, dtype=dtype).reshape(2, 2)
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_returns_first_maximum_element(self, dtype):
+        out, _ = _pool_forward(self.pool_input(dtype))
+        assert out.shape == (1, 1, 1, len(self.WINDOWS))
+        for c, (values, first) in enumerate(self.WINDOWS):
+            got = out[0, 0, 0, c]
+            assert got == values[first]
+            assert np.signbit(got) == np.signbit(values[first]), c
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_routes_gradient_to_the_winner(self, dtype):
+        x = self.pool_input(dtype)
+        _, cache = _pool_forward(x)
+        dout = np.arange(1.0, len(self.WINDOWS) + 1, dtype=dtype).reshape(1, 1, 1, -1)
+        dx = _pool_backward(dout, cache)
+        assert dx.shape == x.shape and dx.dtype == dtype
+        expected = np.zeros_like(x)
+        for c, (_, first) in enumerate(self.WINDOWS):
+            expected[0, first // 2, first % 2, c] = dout[0, 0, 0, c]
+        assert np.array_equal(dx, expected)
+        # the cropped row and column get exactly +0.0
+        assert not np.signbit(dx[0, 2, :, :]).any()
+        assert not np.signbit(dx[0, :, 2, :]).any()
 
 
 class TestBackward:
