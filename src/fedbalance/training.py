@@ -202,11 +202,6 @@ def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
     return out2d.reshape(b, h, width, w.shape[-1])
 
 
-def _conv_param_grads(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    dout2d = dout.reshape(-1, w.shape[-1])
-    return (cols.T @ dout2d).reshape(w.shape), dout2d.sum(axis=0)
-
-
 def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order."""
     b, h, width, c_out = dout.shape
@@ -298,7 +293,9 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
         elif isinstance(layer, Conv3x3):
             w, _ = views[i]
             gw, gb = grad_views[i]
-            gw[...], gb[...] = _conv_param_grads(delta, cache[i], w)
+            dout2d = delta.reshape(-1, w.shape[-1])
+            gw[...] = (cache[i].T @ dout2d).reshape(w.shape)
+            gb[...] = dout2d.sum(axis=0)
             if i:
                 delta = _conv_input_grad(delta, w)
         elif isinstance(layer, MaxPool2):
