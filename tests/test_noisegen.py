@@ -104,6 +104,10 @@ class TestConv:
                             acc += img[yy, xx] * kern[dy, dx]
                 expected[y, x] = acc
         assert np.allclose(got, expected, atol=1e-12)
+        # a stack is correlated slice by slice, bit for bit
+        other = rng.standard_normal((4, 4))
+        stacked = correlate2d_same(np.stack([img, other]), kern)
+        assert np.array_equal(stacked, np.stack([got, correlate2d_same(other, kern)]))
 
     def test_apply_conv_formula(self):
         # y_k = sum_i a[k,i] (x_i * f) + b[k], one in/out channel
