@@ -15,8 +15,8 @@ from .mixing import (DpMixConfig, MixWeights, WeightMode, dp_labelhide,
 from .noisegen import (GeneratorConfig, GeneratorState, WaveletBank, generate,
                        init_generator, power_spectrum_slope, sample_wavelet)
 from .protocol import (BountyRequest, BountyResponse, NaturalNoiseSource,
-                       ProtocolTrace, Responder, SupplyPolicy, Topology,
-                       plan_deficits, route, run_balance, serve_bounty)
+                       ProtocolTrace, Topology, plan_deficits, route,
+                       run_balance, serve_bounty)
 from .training import (ModelParams, OptState, RoundReport, TrainConfig,
                        adam_step, build_model, evaluate, fedavg_aggregate,
                        forward, init_model, loss_and_grad, run_round)

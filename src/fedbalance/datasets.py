@@ -75,7 +75,7 @@ class LabeledImage:
     """One example: an (H, W, Ch) float32 pixel tensor plus a class label.
 
     Real images carry integer-valued pixels in [0, 255]; pseudo-images may be
-    arbitrary reals (additive noise is not clamped by default).
+    arbitrary reals (additive noise is not clamped).
     """
 
     pixels: np.ndarray

@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from . import datasets, noisegen, serialization, training
 from .datasets import ClientDataset, PartitionSpec
 from .mixing import DpMixConfig, WeightMode
-from .protocol import (NaturalNoiseSource, ProtocolTrace, Responder, SupplyPolicy,
-                       Topology, plan_deficits, run_balance)
+from .protocol import (NaturalNoiseSource, ProtocolTrace, Topology, plan_deficits,
+                       run_balance)
 from .seeding import derive_seed, rng_for
 from .training import TrainConfig, build_model, init_model, run_round
 
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be toy/mnist/cifar10, got {self.dataset!r}")
         if self.dataset != "toy" and not self.data_path:
             raise ConfigError(f"dataset {self.dataset} needs a path")
+        if self.toy_classes < 1 or self.toy_jitter < 0:
+            raise ConfigError("toy_classes must be >= 1 and toy_jitter >= 0")
         if self.scheme not in ("class_skew", "dirichlet"):
             raise ConfigError(f"scheme must be class_skew/dirichlet, got {self.scheme!r}")
         if self.num_clients < 1:
@@ -103,12 +105,18 @@ class ExperimentConfig:
             raise ConfigError(f"deadline must be >= 1, got {self.deadline}")
         if not (0.0 <= self.capacity_fraction <= 1.0):
             raise ConfigError("capacity_fraction must be in [0, 1]")
+        if self.noise_bank not in [b.value for b in noisegen.WaveletBank]:
+            raise ConfigError(f"unknown wavelet_bank {self.noise_bank!r}")
         if self.model not in ("logreg", "mlp", "cnn"):
             raise ConfigError(f"model must be logreg/mlp/cnn, got {self.model!r}")
         if self.rounds < 1 or self.batch_size < 1 or self.local_epochs < 1:
             raise ConfigError("rounds, batch_size, local_epochs must be >= 1")
         if not (0.0 < self.participation_fraction <= 1.0):
             raise ConfigError("participation_fraction must be in (0, 1]")
+        if not (self.lr > 0 and self.eps > 0 and math.isfinite(self.lr + self.eps)):
+            raise ConfigError(f"lr and eps must be finite and > 0, got {self.lr}, {self.eps}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         _parse_topology(self.topology)  # raises ConfigError on bad syntax
 
 
@@ -116,20 +124,13 @@ def _parse_topology(text: str) -> Topology:
     text = text.strip()
     if text == "star":
         return Topology.star()
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split("-")
-        if len(pieces) != 2:
-            raise ConfigError(f"bad topology edge {part!r}; expected 'a-b'")
-        try:
-            edges.append((int(pieces[0]), int(pieces[1])))
-        except ValueError as exc:
-            raise ConfigError(f"bad topology edge {part!r}") from exc
-    if not edges:
-        raise ConfigError(f"topology must be 'star' or an edge list, got {text!r}")
+    try:
+        edges = [tuple(int(v) for v in part.split("-"))
+                 for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad topology {text!r}; expected 'star' or 'a-b,c-d'") from exc
+    if not edges or any(len(e) != 2 for e in edges):
+        raise ConfigError(f"bad topology {text!r}; expected 'star' or 'a-b,c-d'")
     return Topology.peers(edges)
 
 
@@ -270,16 +271,15 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
                     trace: ProtocolTrace | None = None) -> None:
     """Run the balance protocol for every client against pre-balance snapshots.
 
-    Responders always serve from the datasets as they stood before any client
+    Peers always serve from the datasets as they stood before any client
     balanced, so outcomes do not depend on the order clients run in and
     pseudo-images never become mixup sources. An empty client's target is 0,
     so it requests nothing.
     """
     mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
-    policy = SupplyPolicy(capacity_fraction=cfg.capacity_fraction)
     topology = _parse_topology(cfg.topology)
     # `add` rebinds its arrays, so a shallow copy is a pre-balance snapshot.
-    snapshots = {c.client_id: Responder(replace(c), policy, mix_cfg) for c in clients}
+    snapshots = {c.client_id: replace(c) for c in clients}
     for client in clients:
         peak = int(client.label_histogram.max())
         target = math.ceil(cfg.supplement_pct / 100.0 * peak)
@@ -295,10 +295,10 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
             seed=derive_seed(cfg.seed, "noise-state", client.client_id))
         nat = NaturalNoiseSource(noisegen.init_generator(gen_cfg),
                                  derive_seed(cfg.seed, "natgen", client.client_id))
-        peers = {cid: resp for cid, resp in snapshots.items() if cid != client.client_id}
-        run_balance(client, deficits, cfg.mix_fraction, topology, peers, nat,
-                    rng_for(cfg.seed, "balance", client.client_id),
-                    deadline=cfg.deadline, trace=trace)
+        run_balance(client, deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
+                    nat, rng_for(cfg.seed, "balance", client.client_id),
+                    capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline,
+                    trace=trace)
 
 
 @dataclass
@@ -375,12 +375,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
         header = ["round", "global_test_acc", "mean_train_loss"]
         if cfg.timing:
             header.append("seconds")
-        with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv_atomic(os.path.join(out_dir, "metrics.csv"), [header, *rows])
         serialization.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params)
-        # Written last: run_grid counts a cell as done once its summary exists.
+        # Written last: run_grid never reuses a cell without its summary.
         _write_summary(os.path.join(out_dir, "summary.csv"), cfg, tag,
                        final_acc, best_acc)
     return ExperimentResult(cfg, reports, final_acc, best_acc, tag, out_dir)
@@ -434,16 +431,24 @@ def cell_dirname(cell: ExperimentConfig) -> str:
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
-    """Run every grid cell (skipping cells whose summary already exists) and
-    assemble the grid summary CSV. Returns the summary path."""
+    """Run every grid cell and assemble the grid summary CSV; returns its path.
+    A cell is reused only if it has a summary and its `config.csv` fingerprint
+    (every config field with its repr) matches; otherwise it is recomputed."""
     cells = grid_cells(cfg)
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     for cell in cells:
         cell_dir = os.path.join(cells_dir, cell_dirname(cell))
-        if os.path.exists(os.path.join(cell_dir, "summary.csv")):
-            continue
+        fingerprint_path = os.path.join(cell_dir, "config.csv")
+        fingerprint = [[f.name, repr(getattr(cell, f.name))] for f in fields(cell)]
+        if (os.path.exists(os.path.join(cell_dir, "summary.csv"))
+                and os.path.exists(fingerprint_path)):
+            with open(fingerprint_path, newline="") as fh:
+                if list(csv.reader(fh)) == fingerprint:
+                    continue
         run_experiment(cell, cell_dir)
+        # Written after the summary, so an interrupted cell is never reused.
+        _write_csv_atomic(fingerprint_path, fingerprint)
 
     rows = [_SUMMARY_FIELDS]
     for cell in cells:

@@ -2,8 +2,8 @@
 
 A mixed pseudo-image targets one label: the anchor image (drawn from the
 target class) always receives the largest weight, the label is never mixed,
-and iid Laplace noise is added per pixel. Output pixels are not clamped
-unless explicitly requested, so the noise distribution stays untouched.
+and iid Laplace noise is added per pixel. Output pixels are never clamped,
+so the noise distribution stays untouched.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class DpMixConfig:
     k: int = 4
     sigma: float = 50.0
     weight_mode: WeightMode = WeightMode.DOMINANT_UNIFORM
-    clamp_output: bool = False
 
     def validate(self) -> None:
         if self.k < 2:
@@ -164,8 +163,6 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
     if cfg.sigma > 0:
         eta = sample_laplace(mixed.size, cfg.sigma, rng).reshape(mixed.shape)
         mixed = mixed + eta.astype(np.float32)
-    if cfg.clamp_output:
-        mixed = np.clip(mixed, 0.0, 255.0)
 
     if record is not None:
         record.append(MixRecord(anchor, tuple(int(i) for i in fillers), w.copy()))

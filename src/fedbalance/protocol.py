@@ -1,16 +1,14 @@
-"""Bounty-based label balancing over a simulated message-passing network.
+"""Bounty-based label balancing between clients.
 
-A client with underrepresented labels broadcasts a request for mixed
-pseudo-images of each deficient class; willing peers answer with mixups of
-their own data, and whatever the deadline leaves unfilled is topped up with
-locally generated natural-noise images. Only pseudo-images ever cross a
-client boundary.
+A client with underrepresented labels asks each peer for mixed pseudo-images
+of each deficient class; peers answer with mixups of their own data, and
+whatever does not arrive is topped up with locally generated natural-noise
+images. Only pseudo-images ever cross a client boundary.
 
-The network advances in discrete rounds. Messages sent in round t are
-delivered in round t+1 when the topology allows it (a star routes everything
-through the central server; peer edges deliver only across existing edges)
-and are silently dropped otherwise. Delivery order is deterministic:
-(round, sender, sequence).
+A bounty is two legs: requests sent in round t arrive in round t+1, and
+their answers in round t+2 if the deadline allows. The topology delivers a
+message (a star routes everything through the server; peer edges only
+connect their ends) or silently drops it, in (round, sender, sequence) order.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,58 +36,31 @@ class DeadlineZero(ProtocolError):
 
 @dataclass(frozen=True)
 class BountyRequest:
-    requester_id: int
     label: int
     quantity: int       # ceil(mix_fraction * deficit)
-    deadline: int       # simulated rounds the requester will wait
 
 
 @dataclass
 class BountyResponse:
-    supplier_id: int
     samples: list[LabeledImage]
 
 
 @dataclass(frozen=True)
-class SupplyPolicy:
-    """How a responder decides what to serve.
-
-    Willingness always requires at least one local example of the requested
-    label and enough total examples for a k-way mix; `willing` can only
-    restrict further, never override that floor.
-    """
-
-    capacity_fraction: float = 1.0
-    willing: Callable[[np.ndarray, int, int], bool] | None = None
-
-    def permits(self, histogram: np.ndarray, label: int, k: int) -> bool:
-        if histogram[label] == 0 or histogram.sum() < k:
-            return False
-        if self.willing is not None:
-            return bool(self.willing(histogram, label, k))
-        return True
-
-
-@dataclass(frozen=True)
 class Topology:
-    mode: str                                        # "star" | "peers"
-    adjacency: frozenset[frozenset[int]] | None = None
+    adjacency: frozenset[frozenset[int]] | None = None   # None: a star
 
     @classmethod
     def star(cls) -> "Topology":
-        return cls("star")
+        return cls()
 
     @classmethod
     def peers(cls, edges: Iterable[tuple[int, int]]) -> "Topology":
-        undirected = frozenset(frozenset(e) for e in edges if e[0] != e[1])
-        return cls("peers", undirected)
+        return cls(frozenset(frozenset(e) for e in edges if e[0] != e[1]))
 
     def connected(self, a: int, b: int) -> bool:
         if a == b:
             return False
-        if self.mode == "star":
-            return True
-        return frozenset((a, b)) in (self.adjacency or frozenset())
+        return self.adjacency is None or frozenset((a, b)) in self.adjacency
 
 
 @dataclass(frozen=True)
@@ -140,15 +111,6 @@ class ProtocolTrace:
             writer.writerows(self.records)
 
 
-@dataclass
-class Responder:
-    """A peer that may answer bounties: its data, policy, and mix settings."""
-
-    dataset: ClientDataset
-    policy: SupplyPolicy
-    mix_cfg: DpMixConfig
-
-
 class NaturalNoiseSource:
     """Deterministic supplier of natural-noise images, one stream per image."""
 
@@ -159,12 +121,10 @@ class NaturalNoiseSource:
 
     def take(self, n: int, label: int) -> list[LabeledImage]:
         start = self._issued.get(label, 0)
-        images = []
-        for i in range(start, start + n):
-            pixels = generate(self._state, rng_for(self._base_seed, "nat", label, i))
-            images.append(LabeledImage(pixels, label, Provenance.NATURAL_NOISE))
         self._issued[label] = start + n
-        return images
+        return [LabeledImage(generate(self._state, rng_for(self._base_seed, "nat", label, i)),
+                             label, Provenance.NATURAL_NOISE)
+                for i in range(start, start + n)]
 
 
 def plan_deficits(client: ClientDataset,
@@ -187,41 +147,42 @@ def plan_deficits(client: ClientDataset,
     return [(y, d) for _, y, d in deficits]
 
 
-def serve_bounty(responder: ClientDataset, req: BountyRequest, policy: SupplyPolicy,
-                 cfg: DpMixConfig, rng: np.random.Generator) -> BountyResponse:
+def serve_bounty(responder: ClientDataset, req: BountyRequest, cfg: DpMixConfig,
+                 rng: np.random.Generator, *,
+                 capacity_fraction: float = 1.0) -> BountyResponse:
     """Answer a bounty with freshly mixed pseudo-images (possibly none).
 
     Serves min(requested, floor(capacity_fraction * local count of the label))
-    mixups. Unwilling or under-stocked responders return an empty response
-    rather than failing. Each mixup gets its own derived generator stream so
-    parallel generation stays order-independent.
+    mixups. A responder without an example of the label, or with fewer than
+    k examples in all, returns an empty response rather than failing. Each
+    mixup gets its own derived generator stream so parallel generation stays
+    order-independent.
     """
     hist = responder.label_histogram
-    if req.label >= responder.num_classes or not policy.permits(hist, req.label, cfg.k):
-        return BountyResponse(responder.client_id, [])
-    capacity = math.floor(policy.capacity_fraction * int(hist[req.label]))
-    n = min(req.quantity, capacity)
-    if n <= 0:
-        return BountyResponse(responder.client_id, [])
+    if req.label >= responder.num_classes or hist[req.label] == 0 or hist.sum() < cfg.k:
+        return BountyResponse([])
+    n = min(req.quantity, math.floor(capacity_fraction * int(hist[req.label])))
     root = int(rng.integers(2**62))
-    samples = [dp_labelhide(responder, req.label, cfg,
-                            rng_for(root, "mix", responder.client_id, i))
-               for i in range(n)]
-    return BountyResponse(responder.client_id, samples)
+    return BountyResponse([dp_labelhide(responder, req.label, cfg,
+                                        rng_for(root, "mix", responder.client_id, i))
+                           for i in range(n)])
 
 
 def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                 mix_fraction: float, topology: Topology,
-                peers: Mapping[int, Responder], nat_source: NaturalNoiseSource,
-                rng: np.random.Generator, *, deadline: int = 2,
+                peers: Mapping[int, ClientDataset], mix_cfg: DpMixConfig,
+                nat_source: NaturalNoiseSource, rng: np.random.Generator, *,
+                capacity_fraction: float = 1.0, deadline: int = 2,
                 trace: ProtocolTrace | None = None) -> ClientDataset:
     """Fill each deficit with mixups from peers plus natural-noise backfill.
 
-    Per deficit (label j, quantity P): broadcast a request for ceil(mix_fraction
-    * P) mixups, collect responses until the deadline, trim any surplus
-    uniformly at random, then generate the remaining P - E images as natural
-    noise labeled j. Exactly P pseudo-images are added per deficit; existing
+    Per deficit (label j, quantity P): send every peer a request for
+    ceil(mix_fraction * P) mixups, collect the responses if the deadline
+    leaves them a round to arrive (deadline >= 2), trim any surplus uniformly
+    at random, then generate the remaining P - E images as natural noise
+    labeled j. Exactly P pseudo-images are added per deficit; existing
     examples are never removed. mix_fraction = 0 sends no requests at all.
+    Each deficit takes deadline + 1 trace rounds.
     """
     if not (0.0 <= mix_fraction <= 1.0):
         raise ProtocolError(f"mix_fraction must be in [0, 1], got {mix_fraction}")
@@ -229,7 +190,8 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         raise DeadlineZero(f"deadline must be >= 1 round, got {deadline}")
     trace = trace if trace is not None else ProtocolTrace()
     root = int(rng.integers(2**62))
-    peer_ids = sorted(pid for pid in peers if pid != requester.client_id)
+    me = requester.client_id
+    peer_ids = sorted(pid for pid in peers if pid != me)
 
     round_base = 0
     for label, deficit in deficits:
@@ -238,26 +200,21 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         quantity = math.ceil(mix_fraction * deficit)
         collected: list[LabeledImage] = []
         if quantity > 0:
-            req = BountyRequest(requester.client_id, label, quantity, deadline)
-            pending = [Message(round_base, requester.client_id, pid, seq, "request", req)
-                       for seq, pid in enumerate(peer_ids)]
-            for step in range(1, deadline + 1):
-                now = round_base + step
-                arriving = [m for m in pending if m.round_sent == now - 1]
-                pending = [m for m in pending if m.round_sent != now - 1]
-                outbox: list[Message] = []
-                for msg in route(arriving, topology):
-                    trace.log(msg, now)
-                    if msg.kind == "request" and msg.dst in peers:
-                        peer = peers[msg.dst]
-                        resp = serve_bounty(peer.dataset, msg.payload, peer.policy,
-                                            peer.mix_cfg,
-                                            rng_for(root, "serve", label, msg.dst))
-                        outbox.append(Message(now, msg.dst, requester.client_id,
-                                              len(outbox), "response", resp))
-                    elif msg.kind == "response" and msg.dst == requester.client_id:
-                        collected.extend(msg.payload.samples)
-                pending.extend(outbox)
+            req = BountyRequest(label, quantity)
+            requests = route([Message(round_base, me, pid, seq, "request", req)
+                              for seq, pid in enumerate(peer_ids)], topology)
+            for msg in requests:
+                trace.log(msg, round_base + 1)
+            if deadline > 1:
+                responses = route(
+                    [Message(round_base + 1, msg.dst, me, seq, "response",
+                             serve_bounty(peers[msg.dst], req, mix_cfg,
+                                          rng_for(root, "serve", label, msg.dst),
+                                          capacity_fraction=capacity_fraction))
+                     for seq, msg in enumerate(requests)], topology)
+                for msg in responses:
+                    trace.log(msg, round_base + 2)
+                    collected.extend(msg.payload.samples)
         if len(collected) > quantity:
             keep = rng.choice(len(collected), size=quantity, replace=False)
             collected = [collected[i] for i in sorted(keep)]

@@ -8,6 +8,7 @@ the `slow` marker; everything else finishes in seconds.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,8 @@ from fedbalance.mixing import (DpMixConfig, WeightMode, dp_labelhide,
                                sample_laplace, sample_weight_matrix)
 from fedbalance.noisegen import (GeneratorConfig, generate, init_generator,
                                  power_spectrum_slope)
-from fedbalance.protocol import (NaturalNoiseSource, ProtocolTrace, Responder,
-                                 SupplyPolicy, Topology, run_balance,
-                                 serve_bounty)
+from fedbalance.protocol import (NaturalNoiseSource, ProtocolTrace, Topology,
+                                 run_balance, serve_bounty)
 from fedbalance.seeding import rng_for
 from fedbalance.training import (TrainConfig, build_model, fedavg_aggregate,
                                  init_model, local_train, run_round,
@@ -136,9 +136,7 @@ def test_criterion_04_protocol_conservation(monkeypatch):
         for p, stock in enumerate(peer_stock, start=1):
             examples = ([image(1, i) for i in range(stock)]
                         + [image(0, i) for i in range(4)])
-            peers[p] = Responder(ClientDataset.from_images(p, examples, 2),
-                                 SupplyPolicy(capacity_fraction=capacity),
-                                 DpMixConfig(k=3, sigma=1.0))
+            peers[p] = ClientDataset.from_images(p, examples, 2)
         if star:
             topology = Topology.star()
         else:
@@ -149,7 +147,8 @@ def test_criterion_04_protocol_conservation(monkeypatch):
         served.clear()
         before = len(requester)
         run_balance(requester, [(1, deficit)], alpha, topology, peers,
-                    _noise_source(scenarios), np.random.default_rng(scenarios),
+                    DpMixConfig(k=3, sigma=1.0), _noise_source(scenarios),
+                    np.random.default_rng(scenarios), capacity_fraction=capacity,
                     deadline=2, trace=trace)
         added = requester.examples[before:]
         mixed = [ex for ex in added if ex.provenance is Provenance.MIXUP]
@@ -243,7 +242,7 @@ def test_criterion_08_grid_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     summary_a = run_grid(cfg, str(out_a))
     summary_b = run_grid(cfg, str(out_b))
-    assert open(summary_a, "rb").read() == open(summary_b, "rb").read()
+    assert Path(summary_a).read_bytes() == Path(summary_b).read_bytes()
     for cell in grid_cells(cfg):
         from fedbalance.experiments import cell_dirname
         for name in ("metrics.csv", "summary.csv"):

@@ -1,3 +1,4 @@
+import configparser
 import csv
 
 import numpy as np
@@ -46,7 +47,7 @@ def config_path(tmp_path):
 def test_partition_writes_manifest(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["partition", "--config", config_path, "--out", str(out)]) == EXIT_OK
-    rows = list(csv.reader(open(out / "partition_manifest.csv")))
+    rows = list(csv.reader((out / "partition_manifest.csv").read_text().splitlines()))
     assert rows[0] == ["client_id", "label", "count"]
     assert len(rows) == 1 + 3 * 3
 
@@ -67,6 +68,30 @@ def test_train_runs_pipeline(config_path, tmp_path, capsys):
     assert "final=" in printed
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("noise", "wavelet_bank", "bogus"),
+    ("dataset", "toy_classes", "0"),
+    ("dataset", "toy_jitter", "-1"),
+    ("train", "lr", "nan"),
+    ("train", "lr", "0"),
+    ("train", "eps", "inf"),
+    ("train", "beta1", "1"),
+    ("train", "beta2", "-0.1"),
+])
+def test_degenerate_config_exits_2(tmp_path, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG_TEXT)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / "exp.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_grid_runs(config_path, tmp_path):
     out = tmp_path / "grid"
     assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
@@ -84,7 +109,7 @@ def test_gen_noise_and_spectrum(tmp_path):
 
     out_csv = tmp_path / "slopes.csv"
     assert main(["spectrum", "--in", str(noise_dir), "--out", str(out_csv)]) == EXIT_OK
-    rows = list(csv.reader(open(out_csv)))
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
     assert rows[0] == ["image_id", "slope"]
     assert len(rows) == 4
     for _, slope in rows[1:]:

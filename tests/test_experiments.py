@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,25 @@ class TestGrid:
         assert kept.stat().st_mtime_ns == mtime_before
         assert (removed_dir / "summary.csv").exists()
 
+    def test_resume_recomputes_cells_after_config_change(self, tmp_path):
+        cfg = replace(TINY, grid_mix_fraction=(0.0, 1.0), supplement_pct=10,
+                      rounds=2, sigma=2.0)
+        out = tmp_path / "grid"
+        run_grid(cfg, str(out))
+        summaries = [out / "cells" / cell_dirname(c) / "summary.csv"
+                     for c in grid_cells(cfg)]
+        mtimes = [p.stat().st_mtime_ns for p in summaries]
+        run_grid(cfg, str(out))
+        assert [p.stat().st_mtime_ns for p in summaries] == mtimes
+
+        changed = replace(cfg, rounds=5, sigma=9.0)
+        resumed = run_grid(changed, str(out))
+        assert all(p.stat().st_mtime_ns != m for p, m in zip(summaries, mtimes))
+        rows = list(csv.DictReader(Path(resumed).read_text().splitlines()))
+        assert [(r["rounds"], r["sigma"]) for r in rows] == [("5", "9")] * 2
+        clean = run_grid(changed, str(tmp_path / "clean"))
+        assert Path(resumed).read_bytes() == Path(clean).read_bytes()
+
     def test_resume_after_interrupted_cell(self, tmp_path, monkeypatch):
         cfg = replace(TINY, grid_classes_per_client=(1, 2),
                       grid_mix_fraction=(0.0, 1.0), supplement_pct=10)
@@ -271,14 +292,14 @@ class TestGrid:
 
         resumed = run_grid(cfg, str(out))
         uninterrupted = run_grid(cfg, str(tmp_path / "clean"))
-        assert open(resumed, "rb").read() == open(uninterrupted, "rb").read()
+        assert Path(resumed).read_bytes() == Path(uninterrupted).read_bytes()
         assert sorted(os.listdir(out)) == ["cells", "summary.csv"]
 
     def test_grid_summary_rows(self, tmp_path):
         cfg = replace(TINY, grid_classes_per_client=(1, 2),
                       grid_mix_fraction=(0.0, 1.0), supplement_pct=10)
         summary = run_grid(cfg, str(tmp_path / "grid"))
-        lines = open(summary).read().strip().splitlines()
+        lines = Path(summary).read_text().strip().splitlines()
         assert len(lines) == 1 + 4
 
 

@@ -170,10 +170,3 @@ class TestDpLabelHide:
         tiny = ClientDataset.from_images(0, [image([1, 2, 3, 4], 0)], 1)
         with pytest.raises(InsufficientPool):
             dp_labelhide(tiny, 0, DpMixConfig(k=2), np.random.default_rng(0))
-
-    def test_clamp_flag(self, four_image_client):
-        cfg = DpMixConfig(k=2, sigma=200.0, clamp_output=True)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            out = dp_labelhide(four_image_client, 0, cfg, rng)
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 255.0

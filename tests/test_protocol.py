@@ -9,9 +9,8 @@ from fedbalance import protocol
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance
 from fedbalance.mixing import DpMixConfig
 from fedbalance.noisegen import GeneratorConfig, init_generator
-from fedbalance.protocol import (BountyRequest, DeadlineZero,
-                                 Message, NaturalNoiseSource, ProtocolTrace,
-                                 Responder, SupplyPolicy, Topology,
+from fedbalance.protocol import (BountyRequest, DeadlineZero, Message,
+                                 NaturalNoiseSource, ProtocolTrace, Topology,
                                  plan_deficits, route, run_balance,
                                  serve_bounty)
 
@@ -56,40 +55,29 @@ class TestPlanDeficits:
 class TestServeBounty:
     def test_no_label_examples_yields_empty(self):
         responder = client(1, [10, 0, 4])
-        req = BountyRequest(0, 1, 5, 2)
-        resp = serve_bounty(responder, req, SupplyPolicy(), DpMixConfig(k=2),
-                            np.random.default_rng(0))
+        req = BountyRequest(1, 5)
+        resp = serve_bounty(responder, req, DpMixConfig(k=2), np.random.default_rng(0))
         assert resp.samples == []
 
     def test_capacity_arithmetic(self):
         responder = client(1, [100, 50])
-        req = BountyRequest(0, 0, quantity=80, deadline=2)
-        resp = serve_bounty(responder, req, SupplyPolicy(capacity_fraction=0.5),
-                            DpMixConfig(k=4, sigma=0.0), np.random.default_rng(1))
+        req = BountyRequest(0, quantity=80)
+        resp = serve_bounty(responder, req, DpMixConfig(k=4, sigma=0.0),
+                            np.random.default_rng(1), capacity_fraction=0.5)
         assert len(resp.samples) == 50
         assert all(s.label == 0 for s in resp.samples)
         assert all(s.provenance is Provenance.MIXUP for s in resp.samples)
 
     def test_pool_smaller_than_k_yields_empty(self):
         responder = client(1, [2, 1])          # 3 examples total
-        req = BountyRequest(0, 0, 5, 2)
-        resp = serve_bounty(responder, req, SupplyPolicy(), DpMixConfig(k=4),
-                            np.random.default_rng(2))
-        assert resp.samples == []
-
-    def test_custom_willingness_can_refuse(self):
-        responder = client(1, [10, 10])
-        req = BountyRequest(0, 0, 5, 2)
-        policy = SupplyPolicy(willing=lambda hist, label, k: False)
-        resp = serve_bounty(responder, req, policy, DpMixConfig(k=2),
-                            np.random.default_rng(3))
+        req = BountyRequest(0, 5)
+        resp = serve_bounty(responder, req, DpMixConfig(k=4), np.random.default_rng(2))
         assert resp.samples == []
 
 
 class TestRoute:
     def test_star_broadcast(self):
-        messages = [Message(0, 2, dst, seq, "request",
-                            BountyRequest(2, 0, 1, 2))
+        messages = [Message(0, 2, dst, seq, "request", BountyRequest(0, 1))
                     for seq, dst in enumerate(i for i in range(10) if i != 2)]
         delivered = route(messages, Topology.star())
         assert len(delivered) == 9
@@ -97,15 +85,15 @@ class TestRoute:
 
     def test_line_topology_reachability(self):
         topo = Topology.peers([(0, 1), (1, 2)])
-        messages = [Message(0, 0, 1, 0, "request", BountyRequest(0, 0, 1, 2)),
-                    Message(0, 0, 2, 1, "request", BountyRequest(0, 0, 1, 2))]
+        messages = [Message(0, 0, 1, 0, "request", BountyRequest(0, 1)),
+                    Message(0, 0, 2, 1, "request", BountyRequest(0, 1))]
         delivered = route(messages, topo)
         assert [m.dst for m in delivered] == [1]
 
     def test_deterministic_order(self):
-        reqs = [Message(1, 3, 0, 1, "request", BountyRequest(3, 0, 1, 2)),
-                Message(0, 5, 0, 0, "request", BountyRequest(5, 0, 1, 2)),
-                Message(0, 2, 0, 0, "request", BountyRequest(2, 0, 1, 2))]
+        reqs = [Message(1, 3, 0, 1, "request", BountyRequest(0, 1)),
+                Message(0, 5, 0, 0, "request", BountyRequest(0, 1)),
+                Message(0, 2, 0, 0, "request", BountyRequest(0, 1))]
         delivered = route(reqs, Topology.star())
         assert [(m.round_sent, m.src) for m in delivered] == [(0, 2), (0, 5), (1, 3)]
 
@@ -114,17 +102,15 @@ def run_simple_balance(mix_fraction, requester_counts, peer_counts, *,
                        capacity=1.0, topology=None, deadline=2, seed=0,
                        targets=None, k=3):
     requester = client(0, requester_counts)
-    peers = {}
-    for i, counts in enumerate(peer_counts, start=1):
-        peers[i] = Responder(client(i, counts, len(requester_counts)),
-                             SupplyPolicy(capacity_fraction=capacity),
-                             DpMixConfig(k=k, sigma=1.0))
+    peers = {i: client(i, counts, len(requester_counts))
+             for i, counts in enumerate(peer_counts, start=1)}
     targets = np.asarray(targets if targets is not None
                          else np.full(len(requester_counts), 10.0))
     deficits = plan_deficits(requester, targets)
     trace = ProtocolTrace()
     run_balance(requester, deficits, mix_fraction, topology or Topology.star(),
-                peers, noise_source(seed), np.random.default_rng(seed),
+                peers, DpMixConfig(k=k, sigma=1.0), noise_source(seed),
+                np.random.default_rng(seed), capacity_fraction=capacity,
                 deadline=deadline, trace=trace)
     return requester, deficits, trace
 
@@ -177,9 +163,8 @@ class TestRunBalance:
     def test_never_removes_existing_examples(self):
         requester = client(0, [8, 0])
         before = requester.pixels.copy(), requester.labels.copy()
-        peers = {1: Responder(client(1, [5, 5]), SupplyPolicy(), DpMixConfig(k=2))}
-        run_balance(requester, [(1, 4)], 0.5, Topology.star(), peers,
-                    noise_source(), np.random.default_rng(0))
+        run_balance(requester, [(1, 4)], 0.5, Topology.star(), {1: client(1, [5, 5])},
+                    DpMixConfig(k=2), noise_source(), np.random.default_rng(0))
         assert len(requester) == 8 + 4
         assert np.array_equal(requester.pixels[:8], before[0])
         assert np.array_equal(requester.labels[:8], before[1])
@@ -208,6 +193,33 @@ class TestRunBalance:
         assert len(mixed) <= math.ceil(mix * deficit)
         if mix == 0.0:
             assert trace.request_count() == 0
+
+    @pytest.mark.parametrize("deadline, records, serves", [
+        (1, [(1, "request", 0, 1, 1, 5), (1, "request", 0, 2, 1, 5),
+             (3, "request", 0, 1, 2, 5), (3, "request", 0, 2, 2, 5)], 0),
+        (3, [(1, "request", 0, 1, 1, 5), (1, "request", 0, 2, 1, 5),
+             (2, "response", 1, 0, 1, 5), (2, "response", 2, 0, 1, 5),
+             (5, "request", 0, 1, 2, 5), (5, "request", 0, 2, 2, 5),
+             (6, "response", 1, 0, 2, 5), (6, "response", 2, 0, -1, 0)], 4),
+    ])
+    def test_trace_of_both_legs(self, monkeypatch, deadline, records, serves):
+        # Peer 3 has no edge to the requester, and peer 2 holds no label 2.
+        # Requests arrive one round after round_base and responses two; each
+        # deficit advances round_base by deadline + 1. With deadline 1 no
+        # response could arrive, so none is served.
+        calls = []
+
+        def counting_serve(*args, **kwargs):
+            calls.append(args[1])
+            return serve_bounty(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "serve_bounty", counting_serve)
+        _, deficits, trace = run_simple_balance(
+            0.5, [10, 0, 0], [[5, 5, 5], [5, 5, 0], [5, 5, 5]],
+            topology=Topology.peers([(0, 1), (0, 2), (1, 3)]), deadline=deadline)
+        assert deficits == [(1, 10), (2, 10)]
+        assert trace.records == records
+        assert len(calls) == serves
 
     def test_no_real_image_ever_crosses_a_boundary(self, monkeypatch):
         served = []
