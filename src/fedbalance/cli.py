@@ -94,17 +94,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_balance(args) -> int:
     cfg = experiments.load_config(args.config, args.seed)
-    train, _, dims, _ = experiments.load_dataset(cfg)
-    clients = datasets.partition(train, experiments.build_partition_spec(cfg))
-    os.makedirs(args.out, exist_ok=True)
-    datasets.write_partition_manifest(
-        clients, os.path.join(args.out, "partition_manifest.csv"))
-    trace = experiments.ProtocolTrace()
-    if cfg.supplement_pct > 0:
-        experiments.balance_clients(clients, cfg, dims, trace)
-    datasets.write_partition_manifest(
-        clients, os.path.join(args.out, "balance_manifest.csv"))
-    trace.write_csv(os.path.join(args.out, "trace.csv"))
+    clients, _, _, _ = experiments.prepare_clients(cfg, args.out)
+    if cfg.supplement_pct == 0:
+        # Nothing to balance: record the partition as it stands and an empty trace.
+        datasets.write_partition_manifest(
+            clients, os.path.join(args.out, "balance_manifest.csv"))
+        experiments.ProtocolTrace().write_csv(os.path.join(args.out, "trace.csv"))
     print(args.out)
     return EXIT_OK
 

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset {self.dataset} needs a path")
         if self.toy_classes < 1 or self.toy_jitter < 0:
             raise ConfigError("toy_classes must be >= 1 and toy_jitter >= 0")
+        if min(self.toy_per_class, self.toy_test_per_class, *self.toy_dims) < 1:
+            raise ConfigError("toy_per_class, toy_test_per_class and toy_dims must be >= 1")
         if self.scheme not in ("class_skew", "dirichlet"):
             raise ConfigError(f"scheme must be class_skew/dirichlet, got {self.scheme!r}")
         if self.num_clients < 1:
@@ -109,6 +111,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown wavelet_bank {self.noise_bank!r}")
         if self.model not in ("logreg", "mlp", "cnn"):
             raise ConfigError(f"model must be logreg/mlp/cnn, got {self.model!r}")
+        if self.dataset == "toy" and self.model == "cnn" and min(self.toy_dims[:2]) < 4:
+            # Two 2x2 pools leave no pixel of an image smaller than 4x4.
+            raise ConfigError(f"the cnn needs toy_dims of at least 4x4, got {self.toy_dims}")
         if self.rounds < 1 or self.batch_size < 1 or self.local_epochs < 1:
             raise ConfigError("rounds, batch_size, local_epochs must be >= 1")
         if not (0.0 < self.participation_fraction <= 1.0):
@@ -198,15 +203,19 @@ def _convert(raw: str, kind):
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     """Parse a key=value config file into a validated ExperimentConfig."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:   # repeated key, no header, stray '%'
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         known = _SECTIONS[section]
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             attr, kind = known[key]
@@ -327,31 +336,46 @@ def _fmt_num(value) -> str:
     return repr(float(value))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
-    """Full pipeline: load, partition, balance, train; write CSVs when out_dir set."""
-    cfg.validate()
+def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
+                    ) -> tuple[list[ClientDataset], tuple, tuple[int, int, int], int]:
+    """Load, partition and (when `supplement_pct` > 0) balance the clients.
+
+    With `out_dir` set, writes `partition_manifest.csv` and, after a balance,
+    `balance_manifest.csv` and `trace.csv`. Returns (clients, test, dims,
+    num_classes). The loaded training set is released here: each client holds
+    its own copy of its rows.
+    """
     train, test, dims, num_classes = load_dataset(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
+    del train
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         datasets.write_partition_manifest(
             clients, os.path.join(out_dir, "partition_manifest.csv"))
-
-    trace = ProtocolTrace()
     if cfg.supplement_pct > 0:
+        trace = ProtocolTrace()
         balance_clients(clients, cfg, dims, trace)
         if out_dir:
             datasets.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
             trace.write_csv(os.path.join(out_dir, "trace.csv"))
+    return clients, test, dims, num_classes
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
+    """Full pipeline: load, partition, balance, train; write CSVs when out_dir set."""
+    cfg.validate()
+    clients, (test_pixels, test_y), dims, num_classes = prepare_clients(cfg, out_dir)
 
     schema = build_model(cfg.model, dims, num_classes)
     params = init_model(schema, derive_seed(cfg.seed, "model-init"))
     train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
                             cfg.local_epochs, cfg.participation_fraction, cfg.seed)
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
+    # Dropping `clients` leaves the scaled arrays as the only copy of the
+    # training images while the rounds run.
     train_clients = [training.training_arrays(c) for c in clients if len(c)]
-    test_pixels, test_y = test
+    del clients
     test_x = test_pixels / 255.0
 
     reports = []

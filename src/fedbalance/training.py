@@ -203,14 +203,17 @@ def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
 
 
 def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order."""
+    """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order.
+
+    Each tap's block is its own GEMM, so the slice added is read from a
+    contiguous (B, H, W, C_in) array rather than a strided 9-tap view.
+    """
     b, h, width, c_out = dout.shape
-    c_in = w.shape[2]
-    dcols = dout.reshape(-1, c_out) @ w.reshape(9 * c_in, c_out).T
-    dcols = dcols.reshape(b, h, width, 9, c_in)
-    dx = np.zeros((b, h, width, c_in), dtype=dout.dtype)
+    dout2d = dout.reshape(-1, c_out)
+    dx = np.zeros((b, h, width, w.shape[2]), dtype=dout.dtype)
     for tap, (oy, ox), (sy, sx) in _conv_taps(h, width):
-        dx[:, sy, sx, :] += dcols[:, oy, ox, tap, :]
+        block = (dout2d @ w[tap // 3, tap % 3].T).reshape(b, h, width, -1)
+        dx[:, sy, sx, :] += block[:, oy, ox, :]
     return dx
 
 
@@ -370,8 +373,14 @@ def fedavg_aggregate(client_params: Sequence[ModelParams],
 
 
 def evaluate(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-             batch_size: int = 512) -> float:
-    """Top-1 accuracy, evaluated in chunks."""
+             batch_size: int = 128) -> float:
+    """Top-1 accuracy, evaluated in chunks.
+
+    A chunk the size of a training batch keeps the forward cache no larger
+    than a training step's. The logits do not depend on the chunk size, except
+    in a chunk of one image, which goes through gemv and may differ in its
+    last bits.
+    """
     correct = 0
     for i in range(0, x.shape[0], batch_size):
         logits, _ = forward(params, x[i:i + batch_size])

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -68,27 +69,46 @@ def test_train_runs_pipeline(config_path, tmp_path, capsys):
     assert "final=" in printed
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("noise", "wavelet_bank", "bogus"),
-    ("dataset", "toy_classes", "0"),
-    ("dataset", "toy_jitter", "-1"),
-    ("train", "lr", "nan"),
-    ("train", "lr", "0"),
-    ("train", "eps", "inf"),
-    ("train", "beta1", "1"),
-    ("train", "beta2", "-0.1"),
-])
-def test_degenerate_config_exits_2(tmp_path, section, key, value):
+def _config_text(*settings):
+    """CONFIG_TEXT with each (section, key, value) set."""
     parser = configparser.ConfigParser()
     parser.read_string(CONFIG_TEXT)
-    if not parser.has_section(section):
-        parser.add_section(section)
-    parser.set(section, key, value)
+    for section, key, value in settings:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+DEGENERATE_CONFIGS = {
+    "noise-wavelet_bank-bogus": _config_text(("noise", "wavelet_bank", "bogus")),
+    "dataset-toy_classes-0": _config_text(("dataset", "toy_classes", "0")),
+    "dataset-toy_jitter--1": _config_text(("dataset", "toy_jitter", "-1")),
+    "train-lr-nan": _config_text(("train", "lr", "nan")),
+    "train-lr-0": _config_text(("train", "lr", "0")),
+    "train-eps-inf": _config_text(("train", "eps", "inf")),
+    "train-beta1-1": _config_text(("train", "beta1", "1")),
+    "train-beta2--0.1": _config_text(("train", "beta2", "-0.1")),
+    "dataset-toy_per_class-0": _config_text(("dataset", "toy_per_class", "0")),
+    "dataset-toy_test_per_class-0": _config_text(("dataset", "toy_test_per_class", "0")),
+    "dataset-toy_dims-0x0x1": _config_text(("dataset", "toy_dims", "0x0x1")),
+    "cnn-toy_dims-3x3x1": _config_text(("train", "model", "cnn"),
+                                       ("dataset", "toy_dims", "3x3x1")),
+    "repeated-key": CONFIG_TEXT.replace("kind = toy\n", "kind = toy\nkind = toy\n"),
+    "no-section-header": "garbage\n",
+    "stray-percent": CONFIG_TEXT.replace("kind = toy\n", "kind = toy%\n"),
+}
+
+
+@pytest.mark.parametrize("text", DEGENERATE_CONFIGS.values(), ids=DEGENERATE_CONFIGS)
+def test_degenerate_config_exits_2(tmp_path, capsys, text):
     path = tmp_path / "exp.cfg"
-    with path.open("w") as fh:
-        parser.write(fh)
+    path.write_text(text)
     out = tmp_path / "out"
     assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
 
 

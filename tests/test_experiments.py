@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import os
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     cell_dirname, config_tag, grid_cells,
                                     load_config, load_dataset, run_experiment,
                                     run_grid)
-from fedbalance import datasets, serialization
+from fedbalance import datasets, experiments, serialization
 from fedbalance.protocol import ProtocolTrace
 from fedbalance.training import training_arrays
 
@@ -201,6 +203,31 @@ class TestRunExperiment:
                      "partition_manifest.csv", "balance_manifest.csv",
                      "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_training_holds_one_copy_of_the_images(self, monkeypatch):
+        # By round 0 the loaded pixels, the partitioned clients and their
+        # pre-balance pixels are all released; only the scaled arrays remain.
+        refs = []
+        partition, run_round = datasets.partition, experiments.run_round
+
+        def recording_partition(dataset, spec):
+            clients = partition(dataset, spec)
+            refs.append(weakref.ref(dataset[0]))
+            refs.extend(weakref.ref(obj) for c in clients for obj in (c, c.pixels))
+            return clients
+
+        alive = []
+
+        def checking_run_round(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "partition", recording_partition)
+        monkeypatch.setattr(experiments, "run_round", checking_run_round)
+        run_experiment(replace(TINY, supplement_pct=50, mix_fraction=0.5))
+        assert len(refs) == 1 + 2 * TINY.num_clients
+        assert alive == [0] * TINY.rounds
 
     def test_timing_column_only_when_enabled(self, tmp_path):
         out = tmp_path / "timed"

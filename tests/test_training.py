@@ -16,7 +16,8 @@ from fedbalance.training import (Dense, ModelParams, NonFiniteGradient,
                                  init_model, local_train, loss_and_grad,
                                  run_round, schema_param_count,
                                  softmax_cross_entropy, training_arrays)
-from fedbalance.training import _pool_backward, _pool_forward
+from fedbalance.training import (_conv_input_grad, _conv_taps, _pool_backward,
+                                 _pool_forward)
 
 
 class TestForward:
@@ -166,6 +167,43 @@ def test_cnn_loss_and_grad_match_pinned_digests(dtype):
     assert grad.dtype == dtype
     got = (loss.hex(), hashlib.sha256(grad.tobytes()).hexdigest())
     assert got == PINNED_CNN_GRADS[np.dtype(dtype).name]
+
+
+def conv_input_grad_reference(dout, w):
+    """col2im as one (B*H*W, 9*C_in) GEMM whose tap columns are added through
+    strided views, in dy, dx order."""
+    b, h, width, c_out = dout.shape
+    c_in = w.shape[2]
+    dcols = dout.reshape(-1, c_out) @ w.reshape(9 * c_in, c_out).T
+    dcols = dcols.reshape(b, h, width, 9, c_in)
+    dx = np.zeros((b, h, width, c_in), dtype=dout.dtype)
+    for tap, (oy, ox), (sy, sx) in _conv_taps(h, width):
+        dx[:, sy, sx, :] += dcols[:, oy, ox, tap, :]
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_input_grad_matches_one_gemm_reference(dtype):
+    rng = np.random.default_rng(5)
+    for h, width, c_in in ((5, 5, 8), (6, 3, 3)):
+        w = rng.standard_normal((3, 3, c_in, 16)).astype(dtype)
+        for batch in (1, 2, 7, 100, 116, 127, 129):   # ragged last batches
+            dout = rng.standard_normal((batch, h, width, 16)).astype(dtype)
+            got = _conv_input_grad(dout, w)
+            assert got.tobytes() == conv_input_grad_reference(dout, w).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(10, 10, 1), (12, 12, 3)])
+@pytest.mark.parametrize("model", ["cnn", "mlp", "logreg"])
+def test_logits_match_across_evaluation_chunk_sizes(model, dims):
+    x = np.random.default_rng(6).random((1000, *dims)).astype(np.float32)
+    params = init_model(build_model(model, dims, 10), 2)
+
+    def chunked_logits(size):
+        return np.concatenate([forward(params, x[i:i + size])[0]
+                               for i in range(0, len(x), size)])
+
+    assert chunked_logits(128).tobytes() == chunked_logits(512).tobytes()
 
 
 class TestAdam:
