@@ -205,8 +205,9 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
+        # items() interpolates, so a stray '%' raises here, not in read().
         items = {section: parser.items(section) for section in parser.sections()}
-    except configparser.Error as exc:   # repeated key, no header, stray '%'
+    except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
