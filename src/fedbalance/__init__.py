@@ -14,9 +14,9 @@ from .mixing import (DpMixConfig, MixWeights, WeightMode, dp_labelhide,
                      sample_laplace, sample_mix_weights)
 from .noisegen import (GeneratorConfig, GeneratorState, WaveletBank, generate,
                        init_generator, power_spectrum_slope, sample_wavelet)
-from .protocol import (BountyRequest, BountyResponse, NaturalNoiseSource,
-                       ProtocolTrace, Topology, plan_deficits, route,
-                       run_balance, serve_bounty)
+from .protocol import (BountyResponse, NaturalNoiseSource, ProtocolTrace,
+                       Record, Topology, plan_deficits, route, run_balance,
+                       serve_bounty)
 from .training import (ModelParams, OptState, RoundReport, TrainConfig,
                        adam_step, build_model, evaluate, fedavg_aggregate,
                        forward, init_model, loss_and_grad, run_round)

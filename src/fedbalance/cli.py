@@ -173,7 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MixupError, noisegen.NoiseGenError) as exc:
+    except (ConfigError, MixupError, noisegen.NoiseGenError,
+            datasets.InfeasibleSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, DatasetError, serialization.FormatError) as exc:

@@ -93,8 +93,14 @@ class ExperimentConfig:
             raise ConfigError("toy_per_class, toy_test_per_class and toy_dims must be >= 1")
         if self.scheme not in ("class_skew", "dirichlet"):
             raise ConfigError(f"scheme must be class_skew/dirichlet, got {self.scheme!r}")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
+        if not (0.0 < self.concentration < math.inf):
+            # summary.csv prints it under either scheme.
+            raise ConfigError(f"concentration must be finite and > 0, got {self.concentration}")
+        try:
+            build_partition_spec(self).validate(
+                self.toy_classes if self.dataset == "toy" else 10)
+        except datasets.InfeasibleSpec as exc:
+            raise ConfigError(str(exc)) from exc
         if not (0.0 <= self.supplement_pct <= 100.0):
             raise ConfigError(f"supplement_pct must be in [0, 100], got {self.supplement_pct}")
         if not (0.0 <= self.mix_fraction <= 1.0):
@@ -293,8 +299,7 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
     for client in clients:
         peak = int(client.label_histogram.max())
         target = math.ceil(cfg.supplement_pct / 100.0 * peak)
-        deficits = plan_deficits(client, np.full(client.num_classes, target,
-                                                 dtype=np.float64))
+        deficits = plan_deficits(client, target)
         if not deficits:
             continue
         gen_cfg = noisegen.GeneratorConfig(
@@ -332,9 +337,8 @@ def config_tag(cfg: ExperimentConfig, num_classes: int) -> str:
 
 
 def _fmt_num(value) -> str:
-    if float(value) == int(value):
-        return str(int(value))
-    return repr(float(value))
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
@@ -373,11 +377,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
                             cfg.local_epochs, cfg.participation_fraction, cfg.seed)
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
-    # Dropping `clients` leaves the scaled arrays as the only copy of the
-    # training images while the rounds run.
+    # Dropping `clients` and `test_pixels` leaves the scaled arrays as the
+    # only copy of the images while the rounds run.
     train_clients = [training.training_arrays(c) for c in clients if len(c)]
     del clients
     test_x = test_pixels / 255.0
+    del test_pixels
 
     reports = []
     rows = []
@@ -460,6 +465,8 @@ def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
     A cell is reused only if it has a summary and its `config.csv` fingerprint
     (every config field with its repr) matches; otherwise it is recomputed."""
     cells = grid_cells(cfg)
+    for cell in cells:   # before any cell runs, so a bad axis value trains nothing
+        cell.validate()
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     for cell in cells:

@@ -6,9 +6,10 @@ whatever does not arrive is topped up with locally generated natural-noise
 images. Only pseudo-images ever cross a client boundary.
 
 A bounty is two legs: requests sent in round t arrive in round t+1, and
-their answers in round t+2 if the deadline allows. The topology delivers a
-message (a star routes everything through the server; peer edges only
-connect their ends) or silently drops it, in (round, sender, sequence) order.
+their answers in round t+2 if the deadline allows. Each message is the
+`trace.csv` row that records it. The topology delivers a message (a star
+routes everything through the server; peer edges only connect their ends) or
+silently drops it; delivered messages keep the order they were sent in.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +35,17 @@ class DeadlineZero(ProtocolError):
     pass
 
 
-@dataclass(frozen=True)
-class BountyRequest:
-    label: int
-    quantity: int       # ceil(mix_fraction * deficit)
+class Record(NamedTuple):
+    """One bounty message, as the `trace.csv` row that logs its delivery."""
+    round: int          # the round it is delivered in
+    kind: str           # "request" | "response"
+    src: int
+    dst: int
+    label: int          # -1 for an empty response
+    count: int          # mixups asked for, or mixups carried
 
 
+# Kept as a wrapper, not a bare list: benchmarks/tracer.py counts `.samples`.
 @dataclass
 class BountyResponse:
     samples: list[LabeledImage]
@@ -63,46 +69,24 @@ class Topology:
         return self.adjacency is None or frozenset((a, b)) in self.adjacency
 
 
-@dataclass(frozen=True)
-class Message:
-    round_sent: int
-    src: int
-    dst: int
-    seq: int
-    kind: str           # "request" | "response"
-    payload: BountyRequest | BountyResponse
-
-
-def route(messages: Sequence[Message], topology: Topology) -> list[Message]:
-    """Deliverable subset of `messages`, in (round, sender, sequence) order.
+def route(records: Sequence[Record], topology: Topology) -> list[Record]:
+    """Deliverable subset of `records`, in their order.
 
     Star topologies deliver every client-to-client message (two hops through
     the server, one simulated round); peer topologies require an edge. Drops
     are silent; bounties are best-effort.
     """
-    delivered = [m for m in messages if topology.connected(m.src, m.dst)]
-    delivered.sort(key=lambda m: (m.round_sent, m.src, m.seq))
-    return delivered
+    return [r for r in records if topology.connected(r.src, r.dst)]
 
 
 @dataclass
 class ProtocolTrace:
     """Audit log of every delivered message."""
 
-    records: list[tuple[int, str, int, int, int, int]] = field(default_factory=list)
-
-    def log(self, message: Message, round_delivered: int) -> None:
-        payload = message.payload
-        if isinstance(payload, BountyRequest):
-            label, count = payload.label, payload.quantity
-        else:
-            label = payload.samples[0].label if payload.samples else -1
-            count = len(payload.samples)
-        self.records.append(
-            (round_delivered, message.kind, message.src, message.dst, label, count))
+    records: list[Record] = field(default_factory=list)
 
     def request_count(self) -> int:
-        return sum(1 for r in self.records if r[1] == "request")
+        return sum(1 for r in self.records if r.kind == "request")
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -127,27 +111,19 @@ class NaturalNoiseSource:
                 for i in range(start, start + n)]
 
 
-def plan_deficits(client: ClientDataset,
-                  target_per_label: Sequence[float] | np.ndarray) -> list[tuple[int, int]]:
+def plan_deficits(client: ClientDataset, target: int) -> list[tuple[int, int]]:
     """Labels needing supplements, ordered most-deficient first.
 
-    One (label, deficit) entry per label whose local count is below its
-    target; ordered by ascending local count, ties by label index.
+    One (label, target - count) entry per label whose local count is below
+    `target`; ordered by ascending local count, ties by label index.
     """
-    targets = np.asarray(target_per_label, dtype=np.float64)
-    if targets.shape != (client.num_classes,):
-        raise ProtocolError(
-            f"targets shape {targets.shape} does not match {client.num_classes} classes")
-    if np.any(targets < 0):
-        raise ProtocolError("per-label targets must be >= 0")
     hist = client.label_histogram
-    deficits = [(int(hist[y]), y, int(math.ceil(targets[y])) - int(hist[y]))
-                for y in range(client.num_classes) if hist[y] < targets[y]]
-    deficits.sort(key=lambda t: (t[0], t[1]))
-    return [(y, d) for _, y, d in deficits]
+    deficits = [(int(hist[y]), y) for y in range(client.num_classes) if hist[y] < target]
+    deficits.sort()
+    return [(y, target - count) for count, y in deficits]
 
 
-def serve_bounty(responder: ClientDataset, req: BountyRequest, cfg: DpMixConfig,
+def serve_bounty(responder: ClientDataset, label: int, quantity: int, cfg: DpMixConfig,
                  rng: np.random.Generator, *,
                  capacity_fraction: float = 1.0) -> BountyResponse:
     """Answer a bounty with freshly mixed pseudo-images (possibly none).
@@ -159,11 +135,11 @@ def serve_bounty(responder: ClientDataset, req: BountyRequest, cfg: DpMixConfig,
     order-independent.
     """
     hist = responder.label_histogram
-    if req.label >= responder.num_classes or hist[req.label] == 0 or hist.sum() < cfg.k:
+    if label >= responder.num_classes or hist[label] == 0 or hist.sum() < cfg.k:
         return BountyResponse([])
-    n = min(req.quantity, math.floor(capacity_fraction * int(hist[req.label])))
+    n = min(quantity, math.floor(capacity_fraction * int(hist[label])))
     root = int(rng.integers(2**62))
-    return BountyResponse([dp_labelhide(responder, req.label, cfg,
+    return BountyResponse([dp_labelhide(responder, label, cfg,
                                         rng_for(root, "mix", responder.client_id, i))
                            for i in range(n)])
 
@@ -200,21 +176,20 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         quantity = math.ceil(mix_fraction * deficit)
         collected: list[LabeledImage] = []
         if quantity > 0:
-            req = BountyRequest(label, quantity)
-            requests = route([Message(round_base, me, pid, seq, "request", req)
-                              for seq, pid in enumerate(peer_ids)], topology)
-            for msg in requests:
-                trace.log(msg, round_base + 1)
+            requests = route([Record(round_base + 1, "request", me, pid, label, quantity)
+                              for pid in peer_ids], topology)
+            trace.records.extend(requests)
             if deadline > 1:
-                responses = route(
-                    [Message(round_base + 1, msg.dst, me, seq, "response",
-                             serve_bounty(peers[msg.dst], req, mix_cfg,
-                                          rng_for(root, "serve", label, msg.dst),
-                                          capacity_fraction=capacity_fraction))
-                     for seq, msg in enumerate(requests)], topology)
-                for msg in responses:
-                    trace.log(msg, round_base + 2)
-                    collected.extend(msg.payload.samples)
+                served = {r.dst: serve_bounty(peers[r.dst], label, quantity, mix_cfg,
+                                              rng_for(root, "serve", label, r.dst),
+                                              capacity_fraction=capacity_fraction).samples
+                          for r in requests}
+                responses = route([Record(round_base + 2, "response", pid, me,
+                                          label if samples else -1, len(samples))
+                                   for pid, samples in served.items()], topology)
+                trace.records.extend(responses)
+                for r in responses:
+                    collected.extend(served[r.src])
         if len(collected) > quantity:
             keep = rng.choice(len(collected), size=quantity, replace=False)
             collected = [collected[i] for i in sorted(keep)]

@@ -1,11 +1,12 @@
 import configparser
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
-from fedbalance import serialization
+from fedbalance import experiments, serialization
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from fedbalance.datasets import LabeledImage, Provenance, make_toy_dataset
 
@@ -69,10 +70,10 @@ def test_train_runs_pipeline(config_path, tmp_path, capsys):
     assert "final=" in printed
 
 
-def _config_text(*settings):
-    """CONFIG_TEXT with each (section, key, value) set."""
+def _config_text(*settings, base=CONFIG_TEXT):
+    """`base` with each (section, key, value) set."""
     parser = configparser.ConfigParser()
-    parser.read_string(CONFIG_TEXT)
+    parser.read_string(base)
     for section, key, value in settings:
         if not parser.has_section(section):
             parser.add_section(section)
@@ -99,6 +100,15 @@ DEGENERATE_CONFIGS = {
     "repeated-key": CONFIG_TEXT.replace("kind = toy\n", "kind = toy\nkind = toy\n"),
     "no-section-header": "garbage\n",
     "stray-percent": CONFIG_TEXT.replace("kind = toy\n", "kind = toy%\n"),
+    "partition-classes_per_client-0": _config_text(("partition", "classes_per_client", "0")),
+    "partition-classes_per_client--1": _config_text(("partition", "classes_per_client", "-1")),
+    "partition-classes_per_client-4": _config_text(("partition", "classes_per_client", "4")),
+    "partition-num_clients-2": _config_text(("partition", "num_clients", "2")),
+    "class_skew-concentration-nan": _config_text(("partition", "concentration", "nan")),
+    "class_skew-concentration-inf": _config_text(("partition", "concentration", "inf")),
+    **{f"dirichlet-concentration-{value}": _config_text(
+        ("partition", "scheme", "dirichlet"), ("partition", "concentration", value))
+       for value in ("0", "-1", "nan", "inf")},
 }
 
 
@@ -116,6 +126,20 @@ def test_grid_runs(config_path, tmp_path):
     out = tmp_path / "grid"
     assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("key, values", [("supplement_pct", "10,200"),
+                                         ("supplement_pct", "10,nan"),
+                                         ("mix_fraction", "0.5,nan"),
+                                         ("mix_fraction", "0.5,inf"),
+                                         ("classes_per_client", "1,0")])
+def test_grid_validates_every_cell_before_running_any(tmp_path, capsys, key, values):
+    path = tmp_path / "exp.cfg"
+    path.write_text(_config_text(("grid", key, values)))
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out.rglob("summary.csv"))
 
 
 def test_gen_noise_and_spectrum(tmp_path):
@@ -226,3 +250,54 @@ def test_checkpoint_round_trip(tmp_path):
     back = serialization.load_checkpoint(path)
     assert back.schema == params.schema
     assert np.array_equal(back.flat, params.flat)
+
+
+FUZZ_BASE = """\
+[dataset]
+kind = toy
+toy_classes = 3
+toy_per_class = 6
+toy_test_per_class = 2
+toy_dims = 6x6x1
+
+[partition]
+classes_per_client = 1
+num_clients = 3
+
+[balance]
+supplement_pct = 50
+mix_fraction = 0.5
+k = 2
+
+[train]
+rounds = 1
+batch_size = 4
+"""
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "", "abc")
+FUZZ_CASES = [(scheme, section, key, value)
+              for scheme in ("class_skew", "dirichlet")
+              for section, keys in experiments._SECTIONS.items() for key in keys
+              for value in FUZZ_VALUES]
+
+
+@pytest.mark.parametrize("scheme, section, key, value", FUZZ_CASES,
+                         ids=["-".join(case) for case in FUZZ_CASES])
+def test_every_key_at_a_boundary_value_exits_0_or_2(tmp_path, capsys, scheme,
+                                                      section, key, value):
+    # The full product, not a sample: every config key at every boundary
+    # value, over a tiny toy base of either scheme. A traceback fails here.
+    path = tmp_path / "exp.cfg"
+    path.write_text(_config_text(("partition", "scheme", scheme), (section, key, value),
+                                 base=FUZZ_BASE))
+    out = tmp_path / "out"
+    command = "grid" if section == "grid" else "train"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG), capsys.readouterr().err
+    if code == EXIT_OK:
+        if command == "grid":
+            rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
+            numbers = [row[f] for row in rows for f in ("final_accuracy", "best_accuracy")]
+        else:
+            rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+            numbers = [row[f] for row in rows for f in ("global_test_acc", "mean_train_loss")]
+        assert numbers and all(math.isfinite(float(n)) for n in numbers)

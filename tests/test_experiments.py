@@ -205,10 +205,17 @@ class TestRunExperiment:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_training_holds_one_copy_of_the_images(self, monkeypatch):
-        # By round 0 the loaded pixels, the partitioned clients and their
-        # pre-balance pixels are all released; only the scaled arrays remain.
+        # By round 0 the loaded training and test pixels, the partitioned
+        # clients and their pre-balance pixels are all released; only the
+        # scaled arrays remain.
         refs = []
-        partition, run_round = datasets.partition, experiments.run_round
+        load, partition = experiments.load_dataset, datasets.partition
+        run_round = experiments.run_round
+
+        def recording_load(cfg):
+            loaded = load(cfg)
+            refs.append(weakref.ref(loaded[1][0]))
+            return loaded
 
         def recording_partition(dataset, spec):
             clients = partition(dataset, spec)
@@ -223,10 +230,11 @@ class TestRunExperiment:
             alive.append(sum(ref() is not None for ref in refs))
             return run_round(*args, **kwargs)
 
+        monkeypatch.setattr(experiments, "load_dataset", recording_load)
         monkeypatch.setattr(datasets, "partition", recording_partition)
         monkeypatch.setattr(experiments, "run_round", checking_run_round)
         run_experiment(replace(TINY, supplement_pct=50, mix_fraction=0.5))
-        assert len(refs) == 1 + 2 * TINY.num_clients
+        assert len(refs) == 2 + 2 * TINY.num_clients
         assert alive == [0] * TINY.rounds
 
     def test_timing_column_only_when_enabled(self, tmp_path):
