@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 from dataclasses import replace
@@ -15,6 +16,7 @@ from fedbalance.datasets import (BadMagic, BadRecordLength, ClientDataset,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates,
                                  write_partition_manifest)
+from fedbalance.seeding import derive_seed
 
 
 def idx_bytes(magic, dims, payload):
@@ -169,6 +171,29 @@ class TestToyDataset:
         pixels, _ = make_toy_dataset(5, 3, (6, 6, 1), seed=2)
         assert pixels.min() >= 0 and pixels.max() <= 255
         assert np.array_equal(pixels, np.rint(pixels))
+
+
+# SHA-256 of (pixel bytes, label bytes) per make_toy_dataset call: the desk
+# train set of seed 0, an odd 3-channel shape, and a jitter-free set.
+PINNED_TOY = {
+    (600, 10, (10, 10, 1), derive_seed(0, "toy-train"), 16): (
+        "752db7435ba9e6f110c44f812bded03b3362e1cc53a03e28c196770239c65566",
+        "8c68ab395f0f981d48f4c72a1c9d336742159c522f96cc3fdb2037b95c2ad1ba"),
+    (7, 5, (9, 11, 3), 3, 16): (
+        "a7dda7a17d26a363320f745e34034f2912a881f0650c23e2bb4edde596eac6c2",
+        "14260c6d19131977bb23abfe9dffdb0300a6311f70a7b2d9ca2812501edd9ae6"),
+    (4, 3, (5, 6, 1), 9, 0): (
+        "7994ce906699024deb9147ce6bf18fa844a0305f0a4f33e62e217bbf89618c85",
+        "5664ee91a9289943f6b968bac7b7d35ad321fe7c6ff70cc91c8d20139c9c6afe"),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_TOY), ids=["desk", "rgb-odd", "jitter-0"])
+def test_toy_dataset_matches_pinned_digests(args):
+    n_per_class, num_classes, dims, seed, jitter = args
+    pixels, labels = make_toy_dataset(n_per_class, num_classes, dims, seed, jitter=jitter)
+    assert (hashlib.sha256(pixels.tobytes()).hexdigest(),
+            hashlib.sha256(labels.tobytes()).hexdigest()) == PINNED_TOY[args]
 
 
 def global_histogram(data, num_classes):
