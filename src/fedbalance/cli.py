@@ -26,6 +26,9 @@ def _load_pool(in_dir: str) -> datasets.ClientDataset:
     if not paths:
         raise ConfigError(f"no {serialization.TENSOR_SUFFIX} files under {in_dir}")
     images = [serialization.load_tensor_image(p) for p in paths]
+    for path, img in zip(paths, images):
+        if img.pixels.shape != images[0].pixels.shape:
+            raise serialization.FormatError(f"{path}: dims differ from {paths[0]}'s")
     labeled = [img for img in images if img.label >= 0]
     if not labeled:
         raise ConfigError(f"images under {in_dir} carry no labels; cannot mix")

@@ -164,8 +164,9 @@ class PartitionSpec:
                 raise InfeasibleSpec(
                     f"{self.num_clients} clients x {c} classes leave labels with no holder")
         elif self.scheme is Scheme.DIRICHLET:
-            if self.concentration is None or not (self.concentration > 0):
-                raise InfeasibleSpec(f"concentration must be > 0, got {self.concentration}")
+            if self.concentration is None or not (0 < self.concentration < math.inf):
+                raise InfeasibleSpec(
+                    f"concentration must be finite and > 0, got {self.concentration}")
 
 
 def parse_idx(data: bytes) -> tuple[np.ndarray, dict]:
@@ -307,12 +308,14 @@ def make_toy_dataset(n_per_class: int, num_classes: int, dims: tuple[int, int, i
     templates = toy_templates(num_classes, dims)
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    pixels = np.empty((labels.size, *dims), dtype=np.float32)
-    # One jitter draw per image keeps the generator stream of the seed.
-    for i, y in enumerate(labels):
-        noise = rng.integers(-jitter, jitter + 1, size=dims)
-        pixels[i] = np.clip(np.rint(templates[y] + noise), 0, 255)
-    return pixels, labels
+    pixels = np.empty((num_classes, n_per_class, *dims), dtype=np.float32)
+    # Bounded integer draws consume the stream value by value, so one draw per
+    # class block yields the same jitter as one draw per image; a whole-set
+    # draw would too, but holds int64 and float64 copies of every image.
+    for template, block in zip(templates, pixels):
+        noise = rng.integers(-jitter, jitter + 1, size=block.shape)
+        block[...] = np.clip(np.rint(template + noise), 0, 255)
+    return pixels.reshape(labels.size, *dims), labels
 
 
 def _even_split_sizes(total: int, parts: int) -> list[int]:
@@ -369,6 +372,8 @@ def partition(dataset: tuple[np.ndarray, np.ndarray],
         alpha = np.full(spec.num_clients, spec.concentration, dtype=np.float64)
         for idxs in by_label:
             proportions = rng.dirichlet(alpha)
+            if not math.isclose(proportions.sum(), 1.0):   # gamma draws overflowed
+                raise InfeasibleSpec(f"concentration {spec.concentration} overflows the draw")
             counts = _largest_remainder_counts(len(idxs), proportions)
             order = rng.permutation(len(idxs))
             owner[idxs[order]] = np.repeat(np.arange(spec.num_clients), counts)

@@ -8,6 +8,7 @@ clamps to [0, 255] at write time only; stored tensors keep their raw values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Sequence
@@ -91,20 +92,13 @@ _LAYER_NAMES = {
     "relu": training.ReLU,
     "softmax": training.Softmax,
 }
+_LAYER_TYPES = {cls: name for name, cls in _LAYER_NAMES.items()}
 
 
 def _layer_to_json(layer) -> list:
-    if isinstance(layer, training.Dense):
-        return ["dense", layer.in_features, layer.out_features]
-    if isinstance(layer, training.Conv3x3):
-        return ["conv3x3", layer.in_channels, layer.out_channels]
-    if isinstance(layer, training.MaxPool2):
-        return ["maxpool2"]
-    if isinstance(layer, training.ReLU):
-        return ["relu"]
-    if isinstance(layer, training.Softmax):
-        return ["softmax"]
-    raise FormatError(f"unknown layer {layer!r}")
+    if type(layer) not in _LAYER_TYPES:
+        raise FormatError(f"unknown layer {layer!r}")
+    return [_LAYER_TYPES[type(layer)], *dataclasses.astuple(layer)]
 
 
 def _layer_from_json(entry: Sequence) -> object:

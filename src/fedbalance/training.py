@@ -69,12 +69,19 @@ class Softmax:
 Layer = Union[Dense, Conv3x3, MaxPool2, ReLU, Softmax]
 
 
-def layer_param_count(layer: Layer) -> int:
+def _weight_shape(layer: Layer) -> tuple[int, ...] | None:
+    """(in, out) for Dense, (3, 3, in, out) for Conv3x3, None for layers
+    without parameters; the bias is as long as the last dimension."""
     if isinstance(layer, Dense):
-        return layer.in_features * layer.out_features + layer.out_features
+        return (layer.in_features, layer.out_features)
     if isinstance(layer, Conv3x3):
-        return 9 * layer.in_channels * layer.out_channels + layer.out_channels
-    return 0
+        return (3, 3, layer.in_channels, layer.out_channels)
+    return None
+
+
+def layer_param_count(layer: Layer) -> int:
+    shape = _weight_shape(layer)
+    return 0 if shape is None else math.prod(shape) + shape[-1]
 
 
 def schema_param_count(schema: Sequence[Layer]) -> int:
@@ -91,30 +98,20 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.schema, self.flat.copy())
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.schema, self.flat.astype(dtype))
-
 
 def _param_views(schema: Sequence[Layer], flat: np.ndarray) -> list[tuple | None]:
     """Per-layer (W, b) views into the flat vector; None for parameterless layers."""
     views: list[tuple | None] = []
     offset = 0
     for layer in schema:
-        if isinstance(layer, Dense):
-            n_w = layer.in_features * layer.out_features
-            w = flat[offset:offset + n_w].reshape(layer.in_features, layer.out_features)
-            b = flat[offset + n_w:offset + n_w + layer.out_features]
-            views.append((w, b))
-            offset += n_w + layer.out_features
-        elif isinstance(layer, Conv3x3):
-            n_w = 9 * layer.in_channels * layer.out_channels
-            w = flat[offset:offset + n_w].reshape(3, 3, layer.in_channels,
-                                                  layer.out_channels)
-            b = flat[offset + n_w:offset + n_w + layer.out_channels]
-            views.append((w, b))
-            offset += n_w + layer.out_channels
-        else:
+        shape = _weight_shape(layer)
+        if shape is None:
             views.append(None)
+            continue
+        n_w = math.prod(shape)
+        views.append((flat[offset:offset + n_w].reshape(shape),
+                      flat[offset + n_w:offset + n_w + shape[-1]]))
+        offset += n_w + shape[-1]
     if offset != flat.size:
         raise SchemaMismatch(f"flat vector holds {flat.size} params, schema needs {offset}")
     return views
@@ -125,16 +122,12 @@ def init_model(schema: Sequence[Layer], seed: int, dtype=np.float32) -> ModelPar
     schema = tuple(schema)
     flat = np.zeros(schema_param_count(schema), dtype=dtype)
     rng = np.random.default_rng(seed)
-    for layer, view in zip(schema, _param_views(schema, flat)):
+    for view in _param_views(schema, flat):
         if view is None:
             continue
         w, b = view
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.in_features, layer.out_features
-        else:
-            fan_in = 9 * layer.in_channels
-            fan_out = 9 * layer.out_channels
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        taps = math.prod(w.shape[:-2])   # 1 for Dense, 9 for Conv3x3
+        limit = math.sqrt(6.0 / (taps * w.shape[-2] + taps * w.shape[-1]))
         w[...] = rng.uniform(-limit, limit, size=w.shape).astype(dtype)
         b[...] = 0
     return ModelParams(schema, flat)

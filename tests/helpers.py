@@ -1,4 +1,8 @@
-"""Shared fixtures and oracles for the training tests and the acceptance suite."""
+"""Shared fixtures and oracles for the training tests and the acceptance suite,
+and a loader for the benchmark modules whose hooks the fast suite guards."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -87,3 +91,12 @@ def real_client(client_id, pixels, labels, num_classes):
     """A ClientDataset holding the given rows as real examples."""
     return ClientDataset(client_id, num_classes, pixels, labels,
                          np.zeros(len(labels), dtype=np.int8))
+
+
+def load_bench_module(name):
+    """`benchmarks/<name>.py`, loaded by path without editing it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -108,7 +108,7 @@ DEGENERATE_CONFIGS = {
     "class_skew-concentration-inf": _config_text(("partition", "concentration", "inf")),
     **{f"dirichlet-concentration-{value}": _config_text(
         ("partition", "scheme", "dirichlet"), ("partition", "concentration", value))
-       for value in ("0", "-1", "nan", "inf")},
+       for value in ("0", "-1", "nan", "inf", "1e308")},
 }
 
 
@@ -178,6 +178,17 @@ def test_mix_from_tensor_directory(tmp_path):
     assert all(m.provenance is Provenance.MIXUP for m in mixed)
 
 
+def test_mix_rejects_a_pool_of_mixed_image_sizes(tmp_path, capsys):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    for name, dims, label in (("a", (4, 4, 1), 0), ("b", (5, 4, 1), 1), ("c", (4, 4, 1), 1)):
+        serialization.save_tensor_image(str(pool / f"{name}{serialization.TENSOR_SUFFIX}"),
+                                        LabeledImage(np.zeros(dims, np.float32), label))
+    assert main(["mix", "--in", str(pool), "--out", str(tmp_path / "m"),
+                 "--label", "0", "--k", "2"]) == EXIT_IO
+    assert f"b{serialization.TENSOR_SUFFIX}: dims differ" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\nmodel = resnet\n")
@@ -243,13 +254,19 @@ def test_ppm_clamps_only_at_export(tmp_path):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    from fedbalance.training import build_model, init_model
+    from fedbalance.training import ModelParams, build_model, init_model
     params = init_model(build_model("cnn", (8, 8, 1), 4), seed=3)
     path = str(tmp_path / "model.ckpt")
     serialization.save_checkpoint(path, params)
+    with open(path, "rb") as fh:
+        assert fh.readline() == (
+            b'{"schema": [["conv3x3", 1, 8], ["maxpool2"], ["relu"], ["conv3x3", 8, 16], '
+            b'["maxpool2"], ["relu"], ["dense", 64, 4], ["softmax"]]}\n')
     back = serialization.load_checkpoint(path)
     assert back.schema == params.schema
     assert np.array_equal(back.flat, params.flat)
+    with pytest.raises(serialization.FormatError):
+        serialization.save_checkpoint(path, ModelParams((object(),), params.flat))
 
 
 FUZZ_BASE = """\

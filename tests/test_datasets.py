@@ -294,6 +294,14 @@ class TestPartitionDirichlet:
         got = np.stack([c.label_histogram for c in clients])
         assert np.array_equal(got, oracle)
 
+    @pytest.mark.parametrize("concentration, n_clients",
+                             [(float("inf"), 3), (1e308, 3), (5e307, 10)])
+    def test_unusable_concentration_is_infeasible(self, concentration, n_clients):
+        # 1e308 and 5e307 pass validation, but their gamma draws overflow.
+        data = make_toy_dataset(4, 3, (4, 4, 1), seed=0)
+        with pytest.raises(InfeasibleSpec):
+            partition(data, PartitionSpec.dirichlet(concentration, n_clients, seed=0))
+
     @settings(max_examples=20, deadline=None)
     @given(conc=st.sampled_from([0.05, 0.5, 5.0]),
            n_clients=st.integers(2, 12), seed=st.integers(0, 10_000))

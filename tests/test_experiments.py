@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import os
+import sys
 import time
 import weakref
 from dataclasses import replace
@@ -19,6 +20,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
 from fedbalance import datasets, experiments, serialization
 from fedbalance.protocol import ProtocolTrace
 from fedbalance.training import training_arrays
+from helpers import load_bench_module
 
 
 TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
@@ -178,6 +180,27 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
             digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
                 array.tobytes()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def test_bench_setup_path_still_runs(tmp_path, monkeypatch):
+    # benchmarks/run.py times config load -> load_dataset -> partition ->
+    # init_model under the tracer's phase wrappers in every untraced run; a
+    # rename on that path would fail each such run, and fails here first.
+    monkeypatch.setitem(sys.modules, "tracer", load_bench_module("tracer"))
+    run = load_bench_module("run")   # imports `tracer` by name
+    tracer = sys.modules["tracer"]
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CONFIG_TEXT.replace("model = logreg", "model = cnn"))
+    recorder = tracer.Tracer()
+    recorder.install(tracer.PHASES)
+    try:
+        with recorder.span("setup"):
+            assert run.measure_setup(cfg_path, True) > 0
+    finally:
+        recorder.restore()
+    assert [span[1] for span in recorder.spans] == [
+        "setup", "experiments.load_dataset", "datasets.partition"]
+    assert experiments.load_dataset is load_dataset
 
 
 class TestRunExperiment:

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from fedbalance.protocol import (DeadlineZero, NaturalNoiseSource,
                                  ProtocolTrace, Record, Topology,
                                  plan_deficits, route, run_balance,
                                  serve_bounty)
+from helpers import load_bench_module
 
 DIMS = (6, 6, 1)
 
@@ -227,10 +226,7 @@ def test_bench_tracer_hooks_still_count_the_protocol():
     # benchmarks/tracer.py counts requests and deliveries from `route`'s
     # argument and result, and useful serves from `serve_bounty`'s
     # `.samples`; a protocol change that breaks those hooks fails here.
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     recorder = tracer.Tracer()
     recorder.install(["protocol.route", "protocol.serve_bounty"], tracer.HOOKS)
     try:
