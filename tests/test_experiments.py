@@ -186,9 +186,9 @@ def test_bench_setup_path_still_runs(tmp_path, monkeypatch):
     # benchmarks/run.py times config load -> load_dataset -> partition ->
     # init_model under the tracer's phase wrappers in every untraced run; a
     # rename on that path would fail each such run, and fails here first.
-    monkeypatch.setitem(sys.modules, "tracer", load_bench_module("tracer"))
-    run = load_bench_module("run")   # imports `tracer` by name
-    tracer = sys.modules["tracer"]
+    tracer = load_bench_module("tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)   # run.py imports it by name
+    run = load_bench_module("run")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(CONFIG_TEXT.replace("model = logreg", "model = cnn"))
     recorder = tracer.Tracer()
