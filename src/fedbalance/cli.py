@@ -38,7 +38,7 @@ def _load_pool(in_dir: str) -> datasets.ClientDataset:
 
 def _cmd_partition(args) -> int:
     cfg = experiments.load_config(args.config, args.seed)
-    train, _, _, _ = experiments.load_dataset(cfg)
+    train, _, _ = experiments.load_train(cfg)
     clients = datasets.partition(train, experiments.build_partition_spec(cfg))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "partition_manifest.csv")
@@ -97,7 +97,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_balance(args) -> int:
     cfg = experiments.load_config(args.config, args.seed)
-    clients, _, _, _ = experiments.prepare_clients(cfg, args.out)
+    clients, _, _ = experiments.prepare_clients(cfg, args.out)
     if cfg.supplement_pct == 0:
         # Nothing to balance: record the partition as it stands and an empty trace.
         datasets.write_partition_manifest(

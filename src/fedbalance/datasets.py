@@ -250,29 +250,35 @@ def _find_file(directory: str, candidates: tuple[str, ...]) -> str:
     raise FileNotFoundError(f"none of {candidates} found under {directory}")
 
 
-def load_mnist_dir(directory: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Load the four standard MNIST IDX files: ((train pixels, labels), (test ...))."""
-    tensors = {}
-    for key, names in _MNIST_FILES.items():
-        with open(_find_file(directory, names), "rb") as fh:
-            tensors[key], _ = parse_idx(fh.read())
-    splits = []
-    for split in ("train", "test"):
-        pixels, labels = tensors[f"{split}_images"], tensors[f"{split}_labels"]
-        if pixels.shape[0] != labels.shape[0]:
-            raise DatasetError(f"{pixels.shape[0]} images vs {labels.shape[0]} labels")
-        splits.append((pixels[..., None].astype(np.float32), labels.astype(np.int64)))
-    return tuple(splits)
+def load_mnist_dir(directory: str, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load one split ("train" or "test") of the standard MNIST IDX files as
+    (pixels, labels); the other split's files are not read."""
+    tensors = []
+    for kind in ("images", "labels"):
+        with open(_find_file(directory, _MNIST_FILES[f"{split}_{kind}"]), "rb") as fh:
+            tensors.append(parse_idx(fh.read())[0])
+    pixels, labels = tensors
+    if pixels.shape[0] != labels.shape[0]:
+        raise DatasetError(f"{pixels.shape[0]} images vs {labels.shape[0]} labels")
+    return pixels[..., None].astype(np.float32), labels.astype(np.int64)
 
 
-def load_cifar10_dir(directory: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Load CIFAR-10 binary batches data_batch_{1..5}.bin plus test_batch.bin."""
+_CIFAR10_FILES = {
+    "train": tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+    "test": ("test_batch.bin",),
+}
+
+
+def load_cifar10_dir(directory: str, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load one split of the CIFAR-10 binary batches as (pixels, labels):
+    data_batch_{1..5}.bin for "train", test_batch.bin for "test"."""
     batches = []
-    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+    for name in _CIFAR10_FILES[split]:
         with open(os.path.join(directory, name), "rb") as fh:
             batches.append(parse_cifar10(fh.read()))
-    train = tuple(np.concatenate(column) for column in zip(*batches[:5]))
-    return train, batches[5]
+    if len(batches) == 1:
+        return batches[0]
+    return tuple(np.concatenate(column) for column in zip(*batches))
 
 
 def toy_templates(num_classes: int, dims: tuple[int, int, int]) -> np.ndarray:

@@ -237,28 +237,48 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     return cfg
 
 
-def load_dataset(cfg: ExperimentConfig) -> tuple[tuple, tuple, tuple[int, int, int], int]:
-    """Returns (train, test, dims, num_classes) for the configured dataset;
-    train and test are (pixels, labels) pairs."""
-    data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
+def load_train(cfg: ExperimentConfig) -> tuple[tuple, tuple[int, int, int], int]:
+    """Returns (train, dims, num_classes) for the configured dataset; train is
+    a (pixels, labels) pair. The test split is not read."""
+    data_seed = _data_seed(cfg)
     if cfg.dataset == "toy":
         train = datasets.make_toy_dataset(cfg.toy_per_class, cfg.toy_classes,
                                           cfg.toy_dims, derive_seed(data_seed, "toy-train"),
                                           jitter=cfg.toy_jitter)
-        test = datasets.make_toy_dataset(cfg.toy_test_per_class, cfg.toy_classes,
-                                         cfg.toy_dims, derive_seed(data_seed, "toy-test"),
-                                         jitter=cfg.toy_jitter)
-        return train, test, cfg.toy_dims, cfg.toy_classes
+        return train, cfg.toy_dims, cfg.toy_classes
     if cfg.dataset == "mnist":
-        train, test = datasets.load_mnist_dir(cfg.data_path)
+        train = datasets.load_mnist_dir(cfg.data_path, "train")
         dims, num_classes = (28, 28, 1), 10
     else:
-        train, test = datasets.load_cifar10_dir(cfg.data_path)
+        train = datasets.load_cifar10_dir(cfg.data_path, "train")
         dims, num_classes = (32, 32, 3), 10
     if cfg.subset_per_class > 0:
         train = _stratified_subset(train, cfg.subset_per_class, num_classes,
                                    rng_for(data_seed, "subset"))
-    return train, test, dims, num_classes
+    return train, dims, num_classes
+
+
+def load_test(cfg: ExperimentConfig) -> tuple:
+    """The configured dataset's test split as a (pixels, labels) pair."""
+    if cfg.dataset == "toy":
+        return datasets.make_toy_dataset(cfg.toy_test_per_class, cfg.toy_classes,
+                                         cfg.toy_dims,
+                                         derive_seed(_data_seed(cfg), "toy-test"),
+                                         jitter=cfg.toy_jitter)
+    if cfg.dataset == "mnist":
+        return datasets.load_mnist_dir(cfg.data_path, "test")
+    return datasets.load_cifar10_dir(cfg.data_path, "test")
+
+
+def load_dataset(cfg: ExperimentConfig) -> tuple[tuple, tuple, tuple[int, int, int], int]:
+    """Returns (train, test, dims, num_classes): `load_train` and `load_test`
+    in one call, as `benchmarks/run.py` times the set-up."""
+    train, dims, num_classes = load_train(cfg)
+    return train, load_test(cfg), dims, num_classes
+
+
+def _data_seed(cfg: ExperimentConfig) -> int:
+    return cfg.seed if cfg.data_seed is None else cfg.data_seed
 
 
 def _stratified_subset(dataset: tuple[np.ndarray, np.ndarray], per_class: int,
@@ -342,15 +362,15 @@ def _fmt_num(value) -> str:
 
 
 def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
-                    ) -> tuple[list[ClientDataset], tuple, tuple[int, int, int], int]:
+                    ) -> tuple[list[ClientDataset], tuple[int, int, int], int]:
     """Load, partition and (when `supplement_pct` > 0) balance the clients.
 
     With `out_dir` set, writes `partition_manifest.csv` and, after a balance,
-    `balance_manifest.csv` and `trace.csv`. Returns (clients, test, dims,
-    num_classes). The loaded training set is released here: each client holds
-    its own copy of its rows.
+    `balance_manifest.csv` and `trace.csv`. Returns (clients, dims,
+    num_classes). The test split is not read. The loaded training set is
+    released here: each client holds its own copy of its rows.
     """
-    train, test, dims, num_classes = load_dataset(cfg)
+    train, dims, num_classes = load_train(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
     del train
     if out_dir:
@@ -364,13 +384,14 @@ def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
             datasets.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
             trace.write_csv(os.path.join(out_dir, "trace.csv"))
-    return clients, test, dims, num_classes
+    return clients, dims, num_classes
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Full pipeline: load, partition, balance, train; write CSVs when out_dir set."""
     cfg.validate()
-    clients, (test_pixels, test_y), dims, num_classes = prepare_clients(cfg, out_dir)
+    test_pixels, test_y = load_test(cfg)
+    clients, dims, num_classes = prepare_clients(cfg, out_dir)
 
     schema = build_model(cfg.model, dims, num_classes)
     params = init_model(schema, derive_seed(cfg.seed, "model-init"))

@@ -9,11 +9,13 @@ seed streams, which makes full runs reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .datasets import ClientDataset
 from .seeding import rng_for
@@ -133,21 +135,40 @@ def init_model(schema: Sequence[Layer], seed: int, dtype=np.float32) -> ModelPar
     return ModelParams(schema, flat)
 
 
-def _pool_corners(x: np.ndarray) -> list[np.ndarray]:
-    """The four strided views of 2x2 windows, in (0,0), (0,1), (1,0), (1,1)
-    order; an odd last row or column is cropped."""
-    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
-    return [x[:, dy:h2 * 2:2, dx:w2 * 2:2, :] for dy in (0, 1) for dx in (0, 1)]
+@functools.lru_cache(maxsize=16)
+def _pool_rows(b: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into a batch's (B*H*W, C) pixel rows for 2x2 max pooling.
+
+    `gather` lists every window's pixel at corner (0,0), then at (0,1),
+    (1,0) and (1,1): a raveled (4, B, H//2, W//2) array. `scatter` gives each
+    pixel's place in `gather`, or `gather.size` for an odd last row or
+    column, which no window covers. They depend only on the shape, so they
+    are cached, and read-only.
+    """
+    h2, w2 = h // 2, w // 2
+    corner = np.arange(2).reshape(2, 1, 1, 1) * w + np.arange(2).reshape(1, 2, 1, 1)
+    window = np.arange(h2).reshape(h2, 1) * (2 * w) + np.arange(w2) * 2
+    per_image = (corner + window).reshape(4, 1, h2 * w2)
+    gather = (per_image + (np.arange(b) * (h * w)).reshape(1, b, 1)).ravel()
+    scatter = np.full(b * h * w, gather.size)
+    scatter[gather] = np.arange(gather.size)
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return gather, scatter
 
 
 def _pool_forward(x: np.ndarray):
+    # One `take` of whole C-float pixel rows copies out the four corners; a
+    # strided copy per corner would move them C floats at a time.
     # A corner replaces the running winner only when strictly larger, so ties
     # go to the first maximum in corner order (argmax's rule). The output is
     # selected bitwise, so it is the winning element itself, sign of zero
     # included (NaN inputs aside, where argmax would pick the first NaN).
-    corners = [np.ascontiguousarray(c) for c in _pool_corners(x)]
+    b, h, w, c = x.shape
+    gather, _ = _pool_rows(b, h, w)
+    corners = np.take(x.reshape(-1, c), gather, axis=0).reshape(4, b, h // 2, w // 2, c)
     bits = np.dtype(f"u{x.itemsize}")
-    out = corners[0]
+    out = corners[0].copy()
     out_bits = out.view(bits)
     winner = np.zeros(out.shape, dtype=np.int8)
     for k, corner in enumerate(corners[1:], start=1):
@@ -158,13 +179,18 @@ def _pool_forward(x: np.ndarray):
 
 
 def _pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    in_shape, winner = cache
+    # Each corner's masked share of dout fills its block of a corner-major
+    # buffer whose extra last row stays zero; one `take` through `scatter`
+    # then puts every pixel row in place, an uncovered pixel reading zeros.
+    (b, h, w, c), winner = cache
+    _, scatter = _pool_rows(b, h, w)
     bits = np.dtype(f"u{dout.itemsize}")
     dout_bits = np.ascontiguousarray(dout).view(bits)
-    dx = np.zeros(in_shape, dtype=dout.dtype)
-    for k, corner in enumerate(_pool_corners(dx)):
-        corner[...] = (dout_bits & -(winner == k).astype(bits)).view(dout.dtype)
-    return dx
+    shares = np.zeros((4 * math.prod(winner.shape[:3]) + 1, c), dtype=bits)
+    blocks = shares[:-1].reshape(4, *winner.shape)
+    for k in range(4):
+        np.bitwise_and(dout_bits, -(winner == k).astype(bits), out=blocks[k])
+    return np.take(shares, scatter, axis=0).view(dout.dtype).reshape(b, h, w, c)
 
 
 def _conv_taps(h: int, w: int):
@@ -179,35 +205,68 @@ def _conv_taps(h: int, w: int):
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B*H*W, 9*C) patch matrix for same-padded 3x3 convs."""
+    """(B, H, W, C) -> (B*H*W, 9*C) patch matrix for same-padded 3x3 convs.
+
+    With several channels, one copy of a zero-padded batch's 3x3 windows in
+    (B, H, W, dy, dx, C) order moves runs of 3*C floats. With one channel
+    those runs would be 3 floats, so nine clipped tap copies, each moving runs
+    of W pixels, stay faster. At batch 128 on a 2-core x86 VM: 10x10x1 takes
+    ~170 us as taps against ~300-400 us as a window copy; 5x5x8 takes
+    ~100-180 us as a window copy against ~220-270 us as taps.
+    """
     b, h, w, c = x.shape
-    cols = np.zeros((b, h, w, 9, c), dtype=x.dtype)
-    for tap, (oy, ox), (sy, sx) in _conv_taps(h, w):
-        cols[:, oy, ox, tap, :] = x[:, sy, sx, :]
-    return cols.reshape(b * h * w, 9 * c)
+    if c == 1:
+        cols = np.zeros((b, h, w, 9, c), dtype=x.dtype)
+        for tap, (oy, ox), (sy, sx) in _conv_taps(h, w):
+            cols[:, oy, ox, tap, :] = x[:, sy, sx, :]
+        return cols.reshape(b * h * w, 9 * c)
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded[:, 1:-1, 1:-1, :] = x
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))   # (B, H, W, C, 3, 3)
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        b * h * w, 9 * c)
 
 
 def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
                   bias: np.ndarray) -> np.ndarray:
+    # The bias is tiled once per pixel and added over whole-image rows: one
+    # inner loop per image rather than one per pixel, same bits.
     b, h, width, c_in = x.shape
-    out2d = cols @ w.reshape(9 * c_in, w.shape[-1])
-    out2d += bias
-    return out2d.reshape(b, h, width, w.shape[-1])
+    c_out = w.shape[-1]
+    out = (cols @ w.reshape(9 * c_in, c_out)).reshape(b, h * width * c_out)
+    out += np.tile(bias, h * width)
+    return out.reshape(b, h, width, c_out)
 
 
 def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order.
 
-    Each tap's block is its own GEMM, so the slice added is read from a
-    contiguous (B, H, W, C_in) array rather than a strided 9-tap view.
+    One GEMM gives every tap's block, with the bits of one GEMM per tap.
+    Each block is then added in one run over the flat pixel axis, shifted by
+    its tap's offset. Its entries whose source pixel lies outside the image
+    would land on a neighbouring row or image, so they are zeroed first:
+    adding +0.0 to a sum that started at +0.0 changes no bit, since such a
+    sum is never -0.0.
     """
     b, h, width, c_out = dout.shape
-    dout2d = dout.reshape(-1, c_out)
-    dx = np.zeros((b, h, width, w.shape[2]), dtype=dout.dtype)
-    for tap, (oy, ox), (sy, sx) in _conv_taps(h, width):
-        block = (dout2d @ w[tap // 3, tap % 3].T).reshape(b, h, width, -1)
-        dx[:, sy, sx, :] += block[:, oy, ox, :]
-    return dx
+    c_in = w.shape[2]
+    n = b * h * width
+    dcols = (dout.reshape(n, c_out) @ w.reshape(9 * c_in, c_out).T).reshape(n, 9, c_in)
+    grad = np.zeros((n, c_in), dtype=dout.dtype)
+    for tap in range(9):
+        dy, dx = divmod(tap, 3)
+        block = np.take(dcols, tap, axis=1)     # a contiguous (N, C_in) copy
+        pixels = block.reshape(b, h, width, c_in)
+        if dy != 1:
+            pixels[:, 0 if dy == 0 else -1] = 0
+        if dx != 1:
+            pixels[:, :, 0 if dx == 0 else -1] = 0
+        shift = (dy - 1) * width + dx - 1
+        if shift >= 0:
+            grad[shift:] += block[:n - shift]
+        else:
+            grad[:shift] += block[-shift:]
+    return grad.reshape(b, h, width, c_in)
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -291,7 +350,9 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
             gw, gb = grad_views[i]
             dout2d = delta.reshape(-1, w.shape[-1])
             gw[...] = (cache[i].T @ dout2d).reshape(w.shape)
-            gb[...] = dout2d.sum(axis=0)
+            # einsum adds the rows in order, as sum(axis=0) does, but runs
+            # one inner loop over the whole array rather than one per row.
+            gb[...] = np.einsum("nc->c", dout2d)
             if i:
                 delta = _conv_input_grad(delta, w)
         elif isinstance(layer, MaxPool2):
@@ -365,19 +426,32 @@ def fedavg_aggregate(client_params: Sequence[ModelParams],
     return ModelParams(schema, acc.astype(client_params[0].flat.dtype))
 
 
+def _chunk_bounds(n: int, size: int) -> list[int]:
+    """Boundaries 0, size, 2*size, ..., n of evaluation chunks.
+
+    A one-image remainder joins the chunk before it (129 images at size 128
+    make one chunk): a one-image forward goes through gemv, whose logits may
+    differ in their last bits from the same image's inside a batch.
+    """
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
 def evaluate(params: ModelParams, x: np.ndarray, labels: np.ndarray,
              batch_size: int = 128) -> float:
     """Top-1 accuracy, evaluated in chunks.
 
     A chunk the size of a training batch keeps the forward cache no larger
-    than a training step's. The logits do not depend on the chunk size, except
-    in a chunk of one image, which goes through gemv and may differ in its
-    last bits.
+    than a training step's. The logits do not depend on the chunk size, as
+    long as no chunk holds a single image (see `_chunk_bounds`).
     """
     correct = 0
-    for i in range(0, x.shape[0], batch_size):
-        logits, _ = forward(params, x[i:i + batch_size])
-        correct += int((logits.argmax(axis=1) == labels[i:i + batch_size]).sum())
+    bounds = _chunk_bounds(x.shape[0], batch_size)
+    for start, stop in zip(bounds, bounds[1:]):
+        logits, _ = forward(params, x[start:stop])
+        correct += int((logits.argmax(axis=1) == labels[start:stop]).sum())
     return correct / x.shape[0]
 
 

@@ -11,7 +11,14 @@ from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
                                  softmax_cross_entropy)
 from fedbalance.training import (_conv_forward, _im2col, _param_views,
-                                 _pool_corners, _pool_forward)
+                                 _pool_forward)
+
+
+def pool_corners(x):
+    """The four strided views of 2x2 windows, in (0,0), (0,1), (1,0), (1,1)
+    order; an odd last row or column is cropped."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    return [x[:, dy:h2 * 2:2, dx:w2 * 2:2, :] for dy in (0, 1) for dx in (0, 1)]
 
 
 def min_pool_gap(params, x):
@@ -30,7 +37,7 @@ def min_pool_gap(params, x):
             cols = _im2col(act)
             act = _conv_forward(act, cols, view[0], view[1])
         elif isinstance(layer, MaxPool2):
-            windows = np.stack(_pool_corners(act), axis=-1)
+            windows = np.stack(pool_corners(act), axis=-1)
             top2 = np.sort(windows, axis=-1)[..., 2:]
             gaps.append(float((top2[..., 1] - top2[..., 0]).min()))
             act, _ = _pool_forward(act)

@@ -8,7 +8,8 @@ import pytest
 
 from fedbalance import experiments, serialization
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from fedbalance.datasets import LabeledImage, Provenance, make_toy_dataset
+from fedbalance.datasets import (LabeledImage, Provenance, encode_idx,
+                                 make_toy_dataset)
 
 CONFIG_TEXT = """\
 [dataset]
@@ -200,6 +201,43 @@ def test_io_error_exit_code(tmp_path, config_path):
     cfg = tmp_path / "mnist.cfg"
     cfg.write_text("[dataset]\nkind = mnist\npath = /nonexistent-dir\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
+
+
+def write_mnist_dir(directory, truncate_test_images):
+    """MNIST IDX files: 40 training and 10 test images of 28x28, four per class
+    in training; optionally the test-image file loses its last 100 bytes."""
+    rng = np.random.default_rng(8)
+    directory.mkdir()
+    for prefix, n in (("train", 40), ("t10k", 10)):
+        images = encode_idx(rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
+        if prefix == "t10k" and truncate_test_images:
+            images = images[:-100]
+        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            encode_idx(np.arange(n, dtype=np.uint8) % 10))
+
+
+def test_only_train_reads_the_test_split(tmp_path):
+    outputs = {}
+    for truncate in (False, True):
+        data = tmp_path / f"mnist-{truncate}"
+        write_mnist_dir(data, truncate)
+        cfg = tmp_path / f"mnist-{truncate}.cfg"
+        cfg.write_text(f"[dataset]\nkind = mnist\npath = {data}\n"
+                       "[partition]\nclasses_per_client = 2\nnum_clients = 5\n"
+                       "[balance]\nsupplement_pct = 50\nmix_fraction = 0.5\n"
+                       "k = 2\nsigma = 2\n"
+                       "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n")
+        for command in ("partition", "balance"):
+            out = tmp_path / f"{command}-{truncate}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outputs[command, truncate] = {p.name: p.read_bytes() for p in out.iterdir()}
+        train_rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert train_rc == (EXIT_IO if truncate else EXIT_OK)
+    assert outputs["partition", True] == outputs["partition", False]
+    assert outputs["balance", True] == outputs["balance", False]
+    assert set(outputs["balance", True]) == {
+        "partition_manifest.csv", "balance_manifest.csv", "trace.csv"}
 
 
 @pytest.mark.parametrize("header", [

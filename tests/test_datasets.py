@@ -126,7 +126,8 @@ class TestLoadDirectories:
         for split in ("train", "t10k"):
             (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(encode_idx(images))
             (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(encode_idx(labels))
-        (train_x, train_y), (test_x, test_y) = load_mnist_dir(str(tmp_path))
+        train_x, train_y = load_mnist_dir(str(tmp_path), "train")
+        test_x, test_y = load_mnist_dir(str(tmp_path), "test")
         assert train_x.shape == (5, 3, 4, 1) and train_x.dtype == np.float32
         assert np.array_equal(train_x[..., 0], images)
         assert train_y.dtype == np.int64 and train_y.tolist() == labels.tolist()
@@ -134,13 +135,16 @@ class TestLoadDirectories:
 
         (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(encode_idx(labels[:4]))
         with pytest.raises(DatasetError, match="5 images vs 4 labels"):
-            load_mnist_dir(str(tmp_path))
+            load_mnist_dir(str(tmp_path), "test")
+        # each split reads only its own two files
+        assert np.array_equal(load_mnist_dir(str(tmp_path), "train")[0], train_x)
 
     def test_cifar10_batches_concatenate(self, tmp_path):
         for i, name in enumerate([f"data_batch_{b}.bin" for b in range(1, 6)]
                                  + ["test_batch.bin"]):
             (tmp_path / name).write_bytes(bytes([i]) + bytes([i] * 3072))
-        (train_x, train_y), (test_x, test_y) = load_cifar10_dir(str(tmp_path))
+        train_x, train_y = load_cifar10_dir(str(tmp_path), "train")
+        test_x, test_y = load_cifar10_dir(str(tmp_path), "test")
         assert train_x.shape == (5, 32, 32, 3)
         assert train_y.tolist() == [0, 1, 2, 3, 4]
         assert np.all(train_x[3] == 3.0)

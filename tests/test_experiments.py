@@ -232,12 +232,12 @@ class TestRunExperiment:
         # clients and their pre-balance pixels are all released; only the
         # scaled arrays remain.
         refs = []
-        load, partition = experiments.load_dataset, datasets.partition
+        load_test, partition = experiments.load_test, datasets.partition
         run_round = experiments.run_round
 
-        def recording_load(cfg):
-            loaded = load(cfg)
-            refs.append(weakref.ref(loaded[1][0]))
+        def recording_load_test(cfg):
+            loaded = load_test(cfg)
+            refs.append(weakref.ref(loaded[0]))
             return loaded
 
         def recording_partition(dataset, spec):
@@ -253,7 +253,7 @@ class TestRunExperiment:
             alive.append(sum(ref() is not None for ref in refs))
             return run_round(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "load_dataset", recording_load)
+        monkeypatch.setattr(experiments, "load_test", recording_load_test)
         monkeypatch.setattr(datasets, "partition", recording_partition)
         monkeypatch.setattr(experiments, "run_round", checking_run_round)
         run_experiment(replace(TINY, supplement_pct=50, mix_fraction=0.5))

@@ -1,23 +1,29 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (finite_difference_worst, gradient_check_cases, min_pool_gap,
-                     real_client)
+                     pool_corners, real_client)
 
+import fedbalance
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
-from fedbalance.training import (Dense, ModelParams, NonFiniteGradient,
+from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
                                  NonFiniteParam, OptState, ReLU, SchemaMismatch,
                                  ShapeMismatch, Softmax, TrainConfig, adam_step,
                                  build_model, fedavg_aggregate, forward,
                                  init_model, local_train, loss_and_grad,
                                  run_round, schema_param_count,
                                  softmax_cross_entropy, training_arrays)
-from fedbalance.training import (_conv_input_grad, _conv_taps, _pool_backward,
-                                 _pool_forward)
+from fedbalance.training import (_backward_from_delta, _chunk_bounds,
+                                 _conv_forward, _conv_input_grad, _conv_taps,
+                                 _im2col, _pool_backward, _pool_forward)
 
 
 class TestForward:
@@ -169,6 +175,18 @@ def test_cnn_loss_and_grad_match_pinned_digests(dtype):
     assert got == PINNED_CNN_GRADS[np.dtype(dtype).name]
 
 
+# Ragged last batches around the desk batch size of 128.
+ORACLE_BATCHES = (1, 2, 7, 100, 116, 127, 128, 129)
+
+
+def signed_zero_normals(rng, shape, dtype):
+    """Standard normals of which about a quarter are +0.0 and a quarter -0.0."""
+    a = rng.standard_normal(shape).astype(dtype)
+    a[rng.random(shape) < 0.25] = 0.0
+    a[rng.random(shape) < 0.33] = -0.0
+    return a
+
+
 def conv_input_grad_reference(dout, w):
     """col2im as one (B*H*W, 9*C_in) GEMM whose tap columns are added through
     strided views, in dy, dx order."""
@@ -184,26 +202,180 @@ def conv_input_grad_reference(dout, w):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_input_grad_matches_one_gemm_reference(dtype):
+    # Signed zeros in dout and w make some taps' contributions -0.0 or +0.0,
+    # and 1-pixel-wide images put every tap on an edge.
     rng = np.random.default_rng(5)
-    for h, width, c_in in ((5, 5, 8), (6, 3, 3)):
-        w = rng.standard_normal((3, 3, c_in, 16)).astype(dtype)
-        for batch in (1, 2, 7, 100, 116, 127, 129):   # ragged last batches
-            dout = rng.standard_normal((batch, h, width, 16)).astype(dtype)
+    for h, width, c_in in ((5, 5, 8), (6, 3, 3), (1, 1, 3), (2, 7, 2), (4, 1, 8)):
+        w = signed_zero_normals(rng, (3, 3, c_in, 16), dtype)
+        for batch in ORACLE_BATCHES:
+            dout = signed_zero_normals(rng, (batch, h, width, 16), dtype)
             got = _conv_input_grad(dout, w)
             assert got.tobytes() == conv_input_grad_reference(dout, w).tobytes()
+
+
+def im2col_reference(x):
+    """Nine clipped tap copies into a zeroed (B, H, W, 9, C) patch array."""
+    b, h, w, c = x.shape
+    cols = np.zeros((b, h, w, 9, c), dtype=x.dtype)
+    for tap, (oy, ox), (sy, sx) in _conv_taps(h, w):
+        cols[:, oy, ox, tap, :] = x[:, sy, sx, :]
+    return cols.reshape(b * h * w, 9 * c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in", [1, 3, 8])
+def test_im2col_matches_tap_loop_reference(dtype, c_in):
+    rng = np.random.default_rng(7)
+    for h, width in ((10, 10), (5, 5), (6, 3), (1, 1)):
+        for batch in ORACLE_BATCHES:
+            x = signed_zero_normals(rng, (batch, h, width, c_in), dtype)
+            assert _im2col(x).tobytes() == im2col_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in", [1, 3, 8])
+def test_conv_bias_add_matches_broadcast_reference(dtype, c_in):
+    rng = np.random.default_rng(8)
+    for c_out in (8, 16):
+        w = signed_zero_normals(rng, (3, 3, c_in, c_out), dtype)
+        bias = signed_zero_normals(rng, (c_out,), dtype)
+        for batch in ORACLE_BATCHES:
+            x = signed_zero_normals(rng, (batch, 5, 5, c_in), dtype)
+            cols = _im2col(x)
+            expected = cols @ w.reshape(9 * c_in, c_out)
+            expected += bias
+            got = _conv_forward(x, cols, w, bias)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in", [1, 3, 8])
+def test_conv_bias_grad_matches_row_sum_reference(dtype, c_in):
+    # A one-conv schema: the backward pass writes the weight and bias
+    # gradients and computes no input gradient.
+    rng = np.random.default_rng(9)
+    for c_out in (8, 10, 16):
+        params = init_model((Conv3x3(c_in, c_out),), 0, dtype=dtype)
+        for batch in ORACLE_BATCHES:
+            x = signed_zero_normals(rng, (batch, 5, 5, c_in), dtype)
+            delta = signed_zero_normals(rng, (batch, 5, 5, c_out), dtype)
+            # channel 0 is a large head then ones, whose sum only an in-order
+            # add rounds back to the head; channel 1 is all -0.0
+            head_then_ones = np.ones(delta.shape[:3], dtype=dtype)
+            head_then_ones.flat[0] = 1e8 if dtype == np.float32 else 1e17
+            delta[..., 0] = head_then_ones
+            delta[..., 1] = -0.0
+            grad = _backward_from_delta(params, delta, [_im2col(x)])
+            expected = delta.reshape(-1, c_out).sum(axis=0)
+            assert grad[-c_out:].tobytes() == expected.tobytes()
+
+
+def pool_forward_reference(x):
+    """Max pool over strided corner copies: a later corner wins only when
+    strictly larger, selected bitwise."""
+    corners = [np.ascontiguousarray(c) for c in pool_corners(x)]
+    bits = np.dtype(f"u{x.itemsize}")
+    out = corners[0]
+    winner = np.zeros(out.shape, dtype=np.int8)
+    for k, corner in enumerate(corners[1:], start=1):
+        larger = corner > out
+        out.view(bits)[...] ^= (out.view(bits) ^ corner.view(bits)) & -larger.astype(bits)
+        np.maximum(winner, larger * np.int8(k), out=winner)
+    return out, winner
+
+
+def pool_backward_reference(dout, winner, in_shape):
+    """dout's bits written through each corner's strided view where it won."""
+    bits = np.dtype(f"u{dout.itemsize}")
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    for k, corner in enumerate(pool_corners(dx)):
+        corner[...] = (dout.view(bits) & -(winner == k).astype(bits)).view(dout.dtype)
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_strided_corner_reference(dtype):
+    # Values rounded to halves make exact ties, signed zeros among them.
+    rng = np.random.default_rng(10)
+    for h, width, c in ((10, 10, 8), (5, 5, 16), (3, 3, 2), (1, 1, 4), (6, 7, 3)):
+        for batch in ORACLE_BATCHES:
+            x = np.round(signed_zero_normals(rng, (batch, h, width, c), dtype) * 2) / 2
+            out, (in_shape, winner) = _pool_forward(x)
+            ref_out, ref_winner = pool_forward_reference(x)
+            assert out.tobytes() == ref_out.tobytes()
+            assert winner.tobytes() == ref_winner.tobytes()
+            dout = signed_zero_normals(rng, out.shape, dtype)
+            assert (_pool_backward(dout, (in_shape, winner)).tobytes()
+                    == pool_backward_reference(dout, winner, in_shape).tobytes())
+
+
+GRADIENT_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from fedbalance.training import build_model, init_model, loss_and_grad
+rng = np.random.default_rng(12)
+x = rng.random((128, 10, 10, 1)).astype(np.float32)
+y = np.arange(128) % 10
+params = init_model(build_model("cnn", (10, 10, 1), 10), 3)
+for batch in map(int, sys.argv[1:]):
+    _, grad = loss_and_grad(params, x[:batch], y[:batch])
+    print(batch, hashlib.sha256(grad.tobytes()).hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def gradient_digests_by_blas_threads():
+    """{threads: {batch: digest}} of desk-shaped CNN gradients, each thread
+    count in its own child process (OpenBLAS reads it at load time)."""
+    paths = [str(Path(fedbalance.__file__).resolve().parents[1]),
+             *filter(None, [os.environ.get("PYTHONPATH")])]
+    digests = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(paths)}
+        out = subprocess.run([sys.executable, "-c", GRADIENT_DIGEST_SCRIPT, "128", "116"],
+                             env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        digests[threads] = dict(line.split() for line in out.splitlines())
+    return digests
+
+
+@pytest.mark.parametrize("batch", [
+    "128",
+    pytest.param("116", marks=pytest.mark.xfail(
+        strict=False, reason="ROADMAP item 1: conv2's weight-gradient GEMM on a "
+                             "ragged batch depends on the BLAS thread count")),
+])
+def test_gradient_bytes_do_not_depend_on_blas_threads(
+        batch, gradient_digests_by_blas_threads):
+    assert (gradient_digests_by_blas_threads[1][batch]
+            == gradient_digests_by_blas_threads[2][batch])
 
 
 @pytest.mark.parametrize("dims", [(10, 10, 1), (12, 12, 3)])
 @pytest.mark.parametrize("model", ["cnn", "mlp", "logreg"])
 def test_logits_match_across_evaluation_chunk_sizes(model, dims):
-    x = np.random.default_rng(6).random((1000, *dims)).astype(np.float32)
     params = init_model(build_model(model, dims, 10), 2)
+    # 129 images leave a one-image remainder at chunk sizes 128 and 64
+    for n_images in (1000, 129):
+        x = np.random.default_rng(6).random((n_images, *dims)).astype(np.float32)
 
-    def chunked_logits(size):
-        return np.concatenate([forward(params, x[i:i + size])[0]
-                               for i in range(0, len(x), size)])
+        def chunked_logits(size):
+            bounds = _chunk_bounds(len(x), size)
+            return np.concatenate([forward(params, x[start:stop])[0]
+                                   for start, stop in zip(bounds, bounds[1:])])
 
-    assert chunked_logits(128).tobytes() == chunked_logits(512).tobytes()
+        whole = forward(params, x)[0].tobytes()
+        for size in (64, 128, 512):
+            assert chunked_logits(size).tobytes() == whole, (n_images, size)
+
+
+def test_evaluation_chunks_never_hold_one_image():
+    assert _chunk_bounds(129, 128) == [0, 129]
+    assert _chunk_bounds(257, 128) == [0, 128, 257]
+    assert _chunk_bounds(1000, 128)[-2:] == [896, 1000]
+    assert _chunk_bounds(130, 128) == [0, 128, 130]
+    assert _chunk_bounds(1, 128) == [0, 1]
 
 
 class TestAdam:
