@@ -259,15 +259,20 @@ def load_train(cfg: ExperimentConfig) -> tuple[tuple, tuple[int, int, int], int]
 
 
 def load_test(cfg: ExperimentConfig) -> tuple:
-    """The configured dataset's test split as a (pixels, labels) pair."""
+    """The configured dataset's test split as a (pixels, labels) pair; an
+    empty split is a DatasetError, since accuracy over it is undefined."""
     if cfg.dataset == "toy":
         return datasets.make_toy_dataset(cfg.toy_test_per_class, cfg.toy_classes,
                                          cfg.toy_dims,
                                          derive_seed(_data_seed(cfg), "toy-test"),
                                          jitter=cfg.toy_jitter)
     if cfg.dataset == "mnist":
-        return datasets.load_mnist_dir(cfg.data_path, "test")
-    return datasets.load_cifar10_dir(cfg.data_path, "test")
+        test = datasets.load_mnist_dir(cfg.data_path, "test")
+    else:
+        test = datasets.load_cifar10_dir(cfg.data_path, "test")
+    if not len(test[1]):
+        raise datasets.DatasetError(f"{cfg.data_path}: the test split holds no images")
+    return test
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[tuple, tuple, tuple[int, int, int], int]:
@@ -398,8 +403,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
                             cfg.local_epochs, cfg.participation_fraction, cfg.seed)
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
-    # Dropping `clients` and `test_pixels` leaves the scaled arrays as the
-    # only copy of the images while the rounds run.
+    # Dropping `clients` and `test_pixels` leaves the scaled arrays as this
+    # process's only copy of the images while the rounds run. The first round
+    # deals them to the training workers, which keep their own copies; every
+    # later round reuses those, since it passes these very arrays again.
     train_clients = [training.training_arrays(c) for c in clients if len(c)]
     del clients
     test_x = test_pixels / 255.0

@@ -269,6 +269,46 @@ def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     return grad.reshape(b, h, width, c_in)
 
 
+_GEMM_Q = 448   # the K rows per block of OpenBLAS's sgemm drivers (see below)
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b, with the bits OpenBLAS's threaded driver gives.
+
+    Of the model's products, only this one, whose inner dimension K runs
+    over the batch's rows, changes bits with the BLAS thread count. Both
+    drivers add K in blocks of 448 rows and halve a remainder of 449-895
+    rows, but the threaded driver rounds that half up to an integer and the
+    serial one to a multiple of 8 (K = 2,900 ends blocks at 2570 against
+    2576). Where OpenBLAS takes its blocked threaded path (M*N*K > 10**6,
+    except outputs of at most 16 x 24, which take one pass that no thread
+    count changes), one GEMM per block in the threaded driver's order,
+    summed in that order, gives its bits at any thread count. The sizes are
+    those of the pinned build (numpy 2.4.6's OpenBLAS 0.3.31, SkylakeX core);
+    `test_weight_grad_at_one_thread_matches_the_two_thread_product` checks
+    them there.
+    """
+    k, m = a.shape
+    n = b.shape[1]
+    if m * n * k <= 1_000_000 or (m <= 16 and n <= 24):
+        return a.T @ b
+    out = None
+    start = 0
+    while start < k:
+        rows = k - start
+        if rows >= 2 * _GEMM_Q:
+            rows = _GEMM_Q
+        elif rows > _GEMM_Q:
+            rows = (rows + 1) // 2
+        block = a[start:start + rows].T @ b[start:start + rows]
+        if out is None:
+            out = block
+        else:
+            out += block
+        start += rows
+    return out
+
+
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the schema over a batch of inputs; returns (logits, cache).
 
@@ -341,7 +381,7 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
             in_shape, flat_in = cache[i]
             w, _ = views[i]
             gw, gb = grad_views[i]
-            gw[...] = flat_in.T @ delta
+            gw[...] = _weight_grad(flat_in, delta)
             gb[...] = delta.sum(axis=0)
             if i:
                 delta = (delta @ w.T).reshape(in_shape)
@@ -349,7 +389,7 @@ def _backward_from_delta(params: ModelParams, delta: np.ndarray,
             w, _ = views[i]
             gw, gb = grad_views[i]
             dout2d = delta.reshape(-1, w.shape[-1])
-            gw[...] = (cache[i].T @ dout2d).reshape(w.shape)
+            gw[...] = _weight_grad(cache[i], dout2d).reshape(w.shape)
             # einsum adds the rows in order, as sum(axis=0) does, but runs
             # one inner loop over the whole array rather than one per row.
             gb[...] = np.einsum("nc->c", dout2d)
@@ -439,20 +479,29 @@ def _chunk_bounds(n: int, size: int) -> list[int]:
     return bounds
 
 
+EVAL_CHUNK = 128   # images per evaluation forward, a desk training batch
+
+
 def evaluate(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-             batch_size: int = 128) -> float:
+             batch_size: int = EVAL_CHUNK) -> float:
     """Top-1 accuracy, evaluated in chunks.
 
     A chunk the size of a training batch keeps the forward cache no larger
     than a training step's. The logits do not depend on the chunk size, as
     long as no chunk holds a single image (see `_chunk_bounds`).
     """
+    return count_correct(params, x, labels,
+                         _chunk_bounds(x.shape[0], batch_size)) / x.shape[0]
+
+
+def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
+                  bounds: Sequence[int]) -> int:
+    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1])."""
     correct = 0
-    bounds = _chunk_bounds(x.shape[0], batch_size)
     for start, stop in zip(bounds, bounds[1:]):
         logits, _ = forward(params, x[start:stop])
         correct += int((logits.argmax(axis=1) == labels[start:stop]).sum())
-    return correct / x.shape[0]
+    return correct
 
 
 @dataclass
@@ -516,27 +565,35 @@ def run_round(global_params: ModelParams, clients: Sequence[TrainClient],
     """One communication round: broadcast, local training, weighted averaging.
 
     Aggregation weights are proportional to each participant's local dataset
-    size (pseudo-images included). Per-client shuffle streams are derived from
-    (seed, round, client id), so execution order never changes results.
+    size (pseudo-images included). Local training and evaluation run in the
+    worker processes of `fedbalance.workers`, which are sent the clients and
+    the test set once and keep them, so neither may change in place between
+    rounds. Participants are drawn and averaged in client-id order, and each
+    client's shuffle stream is derived from (seed, round, client id), so
+    neither the order of `clients` nor the order in which workers finish
+    changes a result.
     """
+    from . import workers
+
+    clients = sorted(clients, key=lambda c: c.client_id)
     if cfg.participation_fraction < 1.0:
         n_pick = max(1, math.ceil(cfg.participation_fraction * len(clients)))
         pick_rng = rng_for(cfg.seed, "participation", round_index)
         chosen = sorted(pick_rng.choice(len(clients), size=n_pick, replace=False))
         participants = [clients[i] for i in chosen]
     else:
-        participants = list(clients)
+        participants = clients
 
-    trained = []
-    losses = []
-    for client in participants:
-        shuffle_rng = rng_for(cfg.seed, "shuffle", round_index, client.client_id)
-        params, loss = local_train(global_params, client, cfg, shuffle_rng)
-        trained.append(params)
-        losses.append(loss)
+    pool = workers.pool()
+    pool.deal(clients, test_x, test_y)
+    trained = pool.train(global_params, cfg, round_index,
+                         [c.client_id for c in participants])
+    losses = [trained[c.client_id][1] for c in participants]
     sizes = np.array([len(c) for c in participants], dtype=np.float64)
-    new_global = fedavg_aggregate(trained, sizes / sizes.sum())
-    accuracy = evaluate(new_global, test_x, test_y)
+    new_global = fedavg_aggregate(
+        [ModelParams(global_params.schema, trained[c.client_id][0]) for c in participants],
+        sizes / sizes.sum())
+    accuracy = pool.count_correct(new_global) / test_x.shape[0]
     report = RoundReport(round_index, accuracy, tuple(losses), float(np.mean(losses)))
     return new_global, report
 

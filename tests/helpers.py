@@ -2,14 +2,18 @@
 and a loader for the benchmark modules whose hooks the fast suite guards."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from fedbalance.datasets import ClientDataset
+import fedbalance
+from fedbalance.datasets import ClientDataset, make_toy_dataset
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
-                                 softmax_cross_entropy)
+                                 softmax_cross_entropy, training_arrays)
 from fedbalance.training import (_conv_forward, _im2col, _param_views,
                                  _pool_forward)
 
@@ -100,6 +104,17 @@ def real_client(client_id, pixels, labels, num_classes):
                          np.zeros(len(labels), dtype=np.int8))
 
 
+def toy_clients(n_clients, per_class, num_classes=4, dims=(6, 6, 1), seed=0):
+    """Training arrays of `n_clients` clients sharing a shuffled toy set of
+    `per_class * n_clients` images per class."""
+    pixels, labels = make_toy_dataset(per_class * n_clients, num_classes, dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(labels))
+    chunks = np.array_split(order, n_clients)
+    return [training_arrays(real_client(i, pixels[chunk], labels[chunk], num_classes))
+            for i, chunk in enumerate(chunks)]
+
+
 def load_bench_module(name):
     """`benchmarks/<name>.py`, loaded by path without editing it."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
@@ -107,3 +122,27 @@ def load_bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def child_env(**settings):
+    """The environment for a child Python that imports this fedbalance, with
+    `settings` added (OpenBLAS reads its thread count at load time)."""
+    paths = [str(Path(fedbalance.__file__).resolve().parents[1]),
+             *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **settings}
+
+
+def child_digests(script, runs, timeout=300):
+    """{name: {key: digest}} from `script`, which prints `key digest` lines,
+    run at once in one child Python per `runs` entry {name: (args, settings)};
+    `settings` are environment variables for `child_env`."""
+    children = {name: subprocess.Popen([sys.executable, "-c", script, *args],
+                                       env=child_env(**settings), text=True,
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for name, (args, settings) in runs.items()}
+    digests = {}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=timeout)
+        assert child.returncode == 0, err
+        digests[name] = dict(line.split() for line in out.splitlines())
+    return digests

@@ -203,12 +203,13 @@ def test_io_error_exit_code(tmp_path, config_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
-def write_mnist_dir(directory, truncate_test_images):
-    """MNIST IDX files: 40 training and 10 test images of 28x28, four per class
-    in training; optionally the test-image file loses its last 100 bytes."""
+def write_mnist_dir(directory, truncate_test_images, test_images=10):
+    """MNIST IDX files: 40 training and `test_images` test images of 28x28,
+    four per class in training; optionally the test-image file loses its last
+    100 bytes."""
     rng = np.random.default_rng(8)
     directory.mkdir()
-    for prefix, n in (("train", 40), ("t10k", 10)):
+    for prefix, n in (("train", 40), ("t10k", test_images)):
         images = encode_idx(rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
         if prefix == "t10k" and truncate_test_images:
             images = images[:-100]
@@ -238,6 +239,16 @@ def test_only_train_reads_the_test_split(tmp_path):
     assert outputs["balance", True] == outputs["balance", False]
     assert set(outputs["balance", True]) == {
         "partition_manifest.csv", "balance_manifest.csv", "trace.csv"}
+
+
+def test_empty_test_split_exits_3(tmp_path, capsys):
+    write_mnist_dir(tmp_path / "mnist", False, test_images=0)
+    cfg = tmp_path / "mnist.cfg"
+    cfg.write_text(f"[dataset]\nkind = mnist\npath = {tmp_path / 'mnist'}\n"
+                   "[partition]\nclasses_per_client = 2\nnum_clients = 5\n"
+                   "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == EXIT_IO
+    assert "the test split holds no images" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("header", [

@@ -1,17 +1,15 @@
 import hashlib
+import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (finite_difference_worst, gradient_check_cases, min_pool_gap,
-                     pool_corners, real_client)
+from helpers import (child_digests, finite_difference_worst, gradient_check_cases,
+                     load_bench_module, min_pool_gap, pool_corners, real_client,
+                     toy_clients)
 
-import fedbalance
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
 from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
@@ -309,13 +307,15 @@ def test_pool_matches_strided_corner_reference(dtype):
                     == pool_backward_reference(dout, winner, in_shape).tobytes())
 
 
+BLAS_THREADS = (1, 2, 3, 4)
+THREAD_BATCHES = (1, 2, 7, 100, 116, 120, 127, 128, 129, 256)
 GRADIENT_DIGEST_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from fedbalance.training import build_model, init_model, loss_and_grad
 rng = np.random.default_rng(12)
-x = rng.random((128, 10, 10, 1)).astype(np.float32)
-y = np.arange(128) % 10
+x = rng.random((256, 10, 10, 1)).astype(np.float32)
+y = np.arange(256) % 10
 params = init_model(build_model("cnn", (10, 10, 1), 10), 3)
 for batch in map(int, sys.argv[1:]):
     _, grad = loss_and_grad(params, x[:batch], y[:batch])
@@ -327,29 +327,63 @@ for batch in map(int, sys.argv[1:]):
 def gradient_digests_by_blas_threads():
     """{threads: {batch: digest}} of desk-shaped CNN gradients, each thread
     count in its own child process (OpenBLAS reads it at load time)."""
-    paths = [str(Path(fedbalance.__file__).resolve().parents[1]),
-             *filter(None, [os.environ.get("PYTHONPATH")])]
-    digests = {}
-    for threads in (1, 2):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join(paths)}
-        out = subprocess.run([sys.executable, "-c", GRADIENT_DIGEST_SCRIPT, "128", "116"],
-                             env=env, capture_output=True, text=True, check=True,
-                             timeout=120).stdout
-        digests[threads] = dict(line.split() for line in out.splitlines())
-    return digests
+    batches = [str(b) for b in THREAD_BATCHES]
+    return child_digests(GRADIENT_DIGEST_SCRIPT, {
+        threads: (batches, {"OPENBLAS_NUM_THREADS": str(threads)})
+        for threads in BLAS_THREADS})
 
 
-@pytest.mark.parametrize("batch", [
-    "128",
-    pytest.param("116", marks=pytest.mark.xfail(
-        strict=False, reason="ROADMAP item 1: conv2's weight-gradient GEMM on a "
-                             "ragged batch depends on the BLAS thread count")),
-])
+@pytest.mark.parametrize("batch", [str(b) for b in THREAD_BATCHES])
 def test_gradient_bytes_do_not_depend_on_blas_threads(
         batch, gradient_digests_by_blas_threads):
-    assert (gradient_digests_by_blas_threads[1][batch]
-            == gradient_digests_by_blas_threads[2][batch])
+    assert len({gradient_digests_by_blas_threads[t][batch] for t in BLAS_THREADS}) == 1
+
+
+# (M, N, rows per image) of each weight-gradient product a.T @ b, with a of
+# (K, M) and b of (K, N): both convs of the cnn at 10x10x1, 28x28x1 and
+# 32x32x3 (K = batch * pixels), then the Dense layers of logreg, mlp and the
+# cnn at those sizes (K = batch).
+CONV_PRODUCTS = [(9, 8, 100), (72, 16, 25), (9, 8, 784), (72, 16, 196),
+                 (27, 8, 1024), (72, 16, 256)]
+DENSE_PRODUCTS = [(m, n, 1) for m, n in (
+    (100, 10), (100, 256), (256, 10), (400, 10), (784, 10), (784, 256),
+    (3072, 10), (3072, 256), (1024, 10))]
+WEIGHT_GRAD_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from fedbalance.training import _weight_grad
+blocked = sys.argv[1] == "blocked"
+rng = np.random.default_rng(4)
+for spec in sys.argv[2:]:
+    m, n, ks = spec.split(":")
+    ks = list(map(int, ks.split(",")))
+    a = rng.random((max(ks), int(m)), dtype=np.float32) - 0.5
+    b = rng.random((max(ks), int(n)), dtype=np.float32) - 0.5
+    for k in ks:
+        out = _weight_grad(a[:k], b[:k]) if blocked else a[:k].T @ b[:k]
+        print(f"{m}x{n}x{k}", hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_weight_grad_at_one_thread_matches_the_two_thread_product(monkeypatch):
+    # The pinned outputs were made by a plain a.T @ b at two BLAS threads; the
+    # workers run `_weight_grad` at one. Its block sizes are OpenBLAS's on
+    # the pinned build, so elsewhere the product may differ in its last bits.
+    monkeypatch.setitem(sys.modules, "tracer", load_bench_module("tracer"))
+    run = load_bench_module("run")
+    pinned = json.loads(run.GOLDEN.read_text())["environment"]
+    here = {"numpy": np.__version__, "blas_core": run._openblas()[1]}
+    if here != pinned:
+        pytest.skip(f"the block sizes are those of OpenBLAS under {pinned}, not {here}")
+    batches = (1, 2, 7, 100, 116, 127, 128, 129, 256)
+    specs = [f"{m}:{n}:" + ",".join(str(per * b) for b in batches)
+             for m, n, per in CONV_PRODUCTS]
+    specs += [f"{m}:{n}:128,1000" for m, n, _ in DENSE_PRODUCTS]
+    digests = child_digests(WEIGHT_GRAD_SCRIPT, {
+        mode: ([mode, *specs], {"OPENBLAS_NUM_THREADS": threads})
+        for mode, threads in (("blocked", "1"), ("plain", "2"))})
+    assert len(digests["plain"]) == 9 * len(CONV_PRODUCTS) + 2 * len(DENSE_PRODUCTS)
+    assert {s for s, d in digests["plain"].items() if digests["blocked"][s] != d} == set()
 
 
 @pytest.mark.parametrize("dims", [(10, 10, 1), (12, 12, 3)])
@@ -467,15 +501,6 @@ class TestFedAvgAggregate:
         stack = np.stack([m.flat for m in models])
         assert np.all(out.flat >= stack.min(axis=0))
         assert np.all(out.flat <= stack.max(axis=0))
-
-
-def toy_clients(n_clients, per_class, num_classes=4, dims=(6, 6, 1), seed=0):
-    pixels, labels = make_toy_dataset(per_class * n_clients, num_classes, dims, seed=seed)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(labels))
-    chunks = np.array_split(order, n_clients)
-    return [training_arrays(real_client(i, pixels[chunk], labels[chunk], num_classes))
-            for i, chunk in enumerate(chunks)]
 
 
 class TestRunRound:

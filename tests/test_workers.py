@@ -1,0 +1,173 @@
+"""The worker processes that train each round: their lifetime, how their
+failures reach the caller, and outputs that depend neither on the client
+order nor on the BLAS thread count."""
+
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import child_env, toy_clients
+
+from fedbalance import experiments, workers
+from fedbalance.experiments import ExperimentConfig, run_experiment
+from fedbalance.training import (NonFiniteGradient, TrainConfig, TrainingError,
+                                 build_model, init_model, run_round)
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
+                        toy_test_per_class=6, toy_dims=(8, 8, 1),
+                        num_clients=4, classes_per_client=1, model="logreg",
+                        rounds=2, batch_size=8, seed=0)
+OUTPUTS = ("metrics.csv", "summary.csv", "model.ckpt", "partition_manifest.csv",
+           "balance_manifest.csv", "trace.csv")
+
+
+def running(pid):
+    """Whether `pid` is a live process (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def wait_until_ended(pids, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if running(pid)]
+
+
+# Runs TINY in a fresh interpreter, prints the pid of every worker it
+# started, then ends as argv[1] says.
+LIFETIME_SCRIPT = """
+import os, subprocess, sys
+from dataclasses import replace
+from fedbalance import workers
+from fedbalance.experiments import ExperimentConfig, run_experiment
+from fedbalance.training import NonFiniteGradient
+started = []
+popen = subprocess.Popen
+def recording_popen(*args, **kwargs):
+    started.append(popen(*args, **kwargs))
+    return started[-1]
+workers.subprocess.Popen = recording_popen
+cfg = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
+                       toy_test_per_class=6, toy_dims=(8, 8, 1), num_clients=4,
+                       classes_per_client=1, model="logreg", rounds=2, batch_size=8)
+how = sys.argv[1]
+if how == "raises":
+    try:
+        run_experiment(replace(cfg, lr=1e38))   # float32 parameters overflow
+    except NonFiniteGradient:
+        print("reaped", all(p.returncode is not None for p in started))
+else:
+    run_experiment(cfg)
+print(" ".join(str(p.pid) for p in started), flush=True)
+if how == "exits-abruptly":
+    os._exit(0)   # no atexit handler runs: the workers see their stdin close
+"""
+
+
+@pytest.mark.parametrize("how", ["returns", "raises", "exits-abruptly"])
+def test_no_worker_outlives_its_parent(how):
+    out = subprocess.run([sys.executable, "-c", LIFETIME_SCRIPT, how], env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    pids = [int(pid) for pid in lines[-1].split()]
+    assert pids
+    if how == "raises":
+        assert lines[0] == "reaped True"
+    assert wait_until_ended(pids) == []
+
+
+def test_a_run_deals_its_clients_once(monkeypatch):
+    pool = workers.pool()
+    call = pool._call
+    kinds = []
+
+    def recording_call(requests):
+        kinds.append({request[0] for request in requests.values()})
+        return call(requests)
+
+    monkeypatch.setattr(pool, "_call", recording_call)
+    run_experiment(replace(TINY, rounds=3))
+    assert kinds == [{"deal"}] + [{"train"}, {"evaluate"}] * 3
+
+
+def test_non_finite_gradient_in_a_worker_reaches_the_caller():
+    clients = toy_clients(3, 6, num_classes=3, dims=(4, 4, 1))
+    clients[1].x[0, 0, 0, 0] = np.nan
+    params = init_model(build_model("logreg", (4, 4, 1), 3), 0)
+    with pytest.raises(NonFiniteGradient, match="^gradient contains NaN or Inf$"):
+        run_round(params, clients, clients[0].x, clients[0].y, TrainConfig(batch_size=8), 0)
+    assert workers.pool()._procs == []
+    clients[1].x[0, 0, 0, 0] = 0.0
+    run_round(params, clients, clients[0].x, clients[0].y, TrainConfig(batch_size=8), 0)
+
+
+def test_a_dead_worker_ends_the_round_with_an_error_naming_it():
+    clients = toy_clients(3, 6, num_classes=3, dims=(4, 4, 1))
+    params = init_model(build_model("logreg", (4, 4, 1), 3), 0)
+    cfg = TrainConfig(batch_size=8)
+    run_round(params, clients, clients[0].x, clients[0].y, cfg, 0)
+    victim = workers.pool()._procs[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.wait(timeout=10)
+    with pytest.raises(TrainingError, match=rf"^training worker 0 \(pid {victim.pid}\) died"):
+        run_round(params, clients, clients[0].x, clients[0].y, cfg, 1)
+    assert workers.pool()._procs == []
+    run_round(params, clients, clients[0].x, clients[0].y, cfg, 1)
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.5])
+def test_a_reversed_client_list_writes_the_same_bytes(tmp_path, monkeypatch, participation):
+    cfg = replace(TINY, supplement_pct=50, mix_fraction=0.5,
+                  participation_fraction=participation)
+    run_experiment(cfg, str(tmp_path / "in-order"))
+    in_order_round = experiments.run_round
+
+    def reversed_round(params, clients, *args):
+        return in_order_round(params, clients[::-1], *args)
+
+    monkeypatch.setattr(experiments, "run_round", reversed_round)
+    run_experiment(cfg, str(tmp_path / "reversed"))
+    for name in OUTPUTS:
+        assert ((tmp_path / "in-order" / name).read_bytes()
+                == (tmp_path / "reversed" / name).read_bytes()), name
+
+
+def test_fedavg_sums_in_client_id_order():
+    # Ten clients of uneven sizes: adding their float64 shares in another
+    # order changes some float32 parameters.
+    clients = toy_clients(10, 7, num_classes=5)
+    params = init_model(build_model("mlp", (6, 6, 1), 5), 4)
+    cfg = TrainConfig(batch_size=4, seed=9)
+    rounds = [run_round(params, order, clients[0].x, clients[0].y, cfg, 3)
+              for order in (clients, clients[::-1], clients[3:] + clients[:3])]
+    assert len({r[0].flat.tobytes() for r in rounds}) == 1
+    assert len({r[1] for r in rounds}) == 1
+
+
+@pytest.mark.slow
+def test_quick_toy_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "fedbalance.cli", "train", "--config",
+                        str(ROOT / "configs" / "quick_toy.cfg"), "--out", str(out)],
+                       env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=300)
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.iterdir())})
+    assert set(digests[0]) == set(OUTPUTS)
+    assert digests[0] == digests[1]
