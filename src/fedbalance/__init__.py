@@ -7,9 +7,8 @@ untrained multi-scale generator. A FedAvg engine with small
 hand-differentiated models trains over the augmented datasets.
 """
 
-from .datasets import (ClientDataset, LabeledImage, PartitionSpec, Provenance,
-                       Scheme, make_toy_dataset, parse_cifar10, parse_idx,
-                       partition)
+from .datasets import (ClientDataset, PartitionSpec, Provenance, Scheme,
+                       make_toy_dataset, parse_cifar10, parse_idx, partition)
 from .mixing import (DpMixConfig, MixWeights, WeightMode, dp_labelhide,
                      sample_laplace, sample_mix_weights)
 from .noisegen import (GeneratorConfig, GeneratorState, WaveletBank, generate,
@@ -18,8 +17,8 @@ from .protocol import (BountyResponse, NaturalNoiseSource, ProtocolTrace,
                        Record, Topology, plan_deficits, route, run_balance,
                        serve_bounty)
 from .training import (ModelParams, OptState, RoundReport, TrainConfig,
-                       adam_step, build_model, evaluate, fedavg_aggregate,
-                       forward, init_model, loss_and_grad, run_round)
+                       adam_step, build_model, fedavg_aggregate, forward,
+                       init_model, loss_and_grad, run_round)
 from .experiments import (ExperimentConfig, load_config, run_experiment,
                           run_grid)
 

@@ -53,11 +53,12 @@ def _cmd_mix(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         rng = rng_for(args.seed, "cli-mix", args.label, i)
-        image = dp_labelhide(pool, args.label, cfg, rng)
+        pixels = dp_labelhide(pool, args.label, cfg, rng)
+        image = datasets.LabeledImage(pixels, args.label, datasets.Provenance.MIXUP)
         base = os.path.join(args.out, f"mix_{args.label:03d}_{i:05d}")
         serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX, image)
         if args.ppm:
-            serialization.save_ppm(base + ".ppm", image.pixels)
+            serialization.save_ppm(base + ".ppm", pixels)
     print(args.out)
     return EXIT_OK
 

@@ -83,13 +83,6 @@ class LabeledImage:
     provenance: Provenance = Provenance.REAL
 
 
-def _columns(images: Sequence[LabeledImage]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pixels, labels, provenance codes) of a non-empty image list."""
-    return (np.stack([im.pixels for im in images]).astype(np.float32, copy=False),
-            np.array([im.label for im in images], dtype=np.int64),
-            np.array([PROVENANCES.index(im.provenance) for im in images], dtype=np.int8))
-
-
 @dataclass
 class ClientDataset:
     """A client's local multiset of examples, stored column-wise.
@@ -108,7 +101,11 @@ class ClientDataset:
     @classmethod
     def from_images(cls, client_id: int, images: Sequence[LabeledImage],
                     num_classes: int) -> "ClientDataset":
-        return cls(client_id, num_classes, *_columns(images))
+        return cls(client_id, num_classes,
+                   np.stack([im.pixels for im in images]).astype(np.float32, copy=False),
+                   np.array([im.label for im in images], dtype=np.int64),
+                   np.array([PROVENANCES.index(im.provenance) for im in images],
+                            dtype=np.int8))
 
     @property
     def label_histogram(self) -> np.ndarray:
@@ -123,13 +120,11 @@ class ClientDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def add(self, images: Sequence[LabeledImage]) -> None:
-        if not images:
-            return
-        pixels, labels, provenance = _columns(images)
-        self.pixels = np.concatenate([self.pixels, pixels])
-        self.labels = np.concatenate([self.labels, labels])
-        self.provenance = np.concatenate([self.provenance, provenance])
+    def add(self, pixels: np.ndarray, labels: np.ndarray, provenance: np.ndarray) -> None:
+        """Append (n, H, W, Ch) pixels, (n,) labels and (n,) provenance codes."""
+        self.pixels = np.concatenate([self.pixels, pixels], dtype=np.float32)
+        self.labels = np.concatenate([self.labels, labels], dtype=np.int64)
+        self.provenance = np.concatenate([self.provenance, provenance], dtype=np.int8)
 
 
 class Scheme(enum.Enum):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import ClientDataset, LabeledImage, Provenance
+from .datasets import ClientDataset
 
 DOMINANT_LOW = 0.5
 DOMINANT_HIGH = 0.75
@@ -123,14 +123,14 @@ class MixRecord:
 
 def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
                  rng: np.random.Generator, *, weights: Sequence[float] | None = None,
-                 record: list[MixRecord] | None = None) -> LabeledImage:
-    """Produce one k-way mixed pseudo-image carrying exactly `target_label`.
+                 record: list[MixRecord] | None = None) -> np.ndarray:
+    """Produce one k-way mixed (H, W, Ch) float32 pseudo-image for `target_label`.
 
     The anchor is drawn uniformly from the target class and takes the largest
     weight; the other k-1 images are drawn without replacement from the rest
-    of the source (any label). The label is never mixed. `weights` overrides
-    sampling (tests and calibration); `record`, when given, receives an audit
-    entry for the selection.
+    of the source (any label). The label is never mixed: the caller labels the
+    image `target_label`. `weights` overrides sampling (tests and calibration);
+    `record`, when given, receives an audit entry for the selection.
     """
     cfg.validate()
     k = cfg.k
@@ -166,4 +166,4 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
 
     if record is not None:
         record.append(MixRecord(anchor, tuple(int(i) for i in fillers), w.copy()))
-    return LabeledImage(mixed, target_label, Provenance.MIXUP)
+    return mixed

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datasets import ClientDataset, LabeledImage, Provenance
+from .datasets import PROVENANCES, ClientDataset, Provenance
 from .mixing import DpMixConfig, dp_labelhide
 from .noisegen import GeneratorState, generate
 from .seeding import rng_for
@@ -45,10 +45,10 @@ class Record(NamedTuple):
     count: int          # mixups asked for, or mixups carried
 
 
-# Kept as a wrapper, not a bare list: benchmarks/tracer.py counts `.samples`.
+# Kept as a wrapper around a list: benchmarks/tracer.py counts `bool(.samples)`.
 @dataclass
 class BountyResponse:
-    samples: list[LabeledImage]
+    samples: list[np.ndarray]       # one (H, W, Ch) float32 mixup each
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,14 @@ class NaturalNoiseSource:
         self._base_seed = base_seed
         self._issued: dict[int, int] = {}
 
-    def take(self, n: int, label: int) -> list[LabeledImage]:
+    def take(self, n: int, label: int) -> np.ndarray:
+        """The next n images for `label`, as an (n, H, W, Ch) float32 block."""
         start = self._issued.get(label, 0)
         self._issued[label] = start + n
-        return [LabeledImage(generate(self._state, rng_for(self._base_seed, "nat", label, i)),
-                             label, Provenance.NATURAL_NOISE)
-                for i in range(start, start + n)]
+        images = np.empty((n, *self._state.config.out_dims), dtype=np.float32)
+        for row, i in enumerate(range(start, start + n)):
+            images[row] = generate(self._state, rng_for(self._base_seed, "nat", label, i))
+        return images
 
 
 def plan_deficits(client: ClientDataset, target: int) -> list[tuple[int, int]]:
@@ -158,7 +160,8 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
     at random, then generate the remaining P - E images as natural noise
     labeled j. Exactly P pseudo-images are added per deficit; existing
     examples are never removed. mix_fraction = 0 sends no requests at all.
-    Each deficit takes deadline + 1 trace rounds.
+    Each deficit takes deadline + 1 trace rounds. All pseudo-images are added
+    at once after the real rows: per deficit, the kept mixups, then the noise.
     """
     if not (0.0 <= mix_fraction <= 1.0):
         raise ProtocolError(f"mix_fraction must be in [0, 1], got {mix_fraction}")
@@ -168,13 +171,15 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
     root = int(rng.integers(2**62))
     me = requester.client_id
     peer_ids = sorted(pid for pid in peers if pid != me)
+    pixels: list[np.ndarray] = []                   # one (H, W, Ch) row each
+    runs: list[tuple[int, Provenance, int]] = []    # (label, provenance, rows)
 
     round_base = 0
     for label, deficit in deficits:
         if deficit <= 0:
             continue
         quantity = math.ceil(mix_fraction * deficit)
-        collected: list[LabeledImage] = []
+        collected: list[np.ndarray] = []
         if quantity > 0:
             requests = route([Record(round_base + 1, "request", me, pid, label, quantity)
                               for pid in peer_ids], topology)
@@ -193,6 +198,14 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         if len(collected) > quantity:
             keep = rng.choice(len(collected), size=quantity, replace=False)
             collected = [collected[i] for i in sorted(keep)]
-        requester.add(collected + nat_source.take(deficit - len(collected), label))
+        noise = nat_source.take(deficit - len(collected), label)
+        pixels.extend(collected)
+        pixels.extend(noise)
+        runs += [(label, Provenance.MIXUP, len(collected)),
+                 (label, Provenance.NATURAL_NOISE, len(noise))]
         round_base += deadline + 1
+    if pixels:
+        labels, kinds, rows = zip(*runs)
+        codes = [PROVENANCES.index(kind) for kind in kinds]
+        requester.add(np.stack(pixels), np.repeat(labels, rows), np.repeat(codes, rows))
     return requester

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from typing import Sequence
 
@@ -63,7 +64,7 @@ def load_tensor_image(path: str) -> LabeledImage:
         provenance = Provenance(header.get("provenance", "real"))
     except ValueError as exc:
         raise FormatError(f"{path}: unknown provenance") from exc
-    count = int(np.prod(dims))
+    count = math.prod(dims)   # a Python int: an int64 product could wrap around
     if len(raw) != 4 * count:
         raise FormatError(f"{path}: expected {4 * count} payload bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)

@@ -479,19 +479,9 @@ def _chunk_bounds(n: int, size: int) -> list[int]:
     return bounds
 
 
-EVAL_CHUNK = 128   # images per evaluation forward, a desk training batch
-
-
-def evaluate(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-             batch_size: int = EVAL_CHUNK) -> float:
-    """Top-1 accuracy, evaluated in chunks.
-
-    A chunk the size of a training batch keeps the forward cache no larger
-    than a training step's. The logits do not depend on the chunk size, as
-    long as no chunk holds a single image (see `_chunk_bounds`).
-    """
-    return count_correct(params, x, labels,
-                         _chunk_bounds(x.shape[0], batch_size)) / x.shape[0]
+# Images per evaluation forward: a desk training batch, so the forward cache
+# is no larger than a training step's.
+EVAL_CHUNK = 128
 
 
 def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,

@@ -85,9 +85,8 @@ def test_criterion_03_mixup_oracle_bitwise():
     expected = np.zeros((2, 2, 1), dtype=np.float32)
     for w, img in zip(forced, [anchor, filler, filler, filler]):
         expected += np.float32(w) * img.pixels
-    assert out.pixels.dtype == np.float32
-    assert np.array_equal(out.pixels, expected)
-    assert out.label == 1
+    assert out.dtype == np.float32
+    assert np.array_equal(out, expected)
 
     # fixture B: distinct images, selection captured through the audit record
     client_b = ClientDataset.from_images(
@@ -100,7 +99,7 @@ def test_criterion_03_mixup_oracle_bitwise():
     expected_b = np.zeros((2, 2, 1), dtype=np.float32)
     for w, idx in zip(forced, [rec.anchor_index, *rec.filler_indices]):
         expected_b += np.float32(w) * client_b.examples[idx].pixels
-    assert np.array_equal(out_b.pixels, expected_b)
+    assert np.array_equal(out_b, expected_b)
     ok(3, "mixup oracle equivalence", "bit-for-bit in float32")
 
 
@@ -157,8 +156,14 @@ def test_criterion_04_protocol_conservation(monkeypatch):
         assert len(mixed) <= math.ceil(alpha * deficit)
         assert all(ex.provenance in (Provenance.MIXUP, Provenance.NATURAL_NOISE)
                    for ex in added)
-        assert all(s.provenance is Provenance.MIXUP
-                   for resp in served for s in resp.samples)
+        # With deadline 2 every served mixup arrives (a response goes back over
+        # the request's edge); the requester keeps up to what it asked for,
+        # ahead of the natural-noise backfill.
+        arrived = sum(len(resp.samples) for resp in served)
+        assert len(mixed) == min(arrived, math.ceil(alpha * deficit))
+        assert [ex.provenance for ex in added] == (
+            [Provenance.MIXUP] * len(mixed)
+            + [Provenance.NATURAL_NOISE] * (deficit - len(mixed)))
         if alpha == 0.0:
             assert trace.request_count() == 0
         scenarios += 1

@@ -251,21 +251,22 @@ def test_empty_test_split_exits_3(tmp_path, capsys):
     assert "the test split holds no images" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", [
-    b"not json",
-    b"[4, 4, 1]",
-    b'{"label": 1}',
-    b'{"dims": [4, "4", 1]}',
-    b'{"dims": [4, 4]}',
-    b'{"dims": [4, 4, 1], "label": "one"}',
-    b'{"dims": [4, 4, 1], "provenance": "x"}',
+@pytest.mark.parametrize("header, payload", [
+    (b"not json", bytes(4 * 16)),
+    (b"[4, 4, 1]", bytes(4 * 16)),
+    (b'{"label": 1}', bytes(4 * 16)),
+    (b'{"dims": [4, "4", 1]}', bytes(4 * 16)),
+    (b'{"dims": [4, 4]}', bytes(4 * 16)),
+    (b'{"dims": [4, 4, 1], "label": "one"}', bytes(4 * 16)),
+    (b'{"dims": [4, 4, 1], "provenance": "x"}', bytes(4 * 16)),
+    # 2**64 pixels: a product that wraps around to 0 would accept the empty payload
+    (b'{"dims": [4294967296, 4294967296, 1]}', b""),
 ], ids=["not-json", "not-object", "no-dims", "str-dim", "two-dims", "str-label",
-        "unknown-provenance"])
-def test_malformed_tensor_header_exits_3(tmp_path, header):
+        "unknown-provenance", "overflowing-dims"])
+def test_malformed_tensor_header_exits_3(tmp_path, header, payload):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
-    (in_dir / f"bad{serialization.TENSOR_SUFFIX}").write_bytes(
-        header + b"\n" + bytes(4 * 16))
+    (in_dir / f"bad{serialization.TENSOR_SUFFIX}").write_bytes(header + b"\n" + payload)
     out_csv = str(tmp_path / "slopes.csv")
     assert main(["spectrum", "--in", str(in_dir), "--out", out_csv]) == EXIT_IO
     assert main(["mix", "--in", str(in_dir), "--out", str(tmp_path / "m"),

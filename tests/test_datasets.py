@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbalance.datasets import (BadMagic, BadRecordLength, ClientDataset,
-                                 DatasetError, DimensionOverflow, InfeasibleSpec,
-                                 LabeledImage, LabelOutOfRange, PartitionSpec,
-                                 Provenance, TruncatedFile, encode_cifar10,
+from fedbalance.datasets import (PROVENANCES, BadMagic, BadRecordLength,
+                                 ClientDataset, DatasetError, DimensionOverflow,
+                                 InfeasibleSpec, LabeledImage, LabelOutOfRange,
+                                 PartitionSpec, Provenance, TruncatedFile, encode_cifar10,
                                  encode_idx, load_cifar10_dir, load_mnist_dir,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates,
@@ -334,12 +334,12 @@ def test_client_dataset_histogram_recomputed():
         0, [LabeledImage(p, int(y)) for p, y in zip(pixels, labels)], 3)
     assert client.label_histogram.tolist() == [4, 4, 4]
     snapshot = replace(client)
-    noise = LabeledImage(np.ones((4, 4, 1)), 0, Provenance.NATURAL_NOISE)
-    client.add([noise])
+    client.add(np.ones((1, 4, 4, 1)), [0], [PROVENANCES.index(Provenance.NATURAL_NOISE)])
     assert client.label_histogram.tolist() == [5, 4, 4]
     last = client.examples[-1]
     assert (last.label, last.provenance) == (0, Provenance.NATURAL_NOISE)
     assert client.pixels.dtype == np.float32
+    assert (client.labels.dtype, client.provenance.dtype) == (np.int64, np.int8)
     # add rebinds fresh arrays, so the shallow copy still holds the old rows
     assert len(snapshot) == 12 and snapshot.label_histogram.tolist() == [4, 4, 4]
     assert np.array_equal(snapshot.pixels, client.pixels[:12])

@@ -182,6 +182,23 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+def test_bench_tracer_hook_still_counts_kept_mixups():
+    # benchmarks/tracer.py counts kept mixups from the provenance column of
+    # the clients `balance_clients` was given, read through
+    # `ClientDataset.examples`; a change that breaks that hook fails here.
+    tracer = load_bench_module("tracer")
+    cfg = PINNED_BALANCE
+    train, _, dims, _ = load_dataset(cfg)
+    clients = datasets.partition(train, build_partition_spec(cfg))
+    recorder = tracer.Tracer()
+    recorder.install(["experiments.balance_clients"], tracer.HOOKS)
+    try:
+        experiments.balance_clients(clients, cfg, dims)
+    finally:
+        recorder.restore()
+    assert recorder.counts["mixing.kept"] == 16
+
+
 def test_bench_setup_path_still_runs(tmp_path, monkeypatch):
     # benchmarks/run.py times config load -> load_dataset -> partition ->
     # init_model under the tracer's phase wrappers in every untraced run; a
@@ -280,14 +297,20 @@ class TestGrid:
         assert cells[0].seed != cells[1].seed
         assert all(c.data_seed == cfg.seed for c in cells)
 
-    def test_single_cell_grid_equals_run_experiment(self, tmp_path):
-        cfg = replace(TINY, supplement_pct=0)
+    @pytest.mark.parametrize("axes, written", [
+        ({"supplement_pct": 0}, 4),
+        ({"supplement_pct": 50, "mix_fraction": 0.5}, 6),
+    ], ids=["no-supplement", "balanced"])
+    def test_single_cell_grid_equals_run_experiment(self, tmp_path, axes, written):
+        cfg = replace(TINY, **axes)
         run_grid(cfg, str(tmp_path / "grid"))
         (cell,) = grid_cells(cfg)
-        solo = run_experiment(cell, str(tmp_path / "solo"))
+        run_experiment(cell, str(tmp_path / "solo"))
         cell_dir = tmp_path / "grid" / "cells" / cell_dirname(cell)
-        assert ((cell_dir / "metrics.csv").read_bytes()
-                == (tmp_path / "solo" / "metrics.csv").read_bytes())
+        solo_files = sorted((tmp_path / "solo").iterdir())
+        assert len(solo_files) == written
+        for path in solo_files:
+            assert (cell_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_resume_recomputes_only_missing_cell(self, tmp_path):
         cfg = replace(TINY, grid_classes_per_client=(1, 2),

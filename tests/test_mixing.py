@@ -94,10 +94,7 @@ class TestDpLabelHide:
         cfg = DpMixConfig(k=2, sigma=0.0)
         out = dp_labelhide(four_image_client, 1, cfg, np.random.default_rng(0),
                            weights=[1.0, 0.0])
-        assert out.label == 1
-        assert out.provenance is Provenance.MIXUP
-        assert np.array_equal(out.pixels,
-                              four_image_client.examples[1].pixels)
+        assert np.array_equal(out, four_image_client.examples[1].pixels)
 
     def test_weighted_sum_matches_brute_force_oracle(self, four_image_client):
         cfg = DpMixConfig(k=4, sigma=0.0)
@@ -111,8 +108,8 @@ class TestDpLabelHide:
         expected = np.zeros((2, 2, 1), dtype=np.float32)
         for w, idx in zip(forced, [rec.anchor_index, *rec.filler_indices]):
             expected += np.float32(w) * four_image_client.examples[idx].pixels
-        assert np.array_equal(out.pixels, expected)
-        assert out.pixels.dtype == np.float32
+        assert np.array_equal(out, expected)
+        assert out.dtype == np.float32
 
     def test_noise_cancellation_monte_carlo(self, four_image_client):
         # residual after subtracting the recorded weighted sum is pure noise;
@@ -128,7 +125,7 @@ class TestDpLabelHide:
             mixed = np.zeros((2, 2, 1), dtype=np.float32)
             for w, idx in zip(rec.weights, [rec.anchor_index, *rec.filler_indices]):
                 mixed += np.float32(w) * four_image_client.examples[idx].pixels
-            residual += out.pixels - mixed
+            residual += out - mixed
         assert np.all(np.abs(residual / reps) < 1.5)
 
     def test_label_fixity_and_anchor_dominance(self, four_image_client):
@@ -136,8 +133,7 @@ class TestDpLabelHide:
         rng = np.random.default_rng(9)
         for _ in range(50):
             record = []
-            out = dp_labelhide(four_image_client, 3, cfg, rng, record=record)
-            assert out.label == 3
+            dp_labelhide(four_image_client, 3, cfg, rng, record=record)
             (rec,) = record
             assert four_image_client.examples[rec.anchor_index].label == 3
             assert rec.weights[0] == rec.weights.max()
@@ -149,13 +145,13 @@ class TestDpLabelHide:
             for ex in four_image_client.examples], 4)
         out1 = dp_labelhide(four_image_client, 0, cfg, np.random.default_rng(21))
         out3 = dp_labelhide(scaled, 0, cfg, np.random.default_rng(21))
-        assert np.allclose(out3.pixels, 3.0 * out1.pixels, rtol=1e-6)
+        assert np.allclose(out3, 3.0 * out1, rtol=1e-6)
 
     def test_noise_streams_uncorrelated(self):
         blank = ClientDataset.from_images(0, [image([0, 0, 0, 0], 0) for _ in range(4)], 1)
         cfg = DpMixConfig(k=4, sigma=10.0)
         outs = [dp_labelhide(blank, 0, cfg, np.random.default_rng(s),
-                             weights=[1, 0, 0, 0]).pixels.ravel()
+                             weights=[1, 0, 0, 0]).ravel()
                 for s in range(500)]
         noise = np.stack(outs)  # sources are all-zero, output is the noise
         corr = np.corrcoef(noise[:-1].ravel(), noise[1:].ravel())[0, 1]

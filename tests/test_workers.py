@@ -28,6 +28,28 @@ TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
                         rounds=2, batch_size=8, seed=0)
 OUTPUTS = ("metrics.csv", "summary.csv", "model.ckpt", "partition_manifest.csv",
            "balance_manifest.csv", "trace.csv")
+# TINY as a config file, balanced and with a CNN.
+TINY_CNN_CONFIG = """\
+[dataset]
+kind = toy
+toy_classes = 4
+toy_per_class = 12
+toy_test_per_class = 6
+toy_dims = 8x8x1
+
+[partition]
+classes_per_client = 1
+num_clients = 4
+
+[balance]
+supplement_pct = 50
+mix_fraction = 0.5
+
+[train]
+model = cnn
+rounds = 2
+batch_size = 8
+"""
 
 
 def running(pid):
@@ -144,6 +166,24 @@ def test_a_reversed_client_list_writes_the_same_bytes(tmp_path, monkeypatch, par
     for name in OUTPUTS:
         assert ((tmp_path / "in-order" / name).read_bytes()
                 == (tmp_path / "reversed" / name).read_bytes()), name
+
+
+def test_a_cell_after_others_in_one_process_matches_a_fresh_process(tmp_path):
+    # In one process the last cell reuses the worker pool, re-dealt after a
+    # cell of another model, and finds `_pool_rows`'s cache warm from a CNN
+    # cell of another seed; a fresh `fedbalance train` has neither.
+    config = tmp_path / "cell.cfg"
+    config.write_text(TINY_CNN_CONFIG)
+    cfg = experiments.load_config(str(config))
+    run_experiment(replace(cfg, seed=1), str(tmp_path / "cnn-seed-1"))
+    run_experiment(replace(cfg, model="logreg"), str(tmp_path / "logreg"))
+    run_experiment(cfg, str(tmp_path / "warm"))
+    subprocess.run([sys.executable, "-m", "fedbalance.cli", "train", "--config",
+                    str(config), "--out", str(tmp_path / "fresh")],
+                   env=child_env(), check=True, capture_output=True, timeout=300)
+    for name in OUTPUTS:
+        assert ((tmp_path / "warm" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
 
 
 def test_fedavg_sums_in_client_id_order():
