@@ -70,13 +70,15 @@ def _cmd_gen_noise(args) -> int:
         seed=derive_seed(args.seed, "cli-noise-state"))
     state = noisegen.init_generator(gen_cfg)
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.count):
-        pixels = noisegen.generate(state, rng_for(args.seed, "cli-noise", i))
-        image = datasets.LabeledImage(pixels, -1, datasets.Provenance.NATURAL_NOISE)
-        base = os.path.join(args.out, f"noise_{i:05d}")
-        serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX, image)
-        if args.ppm:
-            serialization.save_ppm(base + ".ppm", pixels)
+    for start in range(0, args.count, noisegen.NOISE_BLOCK):
+        ids = range(start, min(start + noisegen.NOISE_BLOCK, args.count))
+        block = noisegen.generate_block(state, [rng_for(args.seed, "cli-noise", i) for i in ids])
+        for i, pixels in zip(ids, block):
+            image = datasets.LabeledImage(pixels, -1, datasets.Provenance.NATURAL_NOISE)
+            base = os.path.join(args.out, f"noise_{i:05d}")
+            serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX, image)
+            if args.ppm:
+                serialization.save_ppm(base + ".ppm", pixels)
     print(args.out)
     return EXIT_OK
 

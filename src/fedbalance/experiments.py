@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError("capacity_fraction must be in [0, 1]")
         if self.noise_bank not in [b.value for b in noisegen.WaveletBank]:
             raise ConfigError(f"unknown wavelet_bank {self.noise_bank!r}")
+        if not math.isfinite(self.noise_leaky_slope):
+            raise ConfigError(f"leaky_slope must be finite, got {self.noise_leaky_slope}")
         if self.model not in ("logreg", "mlp", "cnn"):
             raise ConfigError(f"model must be logreg/mlp/cnn, got {self.model!r}")
         if self.dataset == "toy" and self.model == "cnn" and min(self.toy_dims[:2]) < 4:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import PROVENANCES, ClientDataset, Provenance
 from .mixing import DpMixConfig, dp_labelhide
-from .noisegen import GeneratorState, generate
+from .noisegen import GeneratorState, generate_block
 from .seeding import rng_for
 
 
@@ -107,10 +107,8 @@ class NaturalNoiseSource:
         """The next n images for `label`, as an (n, H, W, Ch) float32 block."""
         start = self._issued.get(label, 0)
         self._issued[label] = start + n
-        images = np.empty((n, *self._state.config.out_dims), dtype=np.float32)
-        for row, i in enumerate(range(start, start + n)):
-            images[row] = generate(self._state, rng_for(self._base_seed, "nat", label, i))
-        return images
+        return generate_block(self._state, [rng_for(self._base_seed, "nat", label, i)
+                                            for i in range(start, start + n)])
 
 
 def plan_deficits(client: ClientDataset, target: int) -> list[tuple[int, int]]:

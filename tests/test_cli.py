@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import io
 import math
 
@@ -123,6 +124,17 @@ def test_degenerate_config_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_leaky_slope_is_named(tmp_path, capsys, value):
+    # With mix_fraction = 0 every supplement is natural noise, which a
+    # non-finite slope would turn into NaN images.
+    path = tmp_path / "exp.cfg"
+    path.write_text(_config_text(("balance", "mix_fraction", "0"),
+                                 ("noise", "leaky_slope", value)))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "leaky_slope" in capsys.readouterr().err
+
+
 def test_grid_runs(config_path, tmp_path):
     out = tmp_path / "grid"
     assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
@@ -159,6 +171,23 @@ def test_gen_noise_and_spectrum(tmp_path):
     assert len(rows) == 4
     for _, slope in rows[1:]:
         float(slope)
+
+
+# SHA-256 over (file name, file bytes) of every .timg file, in name order
+PINNED_GEN_NOISE = "d3a9e34200892ddbd8b68b249c0ccf124dc8e7bada15a6fdba7ca0f371501330"
+
+
+def test_gen_noise_files_match_pinned_digest(tmp_path):
+    out = tmp_path / "noise"
+    assert main(["gen-noise", "--out", str(out), "--count", "20", "--height", "32",
+                 "--width", "32", "--channels", "3", "--seed", "4"]) == EXIT_OK
+    paths = sorted(out.glob(f"*{serialization.TENSOR_SUFFIX}"))
+    assert len(paths) == 20
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_GEN_NOISE
 
 
 def test_mix_from_tensor_directory(tmp_path):

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from fedbalance.noisegen import (GABOR_WAVELENGTHS, ConvInit, DegenerateImage,
-                                 GeneratorConfig, GeneratorState, WaveletBank,
-                                 ZeroImage, apply_conv, correlate2d_same,
-                                 gabor_kernel, generate, init_generator,
-                                 power_spectrum_slope, sample_wavelet)
+from fedbalance.noisegen import (GABOR_WAVELENGTHS, NOISE_BLOCK, ConvInit,
+                                 DegenerateImage, GeneratorConfig, GeneratorState,
+                                 NoiseGenError, WaveletBank, ZeroImage, _synthesize,
+                                 apply_conv, correlate2d_same, gabor_kernel, generate,
+                                 generate_block, init_generator, power_spectrum_slope,
+                                 sample_wavelet)
 from fedbalance.seeding import rng_for
 
 
@@ -49,6 +52,17 @@ class TestSampleWavelet:
             assert np.array_equal(kernel, gabor_kernel(thetas[i], lam))
         result = stats.kstest(thetas, "uniform", args=(0.0, math.pi))
         assert result.pvalue > 0.01
+
+
+class TestGeneratorConfig:
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leaky_slope_is_named(self, slope):
+        with pytest.raises(NoiseGenError, match="leaky_slope"):
+            GeneratorConfig(out_dims=(8, 8, 1), leaky_slope=slope).validate()
+
+    def test_channels_per_scale_message_gives_the_value(self):
+        with pytest.raises(NoiseGenError, match="channels_per_scale must be >= 1, got -3"):
+            GeneratorConfig(out_dims=(8, 8, 1), channels_per_scale=-3).validate()
 
 
 class TestInitGenerator:
@@ -171,6 +185,101 @@ class TestGenerate:
             slopes.append(power_spectrum_slope(img))
         slopes = np.array(slopes)
         assert (slopes <= -0.5).mean() >= 0.95
+
+
+BLOCK_DIMS = [(10, 10, 1), (8, 8, 3), (28, 28, 1), (32, 32, 3)]
+BLOCK_SIZES = [0, 1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 60]
+
+
+def _streams(seed, n):
+    return [rng_for(seed, "block", i) for i in range(n)]
+
+
+def _synthesize_one(state, rng):
+    """The per-image synthesis loop: (C, R, R) float64 from one stream."""
+    cfg = state.config
+    x = rng.standard_normal((cfg.channels_per_scale, cfg.base_resolution,
+                             cfg.base_resolution))
+    if not state.scale_convs:
+        return apply_conv(x, state.output_conv)
+    out = None
+    for index, (conv, gain) in enumerate(zip(state.scale_convs, state.noise_gains)):
+        x = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        x = x + gain[:, None, None] * rng.standard_normal(x.shape)
+        x = apply_conv(x, conv)
+        x = np.where(x >= 0, x, cfg.leaky_slope * x)
+        partial = apply_conv(x, state.output_conv)
+        factor = state.gen_resolution // partial.shape[1]
+        contribution = float(2 ** (state.num_scales - 1 - index)) * np.repeat(
+            np.repeat(partial, factor, axis=1), factor, axis=2)
+        out = contribution if out is None else out + contribution
+    return out
+
+
+def _assert_block_matches_per_image(state, seed, n):
+    images = generate_block(state, _streams(seed, n))
+    assert images.shape == (n, *state.config.out_dims)
+    assert images.dtype == np.float32
+    for row, rng in zip(images, _streams(seed, n)):
+        assert row.tobytes() == generate(state, rng).tobytes()
+    # The float32 images round away a change in summation order; the float64
+    # pre-normalization output does not.
+    raw = _synthesize(state, _streams(seed, n))
+    for row, rng in zip(raw, _streams(seed, n)):
+        assert row.tobytes() == _synthesize_one(state, rng).tobytes()
+
+
+class _ZeroFirst:
+    """A stream whose first `calls` standard_normal draws come out as zeros
+    (the underlying stream still advances)."""
+
+    def __init__(self, rng, calls):
+        self._rng = rng
+        self._calls = calls
+
+    def standard_normal(self, *args, **kwargs):
+        values = self._rng.standard_normal(*args, **kwargs)
+        if self._calls > 0:
+            self._calls -= 1
+            values[...] = 0.0
+        return values
+
+
+class TestGenerateBlock:
+    @pytest.mark.parametrize("bank", list(WaveletBank))
+    @pytest.mark.parametrize("dims", BLOCK_DIMS)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_equals_per_image_generate(self, bank, dims, n):
+        state = init_generator(GeneratorConfig(out_dims=dims, wavelet_bank=bank, seed=5))
+        _assert_block_matches_per_image(state, 11, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 2 * NOISE_BLOCK + 3), seed=st.integers(0, 2**32),
+           bank=st.sampled_from(list(WaveletBank)), dims=st.sampled_from(BLOCK_DIMS))
+    def test_equals_per_image_generate_for_any_streams(self, n, seed, bank, dims):
+        state = init_generator(GeneratorConfig(out_dims=dims, wavelet_bank=bank, seed=seed))
+        _assert_block_matches_per_image(state, seed, n)
+
+    def test_constant_row_is_redrawn_from_its_own_stream(self):
+        # One scale at 8x8x1: all-zero normals give a constant image.
+        state = init_generator(GeneratorConfig(out_dims=(8, 8, 1), seed=0))
+        draws = state.num_scales + 1
+        assert draws == 2
+        n, flat_row = NOISE_BLOCK + 2, NOISE_BLOCK - 1
+        rngs = _streams(3, n)
+        rngs[flat_row] = _ZeroFirst(rngs[flat_row], draws)
+        images = generate_block(state, rngs)
+        for row, rng in enumerate(_streams(3, n)):
+            if row == flat_row:
+                _synthesize(state, [rng])   # the draws the constant first try used
+            assert images[row].tobytes() == generate(state, rng).tobytes()
+
+    def test_row_constant_twice_raises(self):
+        state = init_generator(GeneratorConfig(out_dims=(8, 8, 1), seed=0))
+        rngs = _streams(3, 4)
+        rngs[2] = _ZeroFirst(rngs[2], 2 * (state.num_scales + 1))
+        with pytest.raises(DegenerateImage):
+            generate_block(state, rngs)
 
 
 # SHA-256 of 32 consecutive generate() images per (wavelet bank, output dims)

@@ -1,6 +1,6 @@
 """The worker processes that train each round: their lifetime, how their
 failures reach the caller, and outputs that depend neither on the client
-order nor on the BLAS thread count."""
+order, nor on the BLAS thread count, nor on the hash seed."""
 
 import hashlib
 import os
@@ -198,16 +198,28 @@ def test_fedavg_sums_in_client_id_order():
     assert len({r[1] for r in rounds}) == 1
 
 
+def _quick_toy_digests(out, **settings):
+    """{file name: SHA-256} of a `quick_toy` cell run in a child Python."""
+    subprocess.run([sys.executable, "-m", "fedbalance.cli", "train", "--config",
+                    str(ROOT / "configs" / "quick_toy.cfg"), "--out", str(out)],
+                   env=child_env(**settings), check=True, capture_output=True, timeout=300)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
 @pytest.mark.slow
 def test_quick_toy_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        subprocess.run([sys.executable, "-m", "fedbalance.cli", "train", "--config",
-                        str(ROOT / "configs" / "quick_toy.cfg"), "--out", str(out)],
-                       env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
-                       capture_output=True, timeout=300)
-        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in sorted(out.iterdir())})
+    digests = [_quick_toy_digests(tmp_path / f"threads-{threads}",
+                                  OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     assert set(digests[0]) == set(OUTPUTS)
     assert digests[0] == digests[1]
+
+
+@pytest.mark.slow
+def test_quick_toy_writes_the_same_bytes_at_any_hash_seed(tmp_path):
+    # str hashes, and so set and dict-of-str iteration orders, change with
+    # PYTHONHASHSEED; no output may.
+    digests = [_quick_toy_digests(tmp_path / f"hash-seed-{seed}", PYTHONHASHSEED=seed)
+               for seed in ("0", "1", "2")]
+    assert set(digests[0]) == set(OUTPUTS)
+    assert digests[0] == digests[1] == digests[2]
