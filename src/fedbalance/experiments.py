@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -317,30 +317,59 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
     Peers always serve from the datasets as they stood before any client
     balanced, so outcomes do not depend on the order clients run in and
     pseudo-images never become mixup sources. An empty client's target is 0,
-    so it requests nothing.
+    so it requests nothing. The clients balance in the worker processes of
+    `fedbalance.workers` (see `balance_share`); each then gains its rows, and
+    `trace` its records, here in client order.
     """
-    mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
-    topology = _parse_topology(cfg.topology)
-    # `add` rebinds its arrays, so a shallow copy is a pre-balance snapshot.
-    snapshots = {c.client_id: replace(c) for c in clients}
+    from . import workers   # here: `import fedbalance` loads neither it nor subprocess
+
+    plans = {}
     for client in clients:
         peak = int(client.label_histogram.max())
-        target = math.ceil(cfg.supplement_pct / 100.0 * peak)
-        deficits = plan_deficits(client, target)
-        if not deficits:
-            continue
+        deficits = plan_deficits(client, math.ceil(cfg.supplement_pct / 100.0 * peak))
+        if deficits:
+            plans[client.client_id] = deficits
+    if not plans:
+        return
+    added = workers.pool().balance({c.client_id: c for c in clients}, plans, cfg, dims)
+    for client in clients:
+        if client.client_id in added:
+            *rows, records = added[client.client_id]
+            client.add(*rows)
+            if trace is not None:
+                trace.records.extend(records)
+
+
+def balance_share(snapshots: Mapping[int, ClientDataset],
+                  plans: Mapping[int, Sequence[tuple[int, int]]], cfg: ExperimentConfig,
+                  dims: tuple[int, int, int]) -> dict[int, tuple]:
+    """A worker's part of `balance_clients`: balance a copy of each client
+    of `plans` (id -> deficits) against `snapshots`, each on streams named
+    after its own id. Returns {client id: (pixels, labels, provenance, trace
+    records)} that the client gained."""
+    mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
+    topology = _parse_topology(cfg.topology)
+    added = {}
+    for cid, deficits in plans.items():
+        # `add` rebinds its arrays, so a shallow copy leaves the snapshot as it was.
+        client = replace(snapshots[cid])
         gen_cfg = noisegen.GeneratorConfig(
             out_dims=dims, base_resolution=cfg.noise_base_resolution,
             channels_per_scale=cfg.noise_channels,
             leaky_slope=cfg.noise_leaky_slope,
             wavelet_bank=noisegen.WaveletBank(cfg.noise_bank),
-            seed=derive_seed(cfg.seed, "noise-state", client.client_id))
+            seed=derive_seed(cfg.seed, "noise-state", cid))
         nat = NaturalNoiseSource(noisegen.init_generator(gen_cfg),
-                                 derive_seed(cfg.seed, "natgen", client.client_id))
+                                 derive_seed(cfg.seed, "natgen", cid))
+        trace = ProtocolTrace()
         run_balance(client, deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
-                    nat, rng_for(cfg.seed, "balance", client.client_id),
+                    nat, rng_for(cfg.seed, "balance", cid),
                     capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline,
                     trace=trace)
+        n = len(snapshots[cid])
+        added[cid] = (client.pixels[n:], client.labels[n:], client.provenance[n:],
+                      trace.records)
+    return added
 
 
 @dataclass

@@ -104,9 +104,16 @@ def _layer_to_json(layer) -> list:
 
 def _layer_from_json(entry: Sequence) -> object:
     try:
-        name, *args = entry
-        return _LAYER_NAMES[name](*args)
+        name, *sizes = entry
+        layer = _LAYER_NAMES[name]
     except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad layer entry {entry!r}") from exc
+    # As for `dims` in load_tensor_image: a bool is not a size.
+    if not all(type(size) is int and size > 0 for size in sizes):
+        raise FormatError(f"bad layer entry {entry!r}: sizes must be positive integers")
+    try:
+        return layer(*sizes)
+    except TypeError as exc:      # the wrong number of sizes
         raise FormatError(f"bad layer entry {entry!r}") from exc
 
 

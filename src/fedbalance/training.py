@@ -309,17 +309,31 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
+def patch_rows(x: np.ndarray, dtype) -> np.ndarray:
+    """Each image's layer-0 `_im2col` rows, cast to `dtype`, as one
+    (N, H*W*9*C) row per image.
+
+    `_im2col` only copies pixels, so the patch rows of a batch `x[idx]` are
+    `patch_rows(x, dtype)[idx]`, bit for bit.
+    """
+    n, h, w, c = x.shape
+    return _im2col(np.asarray(x, dtype=dtype)).reshape(n, h * w * 9 * c)
+
+
+def forward(params: ModelParams, x: np.ndarray,
+            patches: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Run the schema over a batch of inputs; returns (logits, cache).
 
     Dense layers flatten whatever rank they receive; Conv3x3 expects
     (batch, H, W, channels). The terminal Softmax marker is a no-op here;
-    loss and gradients use it through softmax_cross_entropy.
+    loss and gradients use it through softmax_cross_entropy. `patches`, when
+    given, are the batch's `patch_rows` in the parameters' dtype and stand in
+    for layer 0's `_im2col`.
     """
     views = _param_views(params.schema, params.flat)
     act = np.asarray(x, dtype=params.flat.dtype)
     cache: list = []
-    for layer, view in zip(params.schema, views):
+    for i, (layer, view) in enumerate(zip(params.schema, views)):
         if isinstance(layer, Dense):
             flat_in = act.reshape(act.shape[0], -1)
             if flat_in.shape[1] != layer.in_features:
@@ -333,7 +347,10 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
                 raise ShapeMismatch(
                     f"Conv3x3 expects (B,H,W,{layer.in_channels}), got {act.shape}")
             w, b = view
-            cols = _im2col(act)
+            if i or patches is None:
+                cols = _im2col(act)
+            else:
+                cols = patches.reshape(-1, 9 * layer.in_channels)
             cache.append(cols)
             act = _conv_forward(act, cols, w, b)
         elif isinstance(layer, MaxPool2):
@@ -362,9 +379,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return float(loss), dlogits
 
 
-def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray):
+def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray,
+                  patches: np.ndarray | None = None):
     """One forward/backward pass: (mean cross-entropy, flat gradient)."""
-    logits, cache = forward(params, x)
+    logits, cache = forward(params, x, patches)
     loss, delta = softmax_cross_entropy(logits, labels)
     return loss, _backward_from_delta(params, delta, cache)
 
@@ -485,11 +503,13 @@ EVAL_CHUNK = 128
 
 
 def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-                  bounds: Sequence[int]) -> int:
-    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1])."""
+                  bounds: Sequence[int], patches: np.ndarray | None = None) -> int:
+    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]);
+    `patches` are x's `patch_rows`, when built."""
     correct = 0
     for start, stop in zip(bounds, bounds[1:]):
-        logits, _ = forward(params, x[start:stop])
+        logits, _ = forward(params, x[start:stop],
+                            None if patches is None else patches[start:stop])
         correct += int((logits.argmax(axis=1) == labels[start:stop]).sum())
     return correct
 
@@ -532,8 +552,10 @@ class RoundReport:
 
 
 def local_train(global_params: ModelParams, client: TrainClient, cfg: TrainConfig,
-                rng: np.random.Generator) -> tuple[ModelParams, float]:
-    """Local epochs of Adam from fresh optimizer state; returns (params, mean loss)."""
+                rng: np.random.Generator,
+                patches: np.ndarray | None = None) -> tuple[ModelParams, float]:
+    """Local epochs of Adam from fresh optimizer state; returns (params, mean
+    loss). `patches` are the client's `patch_rows`, when built."""
     params = global_params.copy()
     opt = OptState.fresh(params.flat.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
                          dtype=params.flat.dtype)
@@ -543,7 +565,8 @@ def local_train(global_params: ModelParams, client: TrainClient, cfg: TrainConfi
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            loss, grad = loss_and_grad(params, client.x[idx], client.y[idx])
+            rows = None if patches is None else np.take(patches, idx, axis=0)
+            loss, grad = loss_and_grad(params, client.x[idx], client.y[idx], rows)
             params.flat = adam_step(params.flat, grad, opt)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0

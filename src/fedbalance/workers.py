@@ -1,18 +1,24 @@
-"""Worker processes that run each round's local training and evaluation.
+"""Worker processes that balance the clients and run each round's local
+training and evaluation.
 
-A round's clients train in a few worker processes, one per usable core
-(capped by the number of clients), each running numpy with one BLAS thread.
-Each worker is `python -c` running `serve()`; it reads pickled
-`(kind, *args)` requests from its stdin and writes one pickled
-`(status, value)` reply per request to its stdout. `Pool.deal` sends each
-worker its clients and a slice of the test set once; after that a round
-sends only the global parameters. The parent draws participants, averages
-and writes every file, in client-id order, so no output depends on how
-clients are dealt or on the order in which workers reply.
+A cell's clients balance, and each round's clients train, in a few worker
+processes, one per usable core (capped by the number of clients), each
+running numpy with one BLAS thread. Each worker is `python -c` running
+`serve()`; it reads pickled `(kind, *args)` requests from its stdin and
+writes one pickled `(status, value)` reply per request to its stdout.
+`Pool.balance` sends every worker the pre-balance snapshots and a share of
+the clients to balance, and returns the rows and trace records each client
+gained. `Pool.deal` sends each worker its clients and a slice of the test
+set once; after that a round sends only the global parameters. A worker
+builds its clients' and test slice's layer-0 patch rows once per deal, for
+the first model whose layer 0 is a Conv3x3, up to `PATCH_BUDGET` bytes. The
+parent draws participants, averages and writes every file, in client-id
+order, so no output depends on how clients are dealt or on the order in
+which workers reply.
 
 The pool starts lazily, once per process, and is reused across runs. Any
-failure closes it, and the next round starts a new one. A worker exits when
-its stdin closes, so none outlives the parent.
+failure closes it, and the next request starts a new one. A worker exits
+when its stdin closes, so none outlives the parent.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ import weakref
 
 import numpy as np
 
-from . import training
+from . import experiments, training
+from .datasets import ClientDataset
 from .seeding import rng_for
-from .training import ModelParams, TrainClient, TrainConfig, TrainingError
+from .training import Conv3x3, ModelParams, TrainClient, TrainConfig, TrainingError
 
 _ENV = {
     # The workers fill the cores, so each runs one BLAS thread; no BLAS
@@ -42,6 +49,9 @@ _ENV = {
     "MALLOC_MMAP_THRESHOLD_": "16777216", "MALLOC_TRIM_THRESHOLD_": "33554432",
 }
 _COMMAND = "from fedbalance.workers import serve; serve()"
+# Bytes of layer-0 patch rows a worker keeps per deal: a desk-cell worker's
+# rows fit (~22 MB), and those of an MNIST-sized share (~850 MB) would not.
+PATCH_BUDGET = 64 * 2**20
 
 
 def _usable_cores() -> int:
@@ -69,6 +79,33 @@ class Pool:
                 [sys.executable, "-c", _COMMAND], env=env,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE))
 
+    def _share_out(self, sizes: dict[int, int]) -> list[list[int]]:
+        """One list of ids per worker in use, largest size first, each to
+        the worker with the least so far; starts the workers it needs."""
+        n = max(1, min(_usable_cores(), len(sizes)))
+        self._grow(n)
+        shares: list[list[int]] = [[] for _ in range(n)]
+        loads = [0] * n
+        for cid in sorted(sizes, key=lambda c: (-sizes[c], c)):
+            k = loads.index(min(loads))
+            shares[k].append(cid)
+            loads[k] += sizes[cid]
+        return shares
+
+    def balance(self, snapshots: dict[int, ClientDataset],
+                plans: dict[int, list[tuple[int, int]]],
+                cfg: experiments.ExperimentConfig,
+                dims: tuple[int, int, int]) -> dict[int, tuple]:
+        """{client id: (pixels, labels, provenance, trace records)} that
+        balancing each client of `plans` (id -> deficits) against the
+        pre-balance `snapshots` adds; see `experiments.balance_share`."""
+        shares = self._share_out({cid: sum(n for _, n in deficits)
+                                  for cid, deficits in plans.items()})
+        replies = self._call({k: ("balance", snapshots, {cid: plans[cid] for cid in ids},
+                                  cfg, dims)
+                              for k, ids in enumerate(shares) if ids})
+        return {cid: added for reply in replies.values() for cid, added in reply.items()}
+
     def deal(self, clients: list[TrainClient], test_x: np.ndarray,
              test_y: np.ndarray) -> None:
         """Give each worker its clients and its evaluation chunks, unless
@@ -77,32 +114,26 @@ class Pool:
         if (len(dealt) == len(self._dealt)
                 and all(ref() is obj for ref, obj in zip(self._dealt, dealt))):
             return
-        n = max(1, min(_usable_cores(), len(clients)))
-        self._grow(n)
-        # Largest client first, each to the worker with the fewest images.
-        shares: list[list[TrainClient]] = [[] for _ in self._procs]
-        loads = [0] * n
-        owner = {}
-        for client in sorted(clients, key=lambda c: (-len(c), c.client_id)):
-            k = loads.index(min(loads))
-            shares[k].append(client)
-            loads[k] += len(client)
-            owner[client.client_id] = k
+        shares = self._share_out({c.client_id: len(c) for c in clients})
+        n = len(shares)
+        by_id = {c.client_id: c for c in clients}
         # Whole evaluation chunks, in order, split across the same workers.
         bounds = training._chunk_bounds(test_x.shape[0], training.EVAL_CHUNK)
         chunks = len(bounds) - 1
         requests = {}
         evaluators = []
-        for k, share in enumerate(shares):
+        for k in range(len(self._procs)):
+            share = [by_id[cid] for cid in shares[k]] if k < n else []
             first, last = (k * chunks // n, (k + 1) * chunks // n) if k < n else (0, 0)
             lo, hi = bounds[first], bounds[last]
             local = [b - lo for b in bounds[first:last + 1]]
-            requests[k] = ("deal", share, (test_x[lo:hi], test_y[lo:hi], local))
+            requests[k] = ("deal", share, (test_x[lo:hi], test_y[lo:hi], local),
+                           PATCH_BUDGET)
             if last > first:
                 evaluators.append(k)
         self._call(requests)
         self._dealt = [weakref.ref(obj) for obj in dealt]
-        self._owner = owner
+        self._owner = {cid: k for k, ids in enumerate(shares) for cid in ids}
         self._evaluators = evaluators
 
     def train(self, params: ModelParams, cfg: TrainConfig, round_index: int,
@@ -178,6 +209,37 @@ def pool() -> Pool:
     return _POOL
 
 
+class _Dealt:
+    """A worker's dealt clients and test slice, and their layer-0 patch rows."""
+
+    def __init__(self, clients: list[TrainClient], test: tuple, budget: int) -> None:
+        self.clients = {c.client_id: c for c in clients}
+        self.test = test
+        self._budget = budget
+        self._dtype = None
+        self._rows: dict = {}
+
+    def patches(self, params: ModelParams) -> dict:
+        """`training.patch_rows` by client id, and by None for the test
+        slice, when the model's layer 0 is a Conv3x3. They are built on the
+        first such call per dtype, in deal order, until the next would pass
+        the budget; an array without rows trains through `_im2col`."""
+        if not isinstance(params.schema[0], Conv3x3):
+            return {}
+        if self._dtype != params.flat.dtype:
+            self._dtype = params.flat.dtype
+            self._rows = {}
+            left = self._budget
+            arrays = [*((cid, c.x) for cid, c in self.clients.items()), (None, self.test[0])]
+            for key, x in arrays:
+                size = 9 * x.size * self._dtype.itemsize
+                if size > left:
+                    break
+                self._rows[key] = training.patch_rows(x, self._dtype)
+                left -= size
+        return self._rows
+
+
 def serve() -> None:
     """A worker's loop: answer requests until stdin closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles Ctrl-C
@@ -186,8 +248,7 @@ def serve() -> None:
     # Python or from C, goes to stderr instead of into the reply stream.
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
-    clients: dict[int, TrainClient] = {}
-    test: tuple = ()
+    dealt = _Dealt([], (), 0)
     while True:
         try:
             kind, *args = pickle.load(requests)
@@ -195,19 +256,23 @@ def serve() -> None:
             return
         try:
             if kind == "deal":
-                share, test = args
-                clients = {c.client_id: c for c in share}
+                dealt = _Dealt(*args)
                 value = None
+            elif kind == "balance":
+                value = experiments.balance_share(*args)
             elif kind == "train":
                 params, cfg, round_index, ids = args
+                patches = dealt.patches(params)
                 value = []
                 for cid in ids:
                     trained, loss = training.local_train(
-                        params, clients[cid], cfg,
-                        rng_for(cfg.seed, "shuffle", round_index, cid))
+                        params, dealt.clients[cid], cfg,
+                        rng_for(cfg.seed, "shuffle", round_index, cid), patches.get(cid))
                     value.append((cid, trained.flat, loss))
             else:
-                value = training.count_correct(args[0], *test)
+                params = args[0]
+                value = training.count_correct(params, *dealt.test,
+                                               dealt.patches(params).get(None))
             reply = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             try:

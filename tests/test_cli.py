@@ -312,6 +312,29 @@ def test_malformed_checkpoint_header_raises_format_error(tmp_path, header):
         serialization.load_checkpoint(str(path))
 
 
+# Layer sizes that are not positive ints. The first four used to raise a bare
+# TypeError while sizing the payload; the rest loaded, with a payload sized to
+# match (none at all for the last two).
+BAD_LAYER_SIZES = {
+    "conv-null": '["conv3x3", null, 16]',
+    "conv-str": '["conv3x3", "a", 8]',
+    "conv-object": '["conv3x3", {}, 16]',
+    "dense-list": '["dense", 64, [1]]',
+    "dense-bool": '["dense", true, 10]',
+    "dense-float": '["dense", 1.0, 10]',
+    "dense-negative": '["dense", -1, -10]',
+    "dense-zero": '["dense", 0, 0]',
+}
+
+
+@pytest.mark.parametrize("layer", BAD_LAYER_SIZES.values(), ids=BAD_LAYER_SIZES)
+def test_checkpoint_layer_sizes_must_be_positive_ints(tmp_path, layer):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b'{"schema": [' + layer.encode() + b', ["softmax"]]}\n' + bytes(44))
+    with pytest.raises(serialization.FormatError, match="bad layer entry"):
+        serialization.load_checkpoint(str(path))
+
+
 def test_tensor_image_round_trip(tmp_path):
     img = LabeledImage(np.linspace(-5, 300, 48, dtype=np.float32).reshape(4, 4, 3),
                        2, Provenance.MIXUP)

@@ -15,9 +15,9 @@ from fedbalance.seeding import rng_for
 from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
                                  NonFiniteParam, OptState, ReLU, SchemaMismatch,
                                  ShapeMismatch, Softmax, TrainConfig, adam_step,
-                                 build_model, fedavg_aggregate, forward,
-                                 init_model, local_train, loss_and_grad,
-                                 run_round, schema_param_count,
+                                 build_model, count_correct, fedavg_aggregate,
+                                 forward, init_model, local_train, loss_and_grad,
+                                 patch_rows, run_round, schema_param_count,
                                  softmax_cross_entropy, training_arrays)
 from fedbalance.training import (_backward_from_delta, _chunk_bounds,
                                  _conv_forward, _conv_input_grad, _conv_taps,
@@ -410,6 +410,28 @@ def test_evaluation_chunks_never_hold_one_image():
     assert _chunk_bounds(1000, 128)[-2:] == [896, 1000]
     assert _chunk_bounds(130, 128) == [0, 128, 130]
     assert _chunk_bounds(1, 128) == [0, 1]
+
+
+@pytest.mark.parametrize("dims", [(10, 10, 1), (28, 28, 1), (32, 32, 3)])
+def test_patch_rows_train_and_evaluate_bitwise_as_im2col(dims):
+    # 244 images at batch 128 leave a 116-image remainder batch, and two
+    # evaluation chunks of 128 and 116.
+    pixels, labels = make_toy_dataset(25, 10, dims, seed=4)
+    client = training_arrays(real_client(0, pixels[:244], labels[:244], 10))
+    params = init_model(build_model("cnn", dims, 10), 5)
+    patches = patch_rows(client.x, params.flat.dtype)
+    assert patches.shape == (244, dims[0] * dims[1] * 9 * dims[2])
+    cfg = TrainConfig(batch_size=128, local_epochs=2)
+    per_batch = local_train(params, client, cfg, rng_for(0, "shuffle", 0, 0))
+    cached = local_train(params, client, cfg, rng_for(0, "shuffle", 0, 0), patches)
+    assert cached[0].flat.tobytes() == per_batch[0].flat.tobytes()
+    assert cached[1] == per_batch[1]
+    bounds = _chunk_bounds(244, 128)
+    assert bounds == [0, 128, 244]
+    assert (count_correct(cached[0], client.x, client.y, bounds, patches)
+            == count_correct(cached[0], client.x, client.y, bounds))
+    _, cache = forward(params, client.x[:128], patches[:128])
+    assert cache[0].tobytes() == _im2col(client.x[:128].astype(np.float32)).tobytes()
 
 
 class TestAdam:

@@ -1,6 +1,7 @@
-"""The worker processes that train each round: their lifetime, how their
-failures reach the caller, and outputs that depend neither on the client
-order, nor on the BLAS thread count, nor on the hash seed."""
+"""The worker processes that balance the clients and train each round: their
+lifetime, how their failures reach the caller, the patch rows they keep, and
+outputs that depend neither on the client order, nor on the BLAS thread
+count, nor on the hash seed."""
 
 import hashlib
 import os
@@ -16,10 +17,12 @@ import pytest
 
 from helpers import child_env, toy_clients
 
-from fedbalance import experiments, workers
+from fedbalance import datasets, experiments, workers
+from fedbalance.cli import EXIT_CONFIG, main
 from fedbalance.experiments import ExperimentConfig, run_experiment
+from fedbalance.noisegen import DegenerateImage
 from fedbalance.training import (NonFiniteGradient, TrainConfig, TrainingError,
-                                 build_model, init_model, run_round)
+                                 build_model, init_model, patch_rows, run_round)
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
@@ -68,7 +71,8 @@ def wait_until_ended(pids, seconds=10.0):
     return [pid for pid in pids if running(pid)]
 
 
-# Runs TINY in a fresh interpreter, prints the pid of every worker it
+# Runs TINY in a fresh interpreter (or, as "balances", `fedbalance balance`
+# on the config argv[2] into argv[3]), prints the pid of every worker it
 # started, then ends as argv[1] says.
 LIFETIME_SCRIPT = """
 import os, subprocess, sys
@@ -91,6 +95,9 @@ if how == "raises":
         run_experiment(replace(cfg, lr=1e38))   # float32 parameters overflow
     except NonFiniteGradient:
         print("reaped", all(p.returncode is not None for p in started))
+elif how == "balances":
+    from fedbalance import cli
+    assert cli.main(["balance", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
 else:
     run_experiment(cfg)
 print(" ".join(str(p.pid) for p in started), flush=True)
@@ -99,10 +106,13 @@ if how == "exits-abruptly":
 """
 
 
-@pytest.mark.parametrize("how", ["returns", "raises", "exits-abruptly"])
-def test_no_worker_outlives_its_parent(how):
-    out = subprocess.run([sys.executable, "-c", LIFETIME_SCRIPT, how], env=child_env(),
-                         capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("how", ["returns", "raises", "exits-abruptly", "balances"])
+def test_no_worker_outlives_its_parent(how, tmp_path):
+    # "balances" runs `fedbalance balance`, which starts the pool to balance.
+    (tmp_path / "exp.cfg").write_text(TINY_CNN_CONFIG)
+    out = subprocess.run([sys.executable, "-c", LIFETIME_SCRIPT, how,
+                          str(tmp_path / "exp.cfg"), str(tmp_path / "out")],
+                         env=child_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     pids = [int(pid) for pid in lines[-1].split()]
@@ -112,7 +122,8 @@ def test_no_worker_outlives_its_parent(how):
     assert wait_until_ended(pids) == []
 
 
-def test_a_run_deals_its_clients_once(monkeypatch):
+def request_kinds(monkeypatch, cfg):
+    """The kinds of request each of the pool's calls sends while `cfg` runs."""
     pool = workers.pool()
     call = pool._call
     kinds = []
@@ -122,8 +133,88 @@ def test_a_run_deals_its_clients_once(monkeypatch):
         return call(requests)
 
     monkeypatch.setattr(pool, "_call", recording_call)
-    run_experiment(replace(TINY, rounds=3))
+    run_experiment(cfg)
+    return kinds
+
+
+def test_a_run_deals_its_clients_once(monkeypatch):
+    kinds = request_kinds(monkeypatch, replace(TINY, rounds=3))
     assert kinds == [{"deal"}] + [{"train"}, {"evaluate"}] * 3
+
+
+def test_a_balanced_run_balances_once_before_the_deal(monkeypatch):
+    kinds = request_kinds(monkeypatch, replace(TINY, rounds=3, supplement_pct=50))
+    assert kinds == [{"balance"}, {"deal"}] + [{"train"}, {"evaluate"}] * 3
+
+
+# desk_trends.cfg, shrunk to 1x1 images, whose noise backfill is constant.
+DEGENERATE_BALANCE = """\
+[dataset]
+kind = toy
+toy_classes = 10
+toy_per_class = 20
+toy_dims = 1x1x1
+
+[partition]
+num_clients = 10
+
+[balance]
+supplement_pct = 10
+mix_fraction = 0
+
+[train]
+model = logreg
+"""
+
+
+def test_a_balance_error_in_a_worker_reaches_the_caller_as_its_own_type(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(DEGENERATE_BALANCE)
+    cfg = experiments.load_config(str(path))
+    train, dims, _ = experiments.load_train(cfg)
+    clients = datasets.partition(train, experiments.build_partition_spec(cfg))
+    with pytest.raises(DegenerateImage, match="constant image twice in a row"):
+        experiments.balance_clients(clients, cfg, dims)
+    assert workers.pool()._procs == []
+    assert main(["balance", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert "generator produced a constant image twice in a row" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_neither_the_pool_nor_subprocess():
+    # benchmarks/run.py times `import fedbalance.cli` as part of setup_s;
+    # the pool's modules load when a cell first balances or trains.
+    out = subprocess.run([sys.executable, "-c", "import sys, fedbalance.cli; print(sorted("
+                          "{'fedbalance.workers', 'subprocess'} & set(sys.modules)))"],
+                         env=child_env(), capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_patch_rows_past_the_budget_train_through_im2col(monkeypatch):
+    # Four 18-image clients. A 30,000-byte budget holds one client's rows
+    # (23,328 bytes), so a worker dealt two caches its first client's alone,
+    # and not its test slice's. Whatever a worker caches, the bytes match.
+    clients = toy_clients(4, 6, num_classes=3, dims=(6, 6, 1))
+    test_x, test_y = clients[0].x, clients[0].y
+    params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
+    assert patch_rows(clients[0].x, np.float32).nbytes == 23_328
+    dealt = workers._Dealt(clients[:2], (test_x, test_y, [0, 18]), 30_000)
+    assert list(dealt.patches(params)) == [0]
+    assert dealt.patches(init_model(build_model("mlp", (6, 6, 1), 3), 0)) == {}
+
+    cfg = TrainConfig(batch_size=8)
+    outputs = []
+    for budget in (0, 30_000, workers.PATCH_BUDGET):
+        monkeypatch.setattr(workers, "PATCH_BUDGET", budget)
+        fresh = [replace(c) for c in clients]    # new objects: the pool deals again
+        trained = params
+        reports = []
+        for round_index in range(2):
+            trained, report = run_round(trained, fresh, test_x, test_y, cfg, round_index)
+            reports.append(report)
+        outputs.append((trained.flat.tobytes(), reports))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_non_finite_gradient_in_a_worker_reaches_the_caller():
