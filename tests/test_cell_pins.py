@@ -2,14 +2,20 @@
 sub-second cells: each model, both ends of the mix axis, an empty Dirichlet
 client, a peer topology that drops messages, a one-round deadline and
 partial participation. Any change to an output byte fails here, and a
-deliberate one shows as an edit to this table."""
+deliberate one shows as an edit to this table. The slow check runs the two
+desk cells of the benchmark and compares them with `benchmarks/golden.json`."""
 
 import hashlib
+import json
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from fedbalance.cli import EXIT_OK, main
 from fedbalance.experiments import ExperimentConfig, run_experiment
+from helpers import load_bench_module
 
 BASE = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
                         toy_test_per_class=6, toy_dims=(8, 8, 1), num_clients=4,
@@ -153,3 +159,21 @@ def _digests(out):
 def test_cell_outputs_match_pinned_digests(tmp_path, name):
     run_experiment(replace(BASE, **CELLS[name]), str(tmp_path))
     assert _digests(tmp_path) == PINNED[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["desk_mixup", "desk_natural"])
+def test_desk_cell_outputs_match_the_golden_digests(tmp_path, monkeypatch, workload):
+    # The training bytes hang on OpenBLAS's block sizes, so the pins hold
+    # only under the numpy build and OpenBLAS core they were made with.
+    monkeypatch.setitem(sys.modules, "tracer", load_bench_module("tracer"))
+    run = load_bench_module("run")
+    golden = json.loads(run.GOLDEN.read_text())
+    here = {"numpy": np.__version__, "blas_core": run._openblas()[1]}
+    if here != golden["environment"]:
+        pytest.skip(f"the digests were pinned under {golden['environment']}, not {here}")
+    cfg_path = tmp_path / "workload.cfg"
+    run.write_config(workload, 0, cfg_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert _digests(out) == golden["workloads"][workload]["0"]["files"]
