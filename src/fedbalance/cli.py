@@ -10,7 +10,7 @@ import csv
 import os
 import sys
 
-from . import datasets, experiments, noisegen, serialization
+from . import datasets, experiments, noisegen, protocol, serialization
 from .datasets import DatasetError
 from .experiments import ConfigError
 from .mixing import DpMixConfig, MixupError, dp_labelhide
@@ -105,7 +105,7 @@ def _cmd_balance(args) -> int:
         # Nothing to balance: record the partition as it stands and an empty trace.
         datasets.write_partition_manifest(
             clients, os.path.join(args.out, "balance_manifest.csv"))
-        experiments.ProtocolTrace().write_csv(os.path.join(args.out, "trace.csv"))
+        protocol.write_trace(os.path.join(args.out, "trace.csv"), [])
     print(args.out)
     return EXIT_OK
 

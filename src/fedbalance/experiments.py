@@ -23,8 +23,7 @@ import numpy as np
 from . import datasets, noisegen, serialization, training
 from .datasets import ClientDataset, PartitionSpec
 from .mixing import DpMixConfig, WeightMode
-from .protocol import (NaturalNoiseSource, ProtocolTrace, Topology, plan_deficits,
-                       run_balance)
+from .protocol import Record, Topology, plan_deficits, run_balance, write_trace
 from .seeding import derive_seed, rng_for
 from .training import TrainConfig, build_model, init_model, run_round
 
@@ -310,16 +309,15 @@ def build_partition_spec(cfg: ExperimentConfig) -> PartitionSpec:
 
 
 def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
-                    dims: tuple[int, int, int],
-                    trace: ProtocolTrace | None = None) -> None:
+                    dims: tuple[int, int, int]) -> list[Record]:
     """Run the balance protocol for every client against pre-balance snapshots.
 
     Peers always serve from the datasets as they stood before any client
     balanced, so outcomes do not depend on the order clients run in and
     pseudo-images never become mixup sources. An empty client's target is 0,
     so it requests nothing. The clients balance in the worker processes of
-    `fedbalance.workers` (see `balance_share`); each then gains its rows, and
-    `trace` its records, here in client order.
+    `fedbalance.workers` (see `balance_share`); each then gains its rows here,
+    in client order. Returns the trace records in the same order.
     """
     from . import workers   # here: `import fedbalance` loads neither it nor subprocess
 
@@ -330,45 +328,39 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
         if deficits:
             plans[client.client_id] = deficits
     if not plans:
-        return
+        return []
     added = workers.pool().balance({c.client_id: c for c in clients}, plans, cfg, dims)
+    records: list[Record] = []
     for client in clients:
         if client.client_id in added:
-            *rows, records = added[client.client_id]
+            *rows, client_records = added[client.client_id]
             client.add(*rows)
-            if trace is not None:
-                trace.records.extend(records)
+            records += client_records
+    return records
 
 
 def balance_share(snapshots: Mapping[int, ClientDataset],
                   plans: Mapping[int, Sequence[tuple[int, int]]], cfg: ExperimentConfig,
                   dims: tuple[int, int, int]) -> dict[int, tuple]:
-    """A worker's part of `balance_clients`: balance a copy of each client
-    of `plans` (id -> deficits) against `snapshots`, each on streams named
-    after its own id. Returns {client id: (pixels, labels, provenance, trace
-    records)} that the client gained."""
+    """A worker's part of `balance_clients`: balance each client of `plans`
+    (id -> deficits) against `snapshots`, each on streams named after its own
+    id. Returns {client id: `run_balance`'s (pixels, labels, provenance,
+    records)}."""
     mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
     topology = _parse_topology(cfg.topology)
     added = {}
     for cid, deficits in plans.items():
-        # `add` rebinds its arrays, so a shallow copy leaves the snapshot as it was.
-        client = replace(snapshots[cid])
         gen_cfg = noisegen.GeneratorConfig(
             out_dims=dims, base_resolution=cfg.noise_base_resolution,
             channels_per_scale=cfg.noise_channels,
             leaky_slope=cfg.noise_leaky_slope,
             wavelet_bank=noisegen.WaveletBank(cfg.noise_bank),
             seed=derive_seed(cfg.seed, "noise-state", cid))
-        nat = NaturalNoiseSource(noisegen.init_generator(gen_cfg),
-                                 derive_seed(cfg.seed, "natgen", cid))
-        trace = ProtocolTrace()
-        run_balance(client, deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
-                    nat, rng_for(cfg.seed, "balance", cid),
-                    capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline,
-                    trace=trace)
-        n = len(snapshots[cid])
-        added[cid] = (client.pixels[n:], client.labels[n:], client.provenance[n:],
-                      trace.records)
+        added[cid] = run_balance(
+            snapshots[cid], deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
+            noisegen.init_generator(gen_cfg), derive_seed(cfg.seed, "natgen", cid),
+            rng_for(cfg.seed, "balance", cid),
+            capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline)
     return added
 
 
@@ -414,12 +406,11 @@ def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
         datasets.write_partition_manifest(
             clients, os.path.join(out_dir, "partition_manifest.csv"))
     if cfg.supplement_pct > 0:
-        trace = ProtocolTrace()
-        balance_clients(clients, cfg, dims, trace)
+        records = balance_clients(clients, cfg, dims)
         if out_dir:
             datasets.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
-            trace.write_csv(os.path.join(out_dir, "trace.csv"))
+            write_trace(os.path.join(out_dir, "trace.csv"), records)
     return clients, dims, num_classes
 
 

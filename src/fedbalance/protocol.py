@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -79,36 +79,12 @@ def route(records: Sequence[Record], topology: Topology) -> list[Record]:
     return [r for r in records if topology.connected(r.src, r.dst)]
 
 
-@dataclass
-class ProtocolTrace:
-    """Audit log of every delivered message."""
-
-    records: list[Record] = field(default_factory=list)
-
-    def request_count(self) -> int:
-        return sum(1 for r in self.records if r.kind == "request")
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "msg_type", "src", "dst", "label", "count"])
-            writer.writerows(self.records)
-
-
-class NaturalNoiseSource:
-    """Deterministic supplier of natural-noise images, one stream per image."""
-
-    def __init__(self, state: GeneratorState, base_seed: int):
-        self._state = state
-        self._base_seed = base_seed
-        self._issued: dict[int, int] = {}
-
-    def take(self, n: int, label: int) -> np.ndarray:
-        """The next n images for `label`, as an (n, H, W, Ch) float32 block."""
-        start = self._issued.get(label, 0)
-        self._issued[label] = start + n
-        return generate_block(self._state, [rng_for(self._base_seed, "nat", label, i)
-                                            for i in range(start, start + n)])
+def write_trace(path: str, records: Iterable[Record]) -> None:
+    """Write `records` as `trace.csv`, one row per delivered message."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "msg_type", "src", "dst", "label", "count"])
+        writer.writerows(records)
 
 
 def plan_deficits(client: ClientDataset, target: int) -> list[tuple[int, int]]:
@@ -147,30 +123,38 @@ def serve_bounty(responder: ClientDataset, label: int, quantity: int, cfg: DpMix
 def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                 mix_fraction: float, topology: Topology,
                 peers: Mapping[int, ClientDataset], mix_cfg: DpMixConfig,
-                nat_source: NaturalNoiseSource, rng: np.random.Generator, *,
-                capacity_fraction: float = 1.0, deadline: int = 2,
-                trace: ProtocolTrace | None = None) -> ClientDataset:
-    """Fill each deficit with mixups from peers plus natural-noise backfill.
+                noise_state: GeneratorState, noise_seed: int, rng: np.random.Generator, *,
+                capacity_fraction: float, deadline: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Record]]:
+    """The pseudo-images that fill each of the requester's deficits, and the
+    messages delivered on the way.
 
     Per deficit (label j, quantity P): send every peer a request for
     ceil(mix_fraction * P) mixups, collect the responses if the deadline
     leaves them a round to arrive (deadline >= 2), trim any surplus uniformly
     at random, then generate the remaining P - E images as natural noise
-    labeled j. Exactly P pseudo-images are added per deficit; existing
-    examples are never removed. mix_fraction = 0 sends no requests at all.
-    Each deficit takes deadline + 1 trace rounds. All pseudo-images are added
-    at once after the real rows: per deficit, the kept mixups, then the noise.
+    labeled j, image i from the stream `rng_for(noise_seed, "nat", j, i)`.
+    Exactly P pseudo-images are made per deficit; mix_fraction = 0 sends no
+    requests at all. Each deficit takes deadline + 1 trace rounds, so a label
+    may appear only once in `deficits`. Returns (pixels, labels, provenance
+    codes, records): per deficit, the kept mixups, then the noise. The
+    requester is left as it was.
     """
     if not (0.0 <= mix_fraction <= 1.0):
         raise ProtocolError(f"mix_fraction must be in [0, 1], got {mix_fraction}")
     if deadline < 1:
         raise DeadlineZero(f"deadline must be >= 1 round, got {deadline}")
-    trace = trace if trace is not None else ProtocolTrace()
+    if len({label for label, _ in deficits}) != len(deficits):
+        raise ProtocolError(f"a label appears twice in the deficits {list(deficits)}")
     root = int(rng.integers(2**62))
     me = requester.client_id
     peer_ids = sorted(pid for pid in peers if pid != me)
-    pixels: list[np.ndarray] = []                   # one (H, W, Ch) row each
-    runs: list[tuple[int, Provenance, int]] = []    # (label, provenance, rows)
+    mixup = PROVENANCES.index(Provenance.MIXUP)
+    natural = PROVENANCES.index(Provenance.NATURAL_NOISE)
+    rows: list[np.ndarray] = []                     # one (H, W, Ch) row each
+    labels: list[int] = []
+    codes: list[int] = []
+    records: list[Record] = []
 
     round_base = 0
     for label, deficit in deficits:
@@ -181,7 +165,7 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         if quantity > 0:
             requests = route([Record(round_base + 1, "request", me, pid, label, quantity)
                               for pid in peer_ids], topology)
-            trace.records.extend(requests)
+            records += requests
             if deadline > 1:
                 served = {r.dst: serve_bounty(peers[r.dst], label, quantity, mix_cfg,
                                               rng_for(root, "serve", label, r.dst),
@@ -190,20 +174,17 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                 responses = route([Record(round_base + 2, "response", pid, me,
                                           label if samples else -1, len(samples))
                                    for pid, samples in served.items()], topology)
-                trace.records.extend(responses)
+                records += responses
                 for r in responses:
                     collected.extend(served[r.src])
         if len(collected) > quantity:
             keep = rng.choice(len(collected), size=quantity, replace=False)
             collected = [collected[i] for i in sorted(keep)]
-        noise = nat_source.take(deficit - len(collected), label)
-        pixels.extend(collected)
-        pixels.extend(noise)
-        runs += [(label, Provenance.MIXUP, len(collected)),
-                 (label, Provenance.NATURAL_NOISE, len(noise))]
+        noise = generate_block(noise_state, [rng_for(noise_seed, "nat", label, i)
+                                             for i in range(deficit - len(collected))])
+        rows += [*collected, *noise]
+        labels += [label] * deficit
+        codes += [mixup] * len(collected) + [natural] * len(noise)
         round_base += deadline + 1
-    if pixels:
-        labels, kinds, rows = zip(*runs)
-        codes = [PROVENANCES.index(kind) for kind in kinds]
-        requester.add(np.stack(pixels), np.repeat(labels, rows), np.repeat(codes, rows))
-    return requester
+    return (np.stack(rows) if rows else requester.pixels[:0],
+            np.array(labels, dtype=np.int64), np.array(codes, dtype=np.int8), records)

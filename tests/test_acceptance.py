@@ -23,8 +23,7 @@ from fedbalance.mixing import (DpMixConfig, WeightMode, dp_labelhide,
                                sample_laplace, sample_weight_matrix)
 from fedbalance.noisegen import (GeneratorConfig, generate, init_generator,
                                  power_spectrum_slope)
-from fedbalance.protocol import (NaturalNoiseSource, ProtocolTrace, Topology,
-                                 run_balance, serve_bounty)
+from fedbalance.protocol import Topology, run_balance, serve_bounty
 from fedbalance.seeding import rng_for
 from fedbalance.training import (TrainConfig, build_model, fedavg_aggregate,
                                  init_model, local_train, run_round,
@@ -103,10 +102,9 @@ def test_criterion_03_mixup_oracle_bitwise():
     ok(3, "mixup oracle equivalence", "bit-for-bit in float32")
 
 
-def _noise_source(seed):
-    state = init_generator(GeneratorConfig(out_dims=(4, 4, 1), base_resolution=4,
-                                           channels_per_scale=4, seed=seed))
-    return NaturalNoiseSource(state, seed)
+def _noise_state(seed):
+    return init_generator(GeneratorConfig(out_dims=(4, 4, 1), base_resolution=4,
+                                          channels_per_scale=4, seed=seed))
 
 
 def test_criterion_04_protocol_conservation(monkeypatch):
@@ -142,13 +140,13 @@ def test_criterion_04_protocol_conservation(monkeypatch):
             edges = [(0, p) for p in peers if rng.integers(2)]
             topology = Topology.peers(edges) if edges else Topology.star()
 
-        trace = ProtocolTrace()
         served.clear()
         before = len(requester)
-        run_balance(requester, [(1, deficit)], alpha, topology, peers,
-                    DpMixConfig(k=3, sigma=1.0), _noise_source(scenarios),
-                    np.random.default_rng(scenarios), capacity_fraction=capacity,
-                    deadline=2, trace=trace)
+        *rows, records = run_balance(requester, [(1, deficit)], alpha, topology, peers,
+                                     DpMixConfig(k=3, sigma=1.0), _noise_state(scenarios),
+                                     scenarios, np.random.default_rng(scenarios),
+                                     capacity_fraction=capacity, deadline=2)
+        requester.add(*rows)
         added = requester.examples[before:]
         mixed = [ex for ex in added if ex.provenance is Provenance.MIXUP]
         assert len(added) == deficit
@@ -165,7 +163,7 @@ def test_criterion_04_protocol_conservation(monkeypatch):
             [Provenance.MIXUP] * len(mixed)
             + [Provenance.NATURAL_NOISE] * (deficit - len(mixed)))
         if alpha == 0.0:
-            assert trace.request_count() == 0
+            assert sum(1 for r in records if r.kind == "request") == 0
         scenarios += 1
     ok(4, "protocol conservation", "200 randomized scenarios")
 

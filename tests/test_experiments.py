@@ -18,7 +18,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     load_config, load_dataset, run_experiment,
                                     run_grid)
 from fedbalance import datasets, experiments, serialization
-from fedbalance.protocol import ProtocolTrace
+from fedbalance.protocol import write_trace
 from fedbalance.training import training_arrays
 from helpers import load_bench_module
 
@@ -161,14 +161,13 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     train, _, dims, _ = load_dataset(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
     datasets.write_partition_manifest(clients, str(tmp_path / "partition_manifest.csv"))
-    trace = ProtocolTrace()
-    balance_clients(clients, cfg, dims, trace)
+    records = balance_clients(clients, cfg, dims)
     datasets.write_partition_manifest(clients, str(tmp_path / "balance_manifest.csv"))
-    trace.write_csv(str(tmp_path / "trace.csv"))
+    write_trace(str(tmp_path / "trace.csv"), records)
 
     # the fixture exercises every balance path: 32 mixups served, 16 kept
     # after the trim, 8 natural-noise images backfilled
-    assert sum(r[5] for r in trace.records if r[1] == "response") == 32
+    assert sum(r[5] for r in records if r[1] == "response") == 32
     added = [ex.provenance for c in clients for ex in c.examples]
     assert (added.count(Provenance.MIXUP), added.count(Provenance.NATURAL_NOISE)) == (16, 8)
 

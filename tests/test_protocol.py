@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from fedbalance import protocol
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance
 from fedbalance.mixing import DpMixConfig
-from fedbalance.noisegen import GeneratorConfig, init_generator
-from fedbalance.protocol import (DeadlineZero, NaturalNoiseSource,
-                                 ProtocolTrace, Record, Topology,
+from fedbalance.noisegen import GeneratorConfig, generate_block, init_generator
+from fedbalance.protocol import (DeadlineZero, ProtocolError, Record, Topology,
                                  plan_deficits, route, run_balance,
-                                 serve_bounty)
+                                 serve_bounty, write_trace)
+from fedbalance.seeding import rng_for
 from helpers import load_bench_module
 
 DIMS = (6, 6, 1)
@@ -29,10 +29,13 @@ def client(client_id, counts, num_classes=None):
     return ClientDataset.from_images(client_id, examples, num_classes)
 
 
-def noise_source(seed=0):
-    state = init_generator(GeneratorConfig(out_dims=DIMS, base_resolution=4,
-                                           channels_per_scale=4, seed=seed))
-    return NaturalNoiseSource(state, seed)
+def noise_state(seed=0):
+    return init_generator(GeneratorConfig(out_dims=DIMS, base_resolution=4,
+                                          channels_per_scale=4, seed=seed))
+
+
+def request_count(records):
+    return sum(1 for r in records if r.kind == "request")
 
 
 class TestPlanDeficits:
@@ -93,19 +96,20 @@ def run_simple_balance(mix_fraction, requester_counts, peer_counts, *,
     peers = {i: client(i, counts, len(requester_counts))
              for i, counts in enumerate(peer_counts, start=1)}
     deficits = plan_deficits(requester, target)
-    trace = ProtocolTrace()
-    run_balance(requester, deficits, mix_fraction, topology or Topology.star(),
-                peers, DpMixConfig(k=k, sigma=1.0), noise_source(seed),
-                np.random.default_rng(seed), capacity_fraction=capacity,
-                deadline=deadline, trace=trace)
-    return requester, deficits, trace
+    *rows, records = run_balance(requester, deficits, mix_fraction,
+                                 topology or Topology.star(), peers,
+                                 DpMixConfig(k=k, sigma=1.0), noise_state(seed), seed,
+                                 np.random.default_rng(seed), capacity_fraction=capacity,
+                                 deadline=deadline)
+    requester.add(*rows)
+    return requester, deficits, records
 
 
 class TestRunBalance:
     def test_mix_fraction_zero_sends_nothing_and_fills_with_noise(self):
-        requester, deficits, trace = run_simple_balance(
+        requester, deficits, records = run_simple_balance(
             0.0, [8, 0], [[5, 5], [5, 5]])
-        assert trace.request_count() == 0
+        assert request_count(records) == 0
         assert requester.label_histogram[1] == 10
         added = [ex for ex in requester.examples if ex.label == 1]
         assert all(ex.provenance is Provenance.NATURAL_NOISE for ex in added)
@@ -149,8 +153,11 @@ class TestRunBalance:
     def test_never_removes_existing_examples(self):
         requester = client(0, [8, 0])
         before = requester.pixels.copy(), requester.labels.copy()
-        run_balance(requester, [(1, 4)], 0.5, Topology.star(), {1: client(1, [5, 5])},
-                    DpMixConfig(k=2), noise_source(), np.random.default_rng(0))
+        *rows, _ = run_balance(requester, [(1, 4)], 0.5, Topology.star(),
+                               {1: client(1, [5, 5])}, DpMixConfig(k=2), noise_state(), 0,
+                               np.random.default_rng(0), capacity_fraction=1.0, deadline=2)
+        assert len(requester) == 8
+        requester.add(*rows)
         assert len(requester) == 8 + 4
         assert np.array_equal(requester.pixels[:8], before[0])
         assert np.array_equal(requester.labels[:8], before[1])
@@ -159,7 +166,7 @@ class TestRunBalance:
     def test_determinism(self):
         a, _, ta = run_simple_balance(0.5, [8, 0, 0], [[6, 3, 2], [4, 0, 5]], seed=9)
         b, _, tb = run_simple_balance(0.5, [8, 0, 0], [[6, 3, 2], [4, 0, 5]], seed=9)
-        assert ta.records == tb.records
+        assert ta == tb
         assert len(a) == len(b)
         for xa, xb in zip(a.examples, b.examples):
             assert xa.label == xb.label and xa.provenance == xb.provenance
@@ -170,7 +177,7 @@ class TestRunBalance:
            deficit=st.integers(1, 20), cap=st.sampled_from([0.0, 0.3, 1.0]),
            seed=st.integers(0, 1000))
     def test_conservation_property(self, mix, deficit, cap, seed):
-        requester, deficits, trace = run_simple_balance(
+        requester, deficits, records = run_simple_balance(
             mix, [max(6, deficit), 0], [[10, 2], [7, 0]], capacity=cap,
             target=deficit, seed=seed)
         added = [ex for ex in requester.examples if ex.label == 1]
@@ -178,7 +185,7 @@ class TestRunBalance:
         assert len(added) == deficit
         assert len(mixed) <= math.ceil(mix * deficit)
         if mix == 0.0:
-            assert trace.request_count() == 0
+            assert request_count(records) == 0
 
     @pytest.mark.parametrize("deadline, records, serves", [
         (1, [(1, "request", 0, 1, 1, 5), (1, "request", 0, 2, 1, 5),
@@ -204,7 +211,7 @@ class TestRunBalance:
             0.5, [10, 0, 0], [[5, 5, 5], [5, 5, 0], [5, 5, 5]],
             topology=Topology.peers([(0, 1), (0, 2), (1, 3)]), deadline=deadline)
         assert deficits == [(1, 10), (2, 10)]
-        assert trace.records == records
+        assert trace == records
         assert len(calls) == serves
 
     def test_no_real_image_ever_crosses_a_boundary(self, monkeypatch):
@@ -232,37 +239,51 @@ def test_bench_tracer_hooks_still_count_the_protocol():
     recorder = tracer.Tracer()
     recorder.install(["protocol.route", "protocol.serve_bounty"], tracer.HOOKS)
     try:
-        _, _, trace = run_simple_balance(
+        _, _, records = run_simple_balance(
             0.5, [10, 0, 0], [[5, 5, 5], [5, 5, 0], [5, 5, 5]],
             topology=Topology.peers([(0, 1), (0, 2), (1, 3)]), deadline=3)
     finally:
         recorder.restore()
     assert recorder.counts["protocol.requests"] == 6
-    assert recorder.counts["protocol.messages_delivered"] == len(trace.records) == 8
+    assert recorder.counts["protocol.messages_delivered"] == len(records) == 8
     assert recorder.counts["protocol.serve_bounty.useful"] == 3
 
 
 class TestTrace:
     def test_csv_export(self, tmp_path):
-        _, _, trace = run_simple_balance(1.0, [8, 0], [[20, 20]])
+        _, _, records = run_simple_balance(1.0, [8, 0], [[20, 20]])
         path = tmp_path / "trace.csv"
-        trace.write_csv(str(path))
+        write_trace(str(path), records)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "round,msg_type,src,dst,label,count"
         assert len(lines) > 1
 
 
-class TestNaturalNoiseSource:
-    def test_images_are_a_fresh_block(self):
-        src = noise_source(4)
-        first = src.take(3, label=2)
-        second = src.take(2, label=2)
-        assert (first.shape, second.shape) == ((3, *DIMS), (2, *DIMS))
-        assert first.dtype == second.dtype == np.float32
-        assert not np.array_equal(first[0], second[0])
+class TestNaturalNoiseRows:
+    @pytest.mark.parametrize("mix_fraction", [0.0, 0.5])
+    def test_noise_rows_come_from_per_image_streams(self, mix_fraction):
+        # Deficits (1, 10) and (2, 7), each asking for ceil(mix * P) mixups
+        # that the peers can all serve; after them, noise image i of label j
+        # comes from the stream ("nat", j, i).
+        requester, deficits, _ = run_simple_balance(
+            mix_fraction, [10, 0, 3], [[20, 20, 20], [20, 20, 20]], seed=4)
+        assert deficits == [(1, 10), (2, 7)]
+        pixels, provenance = requester.pixels[10 + 3:], requester.provenance[10 + 3:]
+        start = 0
+        for label, deficit in deficits:
+            kept = math.ceil(mix_fraction * deficit)
+            rows = slice(start + kept, start + deficit)
+            assert set(provenance[start:start + kept]) <= {1}   # mixups
+            assert set(provenance[rows]) == {2}                   # natural noise
+            expected = generate_block(noise_state(4), [rng_for(4, "nat", label, i)
+                                                       for i in range(deficit - kept)])
+            assert pixels[rows].dtype == expected.dtype == np.float32
+            assert np.array_equal(pixels[rows], expected)
+            start += deficit
 
-    def test_deterministic_per_seed(self):
-        a = noise_source(5).take(2, label=1)
-        b = noise_source(5).take(2, label=1)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+    def test_a_label_named_twice_is_rejected(self):
+        requester = client(0, [8, 0])
+        with pytest.raises(ProtocolError, match="twice"):
+            run_balance(requester, [(1, 2), (1, 3)], 0.0, Topology.star(), {},
+                        DpMixConfig(k=2), noise_state(), 0, np.random.default_rng(0),
+                        capacity_fraction=1.0, deadline=2)
