@@ -214,7 +214,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         read = parser.read(path)
         # items() interpolates, so a stray '%' raises here, not in read().
         items = {section: parser.items(section) for section in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -247,12 +247,7 @@ def load_train(cfg: ExperimentConfig) -> tuple[tuple, tuple[int, int, int], int]
                                           cfg.toy_dims, derive_seed(data_seed, "toy-train"),
                                           jitter=cfg.toy_jitter)
         return train, cfg.toy_dims, cfg.toy_classes
-    if cfg.dataset == "mnist":
-        train = datasets.load_mnist_dir(cfg.data_path, "train")
-        dims, num_classes = (28, 28, 1), 10
-    else:
-        train = datasets.load_cifar10_dir(cfg.data_path, "train")
-        dims, num_classes = (32, 32, 3), 10
+    train, dims, num_classes = _load_split(cfg, "train")
     if cfg.subset_per_class > 0:
         train = _stratified_subset(train, cfg.subset_per_class, num_classes,
                                    rng_for(data_seed, "subset"))
@@ -267,13 +262,22 @@ def load_test(cfg: ExperimentConfig) -> tuple:
                                          cfg.toy_dims,
                                          derive_seed(_data_seed(cfg), "toy-test"),
                                          jitter=cfg.toy_jitter)
-    if cfg.dataset == "mnist":
-        test = datasets.load_mnist_dir(cfg.data_path, "test")
-    else:
-        test = datasets.load_cifar10_dir(cfg.data_path, "test")
+    test, _, _ = _load_split(cfg, "test")
     if not len(test[1]):
         raise datasets.DatasetError(f"{cfg.data_path}: the test split holds no images")
     return test
+
+
+def _load_split(cfg: ExperimentConfig, split: str) -> tuple[tuple, tuple[int, int, int], int]:
+    """One split of the configured real dataset, its image dims and its 10
+    classes; images of other dims, or other labels, are a DatasetError."""
+    load, dims = ((datasets.load_mnist_dir, (28, 28, 1)) if cfg.dataset == "mnist"
+                  else (datasets.load_cifar10_dir, (32, 32, 3)))
+    pixels, labels = load(cfg.data_path, split)
+    if pixels.shape[1:] != dims or labels.size and labels.max() >= 10:
+        raise datasets.DatasetError(f"{cfg.data_path}: the {split} split is not "
+                                    f"{dims} images with labels 0-9")
+    return (pixels, labels), dims, 10
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[tuple, tuple, tuple[int, int, int], int]:

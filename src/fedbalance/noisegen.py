@@ -306,7 +306,8 @@ def power_spectrum_slope(image: np.ndarray) -> float:
     if gray.max() == gray.min():
         raise ZeroImage("constant image has no AC energy")
 
-    power = np.abs(np.fft.fft2(gray)) ** 2
+    # In float64: a float32 spectrum of finite pixels near 3e38 overflows.
+    power = np.abs(np.fft.fft2(gray.astype(np.float64))) ** 2
     fy = np.fft.fftfreq(h) * h
     fx = np.fft.fftfreq(w) * w
     radius = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)

@@ -126,19 +126,17 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                 noise_state: GeneratorState, noise_seed: int, rng: np.random.Generator, *,
                 capacity_fraction: float, deadline: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Record]]:
-    """The pseudo-images that fill each of the requester's deficits, and the
-    messages delivered on the way.
+    """The pseudo-images that fill the requester's deficits, and the messages.
 
     Per deficit (label j, quantity P): send every peer a request for
     ceil(mix_fraction * P) mixups, collect the responses if the deadline
     leaves them a round to arrive (deadline >= 2), trim any surplus uniformly
     at random, then generate the remaining P - E images as natural noise
-    labeled j, image i from the stream `rng_for(noise_seed, "nat", j, i)`.
-    Exactly P pseudo-images are made per deficit; mix_fraction = 0 sends no
-    requests at all. Each deficit takes deadline + 1 trace rounds, so a label
-    may appear only once in `deficits`. Returns (pixels, labels, provenance
-    codes, records): per deficit, the kept mixups, then the noise. The
-    requester is left as it was.
+    labeled j, image i from the stream `rng_for(noise_seed, "nat", j, i)`; so
+    a label may appear only once. mix_fraction = 0 sends no requests at all.
+    Each deficit takes deadline + 1 trace rounds. Returns P rows per deficit
+    (the kept mixups, then the noise) as (pixels, labels, provenance codes,
+    records); the requester is left as it was.
     """
     if not (0.0 <= mix_fraction <= 1.0):
         raise ProtocolError(f"mix_fraction must be in [0, 1], got {mix_fraction}")
@@ -149,11 +147,9 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
     root = int(rng.integers(2**62))
     me = requester.client_id
     peer_ids = sorted(pid for pid in peers if pid != me)
-    mixup = PROVENANCES.index(Provenance.MIXUP)
-    natural = PROVENANCES.index(Provenance.NATURAL_NOISE)
     rows: list[np.ndarray] = []                     # one (H, W, Ch) row each
     labels: list[int] = []
-    codes: list[int] = []
+    kinds: list[Provenance] = []
     records: list[Record] = []
 
     round_base = 0
@@ -184,7 +180,8 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                                              for i in range(deficit - len(collected))])
         rows += [*collected, *noise]
         labels += [label] * deficit
-        codes += [mixup] * len(collected) + [natural] * len(noise)
+        kinds += [Provenance.MIXUP] * len(collected) + [Provenance.NATURAL_NOISE] * len(noise)
         round_base += deadline + 1
+    codes = np.array([PROVENANCES.index(kind) for kind in kinds], dtype=np.int8)
     return (np.stack(rows) if rows else requester.pixels[:0],
-            np.array(labels, dtype=np.int64), np.array(codes, dtype=np.int8), records)
+            np.array(labels, dtype=np.int64), codes, records)

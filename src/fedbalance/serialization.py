@@ -68,6 +68,8 @@ def load_tensor_image(path: str) -> LabeledImage:
     if len(raw) != 4 * count:
         raise FormatError(f"{path}: expected {4 * count} payload bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+    if not np.isfinite(pixels).all():
+        raise FormatError(f"{path}: the payload holds a non-finite pixel")
     return LabeledImage(pixels, -1 if label is None else label, provenance)
 
 

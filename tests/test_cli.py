@@ -219,6 +219,42 @@ def test_mix_rejects_a_pool_of_mixed_image_sizes(tmp_path, capsys):
     assert f"b{serialization.TENSOR_SUFFIX}: dims differ" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_a_non_finite_pixel(tmp_path, capsys):
+    # It used to write the slope "nan" and exit 0.
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    pixels = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32) * 255
+    pixels[3, 4, 0] = np.inf
+    serialization.save_tensor_image(str(in_dir / f"a{serialization.TENSOR_SUFFIX}"),
+                                    LabeledImage(pixels, 0))
+    assert main(["spectrum", "--in", str(in_dir), "--out", str(tmp_path / "s.csv")]) == EXIT_IO
+    assert "non-finite pixel" in capsys.readouterr().err
+
+
+def test_mix_rejects_a_pool_holding_a_nan_image(tmp_path, capsys):
+    # It used to write NaN mixups and exit 0.
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    pixels, labels = make_toy_dataset(3, 3, (8, 8, 1), seed=0)
+    images = [*zip(pixels, labels), (np.full((8, 8, 1), np.nan, np.float32), 1)]
+    for i, (p, y) in enumerate(images):
+        serialization.save_tensor_image(
+            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"), LabeledImage(p, int(y)))
+    out = tmp_path / "mixed"
+    assert main(["mix", "--in", str(pool), "--out", str(out), "--label", "1",
+                 "--count", "4", "--k", "3"]) == EXIT_IO
+    assert "img_009.timg: the payload holds a non-finite pixel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    # It used to die with a UnicodeDecodeError traceback (exit 1).
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"[run]\nseed = 1\n# \xff\xfe")
+    assert main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\nmodel = resnet\n")
@@ -268,6 +304,25 @@ def test_only_train_reads_the_test_split(tmp_path):
     assert outputs["balance", True] == outputs["balance", False]
     assert set(outputs["balance", True]) == {
         "partition_manifest.csv", "balance_manifest.csv", "trace.csv"}
+
+
+@pytest.mark.parametrize("split, name, tensor", [
+    ("train", "train-images-idx3-ubyte", np.zeros((40, 14, 28), np.uint8)),
+    ("test", "t10k-images-idx3-ubyte", np.zeros((10, 28, 27), np.uint8)),
+    ("train", "train-labels-idx1-ubyte", np.r_[np.arange(39) % 10, 200].astype(np.uint8)),
+    ("test", "t10k-labels-idx1-ubyte", np.r_[np.arange(9), 10].astype(np.uint8)),
+], ids=["train-14x28", "test-28x27", "train-label-200", "test-label-10"])
+def test_mnist_images_not_28x28_or_labels_above_9_exit_3(tmp_path, capsys, split, name,
+                                                        tensor):
+    # They used to crash in training (other dims) or exit 2 with a
+    # partition error (labels).
+    write_mnist_dir(tmp_path / "mnist", False)
+    (tmp_path / "mnist" / name).write_bytes(encode_idx(tensor))
+    cfg = tmp_path / "mnist.cfg"
+    cfg.write_text(f"[dataset]\nkind = mnist\npath = {tmp_path / 'mnist'}\n"
+                   "[partition]\nnum_clients = 10\n[train]\nmodel = logreg\nrounds = 1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_IO
+    assert f"the {split} split is not (28, 28, 1) images" in capsys.readouterr().err
 
 
 def test_empty_test_split_exits_3(tmp_path, capsys):

@@ -374,6 +374,14 @@ class TestGrid:
         uninterrupted = run_grid(cfg, str(tmp_path / "clean"))
         assert Path(resumed).read_bytes() == Path(uninterrupted).read_bytes()
         assert sorted(os.listdir(out)) == ["cells", "summary.csv"]
+        # Every file of every cell, config.csv included, as if never interrupted.
+        resumed_files, clean_files = ({str(p.relative_to(root)): p.read_bytes()
+                                       for p in sorted((root / "cells").glob("*/*"))}
+                                      for root in (out, tmp_path / "clean"))
+        assert resumed_files == clean_files
+        assert {name.split("/")[-1] for name in resumed_files} == {
+            "config.csv", "partition_manifest.csv", "balance_manifest.csv", "trace.csv",
+            "metrics.csv", "model.ckpt", "summary.csv"}
 
     def test_grid_summary_rows(self, tmp_path):
         cfg = replace(TINY, grid_classes_per_client=(1, 2),

@@ -186,6 +186,12 @@ class TestGenerate:
         slopes = np.array(slopes)
         assert (slopes <= -0.5).mean() >= 0.95
 
+    def test_slope_of_pixels_near_the_float32_limit_is_finite(self):
+        # A float32 spectrum of this image overflows to inf, and the slope to nan.
+        img = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32) * 255
+        img[3, 3, 0] = 3e38
+        assert math.isfinite(power_spectrum_slope(img))
+
 
 BLOCK_DIMS = [(10, 10, 1), (8, 8, 3), (28, 28, 1), (32, 32, 3)]
 BLOCK_SIZES = [0, 1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 60]
