@@ -12,7 +12,6 @@ to a few seconds.
 import json
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
