@@ -9,8 +9,7 @@ hand-differentiated models trains over the augmented datasets.
 
 from .datasets import (ClientDataset, PartitionSpec, Provenance, Scheme,
                        make_toy_dataset, parse_cifar10, parse_idx, partition)
-from .mixing import (DpMixConfig, MixWeights, WeightMode, dp_labelhide,
-                     sample_laplace, sample_mix_weights)
+from .mixing import DpMixConfig, WeightMode, dp_labelhide, sample_laplace
 from .noisegen import (GeneratorConfig, GeneratorState, WaveletBank, generate,
                        init_generator, power_spectrum_slope, sample_wavelet)
 from .protocol import (BountyResponse, Record, Topology, plan_deficits, route,

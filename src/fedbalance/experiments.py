@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown wavelet_bank {self.noise_bank!r}")
         if not math.isfinite(self.noise_leaky_slope):
             raise ConfigError(f"leaky_slope must be finite, got {self.noise_leaky_slope}")
+        if min(self.noise_base_resolution, self.noise_channels) < 1:
+            raise ConfigError("base_resolution and channels_per_scale must be >= 1")
         if self.model not in ("logreg", "mlp", "cnn"):
             raise ConfigError(f"model must be logreg/mlp/cnn, got {self.model!r}")
         if self.dataset == "toy" and self.model == "cnn" and min(self.toy_dims[:2]) < 4:
@@ -255,26 +257,26 @@ def load_train(cfg: ExperimentConfig) -> tuple[tuple, tuple[int, int, int], int]
 
 
 def load_test(cfg: ExperimentConfig) -> tuple:
-    """The configured dataset's test split as a (pixels, labels) pair; an
-    empty split is a DatasetError, since accuracy over it is undefined."""
+    """The configured dataset's test split as a (pixels, labels) pair."""
     if cfg.dataset == "toy":
         return datasets.make_toy_dataset(cfg.toy_test_per_class, cfg.toy_classes,
                                          cfg.toy_dims,
                                          derive_seed(_data_seed(cfg), "toy-test"),
                                          jitter=cfg.toy_jitter)
     test, _, _ = _load_split(cfg, "test")
-    if not len(test[1]):
-        raise datasets.DatasetError(f"{cfg.data_path}: the test split holds no images")
     return test
 
 
 def _load_split(cfg: ExperimentConfig, split: str) -> tuple[tuple, tuple[int, int, int], int]:
     """One split of the configured real dataset, its image dims and its 10
-    classes; images of other dims, or other labels, are a DatasetError."""
+    classes. An empty split (nothing to partition, or to measure accuracy
+    over), images of other dims, or other labels are a DatasetError."""
     load, dims = ((datasets.load_mnist_dir, (28, 28, 1)) if cfg.dataset == "mnist"
                   else (datasets.load_cifar10_dir, (32, 32, 3)))
     pixels, labels = load(cfg.data_path, split)
-    if pixels.shape[1:] != dims or labels.size and labels.max() >= 10:
+    if not labels.size:
+        raise datasets.DatasetError(f"{cfg.data_path}: the {split} split holds no images")
+    if pixels.shape[1:] != dims or labels.max() >= 10:
         raise datasets.DatasetError(f"{cfg.data_path}: the {split} split is not "
                                     f"{dims} images with labels 0-9")
     return (pixels, labels), dims, 10

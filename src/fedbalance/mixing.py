@@ -38,24 +38,6 @@ class WeightMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MixWeights:
-    """Length-k convex weights, sorted non-increasing."""
-
-    values: np.ndarray
-
-    def validate(self, atol: float = 1e-9) -> None:
-        w = self.values
-        if w.ndim != 1 or w.size < 1:
-            raise MixupError(f"weights must be a 1-D vector, got shape {w.shape}")
-        if np.any(w < 0):
-            raise MixupError("negative mix weight")
-        if abs(float(w.sum()) - 1.0) > atol:
-            raise MixupError(f"weights sum to {w.sum()}, expected 1")
-        if np.any(np.diff(w) > 0):
-            raise MixupError("weights must be sorted non-increasing")
-
-
-@dataclass(frozen=True)
 class DpMixConfig:
     k: int = 4
     sigma: float = 50.0
@@ -70,7 +52,8 @@ class DpMixConfig:
 
 def sample_weight_matrix(k: int, mode: WeightMode, rng: np.random.Generator,
                          n: int) -> np.ndarray:
-    """Draw n weight vectors at once; rows satisfy the MixWeights invariants.
+    """Draw n weight vectors at once: each row is k convex weights, sorted
+    non-increasing.
 
     SimplexSorted: uniform on the probability simplex (normalized exponentials),
     sorted descending. DominantUniform: first entry ~ U[0.5, 0.75], remainder a
@@ -91,11 +74,6 @@ def sample_weight_matrix(k: int, mode: WeightMode, rng: np.random.Generator,
         rest = -np.sort(-rest, axis=1)
         return np.concatenate([w0[:, None], rest], axis=1)
     raise MixupError(f"unknown weight mode {mode!r}")
-
-
-def sample_mix_weights(k: int, mode: WeightMode, rng: np.random.Generator) -> MixWeights:
-    """Draw one weight vector."""
-    return MixWeights(sample_weight_matrix(k, mode, rng, 1)[0])
 
 
 def sample_laplace(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -147,12 +125,13 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
     fillers = rng.choice(pool, size=k - 1, replace=False)
 
     if weights is None:
-        w = sample_mix_weights(k, cfg.weight_mode, rng).values
+        w = sample_weight_matrix(k, cfg.weight_mode, rng, 1)[0]
     else:
         w = np.asarray(weights, dtype=np.float64)
-        MixWeights(w).validate()
-        if w.size != k:
-            raise MixupError(f"forced weights have length {w.size}, k is {k}")
+        if (w.shape != (k,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9
+                or np.any(np.diff(w) > 0)):
+            raise MixupError(f"forced weights must be {k} non-negative weights summing "
+                             f"to 1, sorted non-increasing; got {w}")
 
     rows = source.pixels[[anchor, *fillers]]
     # Accumulate in float32, term by term, so the sigma=0 output is bitwise

@@ -598,7 +598,7 @@ def run_round(global_params: ModelParams, clients: Sequence[TrainClient],
         participants = clients
 
     pool = workers.pool()
-    pool.deal(clients, test_x, test_y)
+    pool.deal(clients, test_x, test_y, (global_params.schema, global_params.flat.dtype))
     trained = pool.train(global_params, cfg, round_index,
                          [c.client_id for c in participants])
     losses = [trained[c.client_id][1] for c in participants]

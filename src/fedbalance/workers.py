@@ -8,13 +8,15 @@ running numpy with one BLAS thread. Each worker is `python -c` running
 writes one pickled `(status, value)` reply per request to its stdout.
 `Pool.balance` sends every worker the pre-balance snapshots and a share of
 the clients to balance, and returns the rows and trace records each client
-gained. `Pool.deal` sends each worker its clients and a slice of the test
-set once; after that a round sends only the global parameters. A worker
-builds its clients' and test slice's layer-0 patch rows once per deal, for
-the first model whose layer 0 is a Conv3x3, up to `PATCH_BUDGET` bytes. The
-parent draws participants, averages and writes every file, in client-id
-order, so no output depends on how clients are dealt or on the order in
-which workers reply.
+gained. `Pool.deal` sends each worker its clients, a slice of the test set
+and the model's layout (schema and dtype) once; after that a round sends
+only the global parameters and the participants' ids, and each worker
+trains the participants it holds and evaluates its slice. When the layout's
+layer 0 is a Conv3x3, a worker builds its clients' and test slice's layer-0
+patch rows as it is dealt them, up to `PATCH_BUDGET` bytes. The parent
+draws participants, averages and writes every file, in client-id order, so
+no output depends on how clients are dealt or on the order in which
+workers reply.
 
 The pool starts lazily, once per process, and is reused across runs. Any
 failure closes it, and the next request starts a new one. A worker exits
@@ -67,8 +69,8 @@ class Pool:
     def __init__(self) -> None:
         self._procs: list[subprocess.Popen] = []
         self._dealt: list[weakref.ref] = []   # the clients and test arrays dealt
-        self._owner: dict[int, int] = {}      # client id -> worker index
-        self._evaluators: list[int] = []      # workers holding a test slice
+        self._layout: tuple = ()              # the model layout they were dealt for
+        self._in_use = 0                      # how many workers they were dealt to
 
     def _grow(self, n: int) -> None:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,11 +109,12 @@ class Pool:
         return {cid: added for reply in replies.values() for cid, added in reply.items()}
 
     def deal(self, clients: list[TrainClient], test_x: np.ndarray,
-             test_y: np.ndarray) -> None:
-        """Give each worker its clients and its evaluation chunks, unless
-        these very objects were dealt last."""
+             test_y: np.ndarray, layout: tuple) -> None:
+        """Give each worker its clients and its evaluation chunks for a model
+        of `layout` (schema, dtype), unless these very objects were dealt
+        last for that layout."""
         dealt = [*clients, test_x, test_y]
-        if (len(dealt) == len(self._dealt)
+        if (layout == self._layout and len(dealt) == len(self._dealt)
                 and all(ref() is obj for ref, obj in zip(self._dealt, dealt))):
             return
         shares = self._share_out({c.client_id: len(c) for c in clients})
@@ -121,36 +124,29 @@ class Pool:
         bounds = training._chunk_bounds(test_x.shape[0], training.EVAL_CHUNK)
         chunks = len(bounds) - 1
         requests = {}
-        evaluators = []
         for k in range(len(self._procs)):
             share = [by_id[cid] for cid in shares[k]] if k < n else []
             first, last = (k * chunks // n, (k + 1) * chunks // n) if k < n else (0, 0)
             lo, hi = bounds[first], bounds[last]
             local = [b - lo for b in bounds[first:last + 1]]
             requests[k] = ("deal", share, (test_x[lo:hi], test_y[lo:hi], local),
-                           PATCH_BUDGET)
-            if last > first:
-                evaluators.append(k)
+                           layout, PATCH_BUDGET)
         self._call(requests)
         self._dealt = [weakref.ref(obj) for obj in dealt]
-        self._owner = {cid: k for k, ids in enumerate(shares) for cid in ids}
-        self._evaluators = evaluators
+        self._layout, self._in_use = layout, n
 
     def train(self, params: ModelParams, cfg: TrainConfig, round_index: int,
               client_ids: list[int]) -> dict[int, tuple[np.ndarray, float]]:
         """{client id: (trained flat parameters, mean loss)} for one round."""
-        ids_by_worker: dict[int, list[int]] = {}
-        for cid in client_ids:
-            ids_by_worker.setdefault(self._owner[cid], []).append(cid)
-        replies = self._call({k: ("train", params, cfg, round_index, ids)
-                              for k, ids in ids_by_worker.items()})
+        replies = self._call({k: ("train", params, cfg, round_index, client_ids)
+                              for k in range(self._in_use)})
         return {cid: (flat, loss) for reply in replies.values()
                 for cid, flat, loss in reply}
 
     def count_correct(self, params: ModelParams) -> int:
         """Correct top-1 predictions over the whole dealt test set."""
         return sum(self._call({k: ("evaluate", params)
-                               for k in self._evaluators}).values())
+                               for k in range(self._in_use)}).values())
 
     def _call(self, requests: dict[int, tuple]) -> dict[int, object]:
         """Send every request, then collect every reply. Any failure closes
@@ -182,7 +178,7 @@ class Pool:
     def close(self, kill: bool = False) -> None:
         """Stop every worker and wait for it: an idle worker exits when its
         stdin closes, and `kill` also stops busy ones."""
-        procs, self._procs, self._dealt = self._procs, [], []
+        procs, self._procs, self._dealt, self._in_use = self._procs, [], [], 0
         for proc in procs:
             with contextlib.suppress(OSError):
                 proc.stdin.close()
@@ -209,35 +205,22 @@ def pool() -> Pool:
     return _POOL
 
 
-class _Dealt:
-    """A worker's dealt clients and test slice, and their layer-0 patch rows."""
-
-    def __init__(self, clients: list[TrainClient], test: tuple, budget: int) -> None:
-        self.clients = {c.client_id: c for c in clients}
-        self.test = test
-        self._budget = budget
-        self._dtype = None
-        self._rows: dict = {}
-
-    def patches(self, params: ModelParams) -> dict:
-        """`training.patch_rows` by client id, and by None for the test
-        slice, when the model's layer 0 is a Conv3x3. They are built on the
-        first such call per dtype, in deal order, until the next would pass
-        the budget; an array without rows trains through `_im2col`."""
-        if not isinstance(params.schema[0], Conv3x3):
-            return {}
-        if self._dtype != params.flat.dtype:
-            self._dtype = params.flat.dtype
-            self._rows = {}
-            left = self._budget
-            arrays = [*((cid, c.x) for cid, c in self.clients.items()), (None, self.test[0])]
-            for key, x in arrays:
-                size = 9 * x.size * self._dtype.itemsize
-                if size > left:
-                    break
-                self._rows[key] = training.patch_rows(x, self._dtype)
-                left -= size
-        return self._rows
+def _patch_rows(clients: list[TrainClient], test_x: np.ndarray, layout: tuple,
+                budget: int) -> dict:
+    """`training.patch_rows` by client id, and by None for the test slice,
+    when the layout's layer 0 is a Conv3x3: built in deal order until the
+    next would pass `budget`; an array without rows trains through
+    `_im2col`."""
+    schema, dtype = layout
+    rows: dict = {}
+    if isinstance(schema[0], Conv3x3):
+        for key, x in [*((c.client_id, c.x) for c in clients), (None, test_x)]:
+            size = 9 * x.size * dtype.itemsize
+            if size > budget:
+                break
+            rows[key] = training.patch_rows(x, dtype)
+            budget -= size
+    return rows
 
 
 def serve() -> None:
@@ -248,7 +231,7 @@ def serve() -> None:
     # Python or from C, goes to stderr instead of into the reply stream.
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
-    dealt = _Dealt([], (), 0)
+    clients, test, rows = {}, ((), (), [0]), {}   # nothing dealt yet
     while True:
         try:
             kind, *args = pickle.load(requests)
@@ -256,23 +239,22 @@ def serve() -> None:
             return
         try:
             if kind == "deal":
-                dealt = _Dealt(*args)
+                share, test, layout, budget = args
+                clients = {c.client_id: c for c in share}
+                rows = _patch_rows(share, test[0], layout, budget)
                 value = None
             elif kind == "balance":
                 value = experiments.balance_share(*args)
             elif kind == "train":
                 params, cfg, round_index, ids = args
-                patches = dealt.patches(params)
                 value = []
-                for cid in ids:
+                for cid in filter(clients.__contains__, ids):
                     trained, loss = training.local_train(
-                        params, dealt.clients[cid], cfg,
-                        rng_for(cfg.seed, "shuffle", round_index, cid), patches.get(cid))
+                        params, clients[cid], cfg,
+                        rng_for(cfg.seed, "shuffle", round_index, cid), rows.get(cid))
                     value.append((cid, trained.flat, loss))
             else:
-                params = args[0]
-                value = training.count_correct(params, *dealt.test,
-                                               dealt.patches(params).get(None))
+                value = training.count_correct(args[0], *test, rows.get(None))
             reply = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             try:

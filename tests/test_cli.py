@@ -87,6 +87,8 @@ def _config_text(*settings, base=CONFIG_TEXT):
 
 DEGENERATE_CONFIGS = {
     "noise-wavelet_bank-bogus": _config_text(("noise", "wavelet_bank", "bogus")),
+    "noise-channels_per_scale-0": _config_text(("noise", "channels_per_scale", "0")),
+    "noise-base_resolution-0": _config_text(("noise", "base_resolution", "0")),
     "dataset-toy_classes-0": _config_text(("dataset", "toy_classes", "0")),
     "dataset-toy_jitter--1": _config_text(("dataset", "toy_jitter", "-1")),
     "train-lr-nan": _config_text(("train", "lr", "nan")),
@@ -268,13 +270,13 @@ def test_io_error_exit_code(tmp_path, config_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
-def write_mnist_dir(directory, truncate_test_images, test_images=10):
-    """MNIST IDX files: 40 training and `test_images` test images of 28x28,
-    four per class in training; optionally the test-image file loses its last
-    100 bytes."""
+def write_mnist_dir(directory, truncate_test_images, test_images=10, train_images=40):
+    """MNIST IDX files: `train_images` training and `test_images` test images
+    of 28x28, four per class in training by default; optionally the
+    test-image file loses its last 100 bytes."""
     rng = np.random.default_rng(8)
     directory.mkdir()
-    for prefix, n in (("train", 40), ("t10k", test_images)):
+    for prefix, n in (("train", train_images), ("t10k", test_images)):
         images = encode_idx(rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
         if prefix == "t10k" and truncate_test_images:
             images = images[:-100]
@@ -333,6 +335,19 @@ def test_empty_test_split_exits_3(tmp_path, capsys):
                    "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == EXIT_IO
     assert "the test split holds no images" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["partition", "train"])
+def test_empty_training_split_exits_3(tmp_path, capsys, command):
+    # It used to exit 2 with a partition error: classes_per_client must be in [1, 0].
+    write_mnist_dir(tmp_path / "mnist", False, train_images=0)
+    cfg = tmp_path / "mnist.cfg"
+    cfg.write_text(f"[dataset]\nkind = mnist\npath = {tmp_path / 'mnist'}\n"
+                   "[partition]\nclasses_per_client = 2\nnum_clients = 5\n"
+                   "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "t")]) == EXIT_IO
+    assert "the train split holds no images" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("header, payload", [

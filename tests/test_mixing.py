@@ -6,26 +6,35 @@ from scipy import stats
 
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance
 from fedbalance.mixing import (DpMixConfig, InsufficientLabel, InsufficientPool,
-                               MixWeights, WeightMode, dp_labelhide,
-                               sample_laplace, sample_mix_weights,
-                               sample_weight_matrix)
+                               MixupError, WeightMode, dp_labelhide,
+                               sample_laplace, sample_weight_matrix)
+
+
+def forced_mix(weights, k=None):
+    """dp_labelhide over a ten-image client, `weights` forced, at k = their
+    length unless given."""
+    client = ClientDataset.from_images(0, [image([i] * 4, 0) for i in range(10)], 1)
+    cfg = DpMixConfig(k=len(weights) if k is None else k, sigma=0.0)
+    return dp_labelhide(client, 0, cfg, np.random.default_rng(0), weights=weights)
 
 
 class TestMixWeights:
     def test_k1_both_modes(self):
         for mode in WeightMode:
-            w = sample_mix_weights(1, mode, np.random.default_rng(0))
-            assert w.values.tolist() == [1.0]
+            w = sample_weight_matrix(1, mode, np.random.default_rng(0), 1)[0]
+            assert w.tolist() == [1.0]
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(1, 10), mode=st.sampled_from(list(WeightMode)),
            seed=st.integers(0, 10_000))
     def test_invariants(self, k, mode, seed):
-        w = sample_mix_weights(k, mode, np.random.default_rng(seed))
-        w.validate()
-        assert len(w.values) == k
+        w = sample_weight_matrix(k, mode, np.random.default_rng(seed), 1)[0]
+        assert w.shape == (k,)
+        assert np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9 and np.all(np.diff(w) <= 0)
+        if k > 1:
+            forced_mix(w)   # dp_labelhide accepts them as forced weights
         if mode is WeightMode.DOMINANT_UNIFORM and k > 1:
-            assert 0.5 <= w.values[0] <= 0.75
+            assert 0.5 <= w[0] <= 0.75
 
     def test_dominant_first_entry_uniform(self):
         # spec'd dominant-weight law: first entry uniform on [0.5, 0.75]
@@ -46,11 +55,15 @@ class TestMixWeights:
         assert np.allclose(w.mean(axis=0), [0.5208, 0.2708, 0.1458, 0.0625],
                            atol=0.01)
 
-    def test_validate_rejects_bad_vectors(self):
-        with pytest.raises(Exception):
-            MixWeights(np.array([0.3, 0.7])).validate()   # not sorted
-        with pytest.raises(Exception):
-            MixWeights(np.array([0.9, 0.2])).validate()   # does not sum to 1
+    @pytest.mark.parametrize("weights, k", [
+        ([0.3, 0.7], 2),        # not sorted
+        ([0.9, 0.2], 2),        # does not sum to 1
+        ([1.2, -0.2], 2),       # negative
+        ([0.5, 0.5], 3),        # not k of them
+    ])
+    def test_validate_rejects_bad_vectors(self, weights, k):
+        with pytest.raises(MixupError, match="^forced weights must be"):
+            forced_mix(weights, k)
 
 
 class TestSampleLaplace:

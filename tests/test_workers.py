@@ -1,7 +1,7 @@
 """The worker processes that balance the clients and train each round: their
 lifetime, how their failures reach the caller, the patch rows they keep, and
-outputs that depend neither on the client order, nor on the BLAS thread
-count, nor on the hash seed."""
+outputs that depend neither on the client order, nor on the number of
+workers, nor on the BLAS thread count, nor on the hash seed."""
 
 import hashlib
 import os
@@ -199,9 +199,10 @@ def test_patch_rows_past_the_budget_train_through_im2col(monkeypatch):
     test_x, test_y = clients[0].x, clients[0].y
     params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
     assert patch_rows(clients[0].x, np.float32).nbytes == 23_328
-    dealt = workers._Dealt(clients[:2], (test_x, test_y, [0, 18]), 30_000)
-    assert list(dealt.patches(params)) == [0]
-    assert dealt.patches(init_model(build_model("mlp", (6, 6, 1), 3), 0)) == {}
+    layout = (params.schema, params.flat.dtype)
+    assert list(workers._patch_rows(clients[:2], test_x, layout, 30_000)) == [0]
+    mlp = init_model(build_model("mlp", (6, 6, 1), 3), 0)
+    assert workers._patch_rows(clients[:2], test_x, (mlp.schema, mlp.flat.dtype), 30_000) == {}
 
     cfg = TrainConfig(batch_size=8)
     outputs = []
@@ -257,6 +258,24 @@ def test_a_reversed_client_list_writes_the_same_bytes(tmp_path, monkeypatch, par
     for name in OUTPUTS:
         assert ((tmp_path / "in-order" / name).read_bytes()
                 == (tmp_path / "reversed" / name).read_bytes()), name
+
+
+def test_the_number_of_workers_changes_no_byte(tmp_path, monkeypatch):
+    # Two of the four clients train each round and the 24 test images make
+    # one evaluation chunk, so at two and three workers some worker trains
+    # no client in a round and one or two evaluate nothing.
+    config = tmp_path / "cell.cfg"
+    config.write_text(TINY_CNN_CONFIG)
+    cfg = replace(experiments.load_config(str(config)), participation_fraction=0.5)
+    outputs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(workers, "_usable_cores", lambda: n)
+        run_experiment(cfg, str(tmp_path / f"workers-{n}"))
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / f"workers-{n}").iterdir())})
+    assert len(workers.pool()._procs) <= 3
+    assert set(outputs[0]) == set(OUTPUTS)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_a_cell_after_others_in_one_process_matches_a_fresh_process(tmp_path):
