@@ -15,6 +15,7 @@ from .datasets import DatasetError
 from .experiments import ConfigError
 from .mixing import DpMixConfig, MixupError, dp_labelhide
 from .seeding import derive_seed, rng_for
+from .training import NonFiniteGradient, NonFiniteParam
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,8 +180,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MixupError, noisegen.NoiseGenError,
-            datasets.InfeasibleSpec) as exc:
+    except (ConfigError, MixupError, noisegen.NoiseGenError, datasets.InfeasibleSpec,
+            NonFiniteGradient, NonFiniteParam) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, DatasetError, serialization.FormatError) as exc:

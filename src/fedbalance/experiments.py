@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import datasets, noisegen, serialization, training
+from . import datasets, noisegen, serialization
 from .datasets import ClientDataset, PartitionSpec
 from .mixing import DpMixConfig, WeightMode
 from .protocol import Record, Topology, plan_deficits, run_balance, write_trace
@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be toy/mnist/cifar10, got {self.dataset!r}")
         if self.dataset != "toy" and not self.data_path:
             raise ConfigError(f"dataset {self.dataset} needs a path")
-        if self.toy_classes < 1 or self.toy_jitter < 0:
-            raise ConfigError("toy_classes must be >= 1 and toy_jitter >= 0")
+        if self.toy_classes < 1 or not 0 <= self.toy_jitter < 2**63:
+            raise ConfigError("toy_classes must be >= 1 and toy_jitter in [0, 2**63)")
         if min(self.toy_per_class, self.toy_test_per_class, *self.toy_dims) < 1:
             raise ConfigError("toy_per_class, toy_test_per_class and toy_dims must be >= 1")
         if self.scheme not in ("class_skew", "dirichlet"):
@@ -423,7 +423,7 @@ def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Full pipeline: load, partition, balance, train; write CSVs when out_dir set."""
     cfg.validate()
-    test_pixels, test_y = load_test(cfg)
+    test_pixels, test_labels = load_test(cfg)
     clients, dims, num_classes = prepare_clients(cfg, out_dir)
 
     schema = build_model(cfg.model, dims, num_classes)
@@ -431,20 +431,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
                             cfg.local_epochs, cfg.participation_fraction, cfg.seed)
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
-    # Dropping `clients` and `test_pixels` leaves the scaled arrays as this
-    # process's only copy of the images while the rounds run. The first round
-    # deals them to the training workers, which keep their own copies; every
-    # later round reuses those, since it passes these very arrays again.
-    train_clients = [training.training_arrays(c) for c in clients if len(c)]
-    del clients
-    test_x = test_pixels / 255.0
-    del test_pixels
+    clients = [c for c in clients if len(c)]
 
     reports = []
     rows = []
     for round_index in range(cfg.rounds):
         started = time.perf_counter()
-        params, report = run_round(params, train_clients, test_x, test_y,
+        params, report = run_round(params, clients, test_pixels, test_labels,
                                    train_cfg, round_index)
         elapsed = time.perf_counter() - started
         reports.append(report)

@@ -140,8 +140,11 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
     for wi, row in zip(w, rows):
         mixed += np.float32(wi) * row
     if cfg.sigma > 0:
-        eta = sample_laplace(mixed.size, cfg.sigma, rng).reshape(mixed.shape)
-        mixed = mixed + eta.astype(np.float32)
+        with np.errstate(over="ignore"):   # an overflow is reported below
+            eta = sample_laplace(mixed.size, cfg.sigma, rng).reshape(mixed.shape)
+            mixed = mixed + eta.astype(np.float32)
+        if not np.isfinite(mixed).all():
+            raise MixupError(f"sigma {cfg.sigma} noises a pixel past the float32 range")
 
     if record is not None:
         record.append(MixRecord(anchor, tuple(int(i) for i in fillers), w.copy()))

@@ -514,23 +514,6 @@ def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     return correct
 
 
-@dataclass
-class TrainClient:
-    """A client's training arrays: pixels already scaled to [0, 1]."""
-
-    client_id: int
-    x: np.ndarray
-    y: np.ndarray
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
-def training_arrays(dataset: ClientDataset) -> TrainClient:
-    """A client dataset as model-boundary arrays (pixels / 255)."""
-    return TrainClient(dataset.client_id, dataset.pixels / 255.0, dataset.labels)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.001
@@ -551,40 +534,42 @@ class RoundReport:
     mean_train_loss: float
 
 
-def local_train(global_params: ModelParams, client: TrainClient, cfg: TrainConfig,
-                rng: np.random.Generator,
+def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
+                cfg: TrainConfig, rng: np.random.Generator,
                 patches: np.ndarray | None = None) -> tuple[ModelParams, float]:
-    """Local epochs of Adam from fresh optimizer state; returns (params, mean
-    loss). `patches` are the client's `patch_rows`, when built."""
+    """Local epochs of Adam on images `x` (scaled to [0, 1]) and labels `y`
+    from fresh optimizer state; returns (params, mean loss). `patches` are
+    x's `patch_rows`, when built."""
     params = global_params.copy()
     opt = OptState.fresh(params.flat.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
                          dtype=params.flat.dtype)
-    n = len(client)
+    n = len(y)
     losses = []
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             rows = None if patches is None else np.take(patches, idx, axis=0)
-            loss, grad = loss_and_grad(params, client.x[idx], client.y[idx], rows)
+            loss, grad = loss_and_grad(params, x[idx], y[idx], rows)
             params.flat = adam_step(params.flat, grad, opt)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0
 
 
-def run_round(global_params: ModelParams, clients: Sequence[TrainClient],
-              test_x: np.ndarray, test_y: np.ndarray, cfg: TrainConfig,
+def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],
+              test_pixels: np.ndarray, test_labels: np.ndarray, cfg: TrainConfig,
               round_index: int) -> tuple[ModelParams, RoundReport]:
     """One communication round: broadcast, local training, weighted averaging.
 
-    Aggregation weights are proportional to each participant's local dataset
-    size (pseudo-images included). Local training and evaluation run in the
-    worker processes of `fedbalance.workers`, which are sent the clients and
-    the test set once and keep them, so neither may change in place between
-    rounds. Participants are drawn and averaged in client-id order, and each
-    client's shuffle stream is derived from (seed, round, client id), so
-    neither the order of `clients` nor the order in which workers finish
-    changes a result.
+    `clients` and `test_pixels` hold unscaled pixels. Aggregation weights are
+    proportional to each participant's local dataset size (pseudo-images
+    included). Local training and evaluation run in the worker processes of
+    `fedbalance.workers`, which are sent the clients and the test set once and
+    keep scaled copies, so no array may change in place between rounds (an
+    `add` rebinds them, and is dealt again). Participants are drawn and
+    averaged in client-id order, and each client's shuffle stream is derived
+    from (seed, round, client id), so neither the order of `clients` nor the
+    order in which workers finish changes a result.
     """
     from . import workers
 
@@ -598,7 +583,8 @@ def run_round(global_params: ModelParams, clients: Sequence[TrainClient],
         participants = clients
 
     pool = workers.pool()
-    pool.deal(clients, test_x, test_y, (global_params.schema, global_params.flat.dtype))
+    pool.deal(clients, test_pixels, test_labels,
+              (global_params.schema, global_params.flat.dtype))
     trained = pool.train(global_params, cfg, round_index,
                          [c.client_id for c in participants])
     losses = [trained[c.client_id][1] for c in participants]
@@ -606,7 +592,7 @@ def run_round(global_params: ModelParams, clients: Sequence[TrainClient],
     new_global = fedavg_aggregate(
         [ModelParams(global_params.schema, trained[c.client_id][0]) for c in participants],
         sizes / sizes.sum())
-    accuracy = pool.count_correct(new_global) / test_x.shape[0]
+    accuracy = pool.count_correct(new_global) / len(test_labels)
     report = RoundReport(round_index, accuracy, tuple(losses), float(np.mean(losses)))
     return new_global, report
 

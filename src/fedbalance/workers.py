@@ -8,15 +8,16 @@ running numpy with one BLAS thread. Each worker is `python -c` running
 writes one pickled `(status, value)` reply per request to its stdout.
 `Pool.balance` sends every worker the pre-balance snapshots and a share of
 the clients to balance, and returns the rows and trace records each client
-gained. `Pool.deal` sends each worker its clients, a slice of the test set
-and the model's layout (schema and dtype) once; after that a round sends
-only the global parameters and the participants' ids, and each worker
-trains the participants it holds and evaluates its slice. When the layout's
-layer 0 is a Conv3x3, a worker builds its clients' and test slice's layer-0
-patch rows as it is dealt them, up to `PATCH_BUDGET` bytes. The parent
-draws participants, averages and writes every file, in client-id order, so
-no output depends on how clients are dealt or on the order in which
-workers reply.
+gained. `Pool.deal` sends each worker its clients as they are, a slice of
+the unscaled test set and the model's layout (schema and dtype); a worker
+divides those pixels by 255 once and keeps only the scaled arrays, and
+when the layout's layer 0 is a Conv3x3 builds their layer-0 patch rows, up
+to `PATCH_BUDGET` bytes. Until the clients, the arrays they hold, the test
+set or the layout change, a round sends only the global parameters and the
+participants' ids, and each worker trains the participants it holds and
+evaluates its slice. The parent draws participants, averages and writes
+every file, in client-id order, so no output depends on how clients are
+dealt or on the order in which workers reply.
 
 The pool starts lazily, once per process, and is reused across runs. Any
 failure closes it, and the next request starts a new one. A worker exits
@@ -39,7 +40,7 @@ import numpy as np
 from . import experiments, training
 from .datasets import ClientDataset
 from .seeding import rng_for
-from .training import Conv3x3, ModelParams, TrainClient, TrainConfig, TrainingError
+from .training import Conv3x3, ModelParams, TrainConfig, TrainingError
 
 _ENV = {
     # The workers fill the cores, so each runs one BLAS thread; no BLAS
@@ -68,7 +69,7 @@ class Pool:
 
     def __init__(self) -> None:
         self._procs: list[subprocess.Popen] = []
-        self._dealt: list[weakref.ref] = []   # the clients and test arrays dealt
+        self._dealt: list[weakref.ref] = []   # each client, its arrays, the test set
         self._layout: tuple = ()              # the model layout they were dealt for
         self._in_use = 0                      # how many workers they were dealt to
 
@@ -108,12 +109,13 @@ class Pool:
                               for k, ids in enumerate(shares) if ids})
         return {cid: added for reply in replies.values() for cid, added in reply.items()}
 
-    def deal(self, clients: list[TrainClient], test_x: np.ndarray,
-             test_y: np.ndarray, layout: tuple) -> None:
+    def deal(self, clients: list[ClientDataset], test_pixels: np.ndarray,
+             test_labels: np.ndarray, layout: tuple) -> None:
         """Give each worker its clients and its evaluation chunks for a model
-        of `layout` (schema, dtype), unless these very objects were dealt
-        last for that layout."""
-        dealt = [*clients, test_x, test_y]
+        of `layout` (schema, dtype), unless these very clients, holding these
+        very arrays, and test arrays were dealt last for that layout."""
+        dealt = [obj for c in clients for obj in (c, c.pixels, c.labels)]
+        dealt += [test_pixels, test_labels]
         if (layout == self._layout and len(dealt) == len(self._dealt)
                 and all(ref() is obj for ref, obj in zip(self._dealt, dealt))):
             return
@@ -121,7 +123,7 @@ class Pool:
         n = len(shares)
         by_id = {c.client_id: c for c in clients}
         # Whole evaluation chunks, in order, split across the same workers.
-        bounds = training._chunk_bounds(test_x.shape[0], training.EVAL_CHUNK)
+        bounds = training._chunk_bounds(len(test_labels), training.EVAL_CHUNK)
         chunks = len(bounds) - 1
         requests = {}
         for k in range(len(self._procs)):
@@ -129,7 +131,7 @@ class Pool:
             first, last = (k * chunks // n, (k + 1) * chunks // n) if k < n else (0, 0)
             lo, hi = bounds[first], bounds[last]
             local = [b - lo for b in bounds[first:last + 1]]
-            requests[k] = ("deal", share, (test_x[lo:hi], test_y[lo:hi], local),
+            requests[k] = ("deal", share, (test_pixels[lo:hi], test_labels[lo:hi], local),
                            layout, PATCH_BUDGET)
         self._call(requests)
         self._dealt = [weakref.ref(obj) for obj in dealt]
@@ -205,16 +207,16 @@ def pool() -> Pool:
     return _POOL
 
 
-def _patch_rows(clients: list[TrainClient], test_x: np.ndarray, layout: tuple,
+def _patch_rows(clients: dict[int, tuple], test_x: np.ndarray, layout: tuple,
                 budget: int) -> dict:
-    """`training.patch_rows` by client id, and by None for the test slice,
-    when the layout's layer 0 is a Conv3x3: built in deal order until the
-    next would pass `budget`; an array without rows trains through
-    `_im2col`."""
+    """`training.patch_rows` of the {client id: (x, y)} arrays by client id,
+    and by None for the test slice, when the layout's layer 0 is a Conv3x3:
+    built in deal order until the next would pass `budget`; an array without
+    rows trains through `_im2col`."""
     schema, dtype = layout
     rows: dict = {}
     if isinstance(schema[0], Conv3x3):
-        for key, x in [*((c.client_id, c.x) for c in clients), (None, test_x)]:
+        for key, x in [*((cid, x) for cid, (x, _) in clients.items()), (None, test_x)]:
             size = 9 * x.size * dtype.itemsize
             if size > budget:
                 break
@@ -239,9 +241,11 @@ def serve() -> None:
             return
         try:
             if kind == "deal":
-                share, test, layout, budget = args
-                clients = {c.client_id: c for c in share}
-                rows = _patch_rows(share, test[0], layout, budget)
+                share, (pixels, labels, bounds), layout, budget = args
+                clients = {c.client_id: (c.pixels / 255.0, c.labels) for c in share}
+                test = (pixels / 255.0, labels, bounds)
+                rows = _patch_rows(clients, test[0], layout, budget)
+                del args, share, pixels   # only the scaled pixels stay
                 value = None
             elif kind == "balance":
                 value = experiments.balance_share(*args)
@@ -250,7 +254,7 @@ def serve() -> None:
                 value = []
                 for cid in filter(clients.__contains__, ids):
                     trained, loss = training.local_train(
-                        params, clients[cid], cfg,
+                        params, *clients[cid], cfg,
                         rng_for(cfg.seed, "shuffle", round_index, cid), rows.get(cid))
                     value.append((cid, trained.flat, loss))
             else:

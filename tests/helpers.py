@@ -13,7 +13,7 @@ import fedbalance
 from fedbalance.datasets import ClientDataset, make_toy_dataset
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
-                                 softmax_cross_entropy, training_arrays)
+                                 softmax_cross_entropy)
 from fedbalance.training import (_conv_forward, _im2col, _param_views,
                                  _pool_forward)
 
@@ -105,13 +105,13 @@ def real_client(client_id, pixels, labels, num_classes):
 
 
 def toy_clients(n_clients, per_class, num_classes=4, dims=(6, 6, 1), seed=0):
-    """Training arrays of `n_clients` clients sharing a shuffled toy set of
-    `per_class * n_clients` images per class."""
+    """`n_clients` clients sharing a shuffled toy set of `per_class *
+    n_clients` images per class."""
     pixels, labels = make_toy_dataset(per_class * n_clients, num_classes, dims, seed=seed)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
     chunks = np.array_split(order, n_clients)
-    return [training_arrays(real_client(i, pixels[chunk], labels[chunk], num_classes))
+    return [real_client(i, pixels[chunk], labels[chunk], num_classes)
             for i, chunk in enumerate(chunks)]
 
 

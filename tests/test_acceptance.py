@@ -26,8 +26,7 @@ from fedbalance.noisegen import (GeneratorConfig, generate, init_generator,
 from fedbalance.protocol import Topology, run_balance, serve_bounty
 from fedbalance.seeding import rng_for
 from fedbalance.training import (TrainConfig, build_model, fedavg_aggregate,
-                                 init_model, local_train, run_round,
-                                 training_arrays)
+                                 init_model, local_train, run_round)
 
 
 def ok(number, name, detail=""):
@@ -203,14 +202,14 @@ def test_criterion_06_gradient_correctness():
 
 def test_criterion_07_fedavg_degeneracy():
     pixels, labels = make_toy_dataset(12, 4, (6, 6, 1), seed=7)
-    client = training_arrays(real_client(0, pixels, labels, 4))
+    client = real_client(0, pixels, labels, 4)
     cfg = TrainConfig(batch_size=16, seed=70)
     schema = build_model("mlp", (6, 6, 1), 4)
     fed = init_model(schema, 7)
     central = fed.copy()
     for rnd in range(5):
-        fed, _ = run_round(fed, [client], client.x, client.y, cfg, rnd)
-        central, _ = local_train(central, client, cfg,
+        fed, _ = run_round(fed, [client], pixels, labels, cfg, rnd)
+        central, _ = local_train(central, pixels / 255.0, labels, cfg,
                                  rng_for(cfg.seed, "shuffle", rnd, 0))
         rel = np.abs(fed.flat - central.flat) / np.maximum(np.abs(central.flat),
                                                            1e-8)
@@ -218,13 +217,13 @@ def test_criterion_07_fedavg_degeneracy():
 
     # multi-client: aggregation stays in the elementwise convex hull
     chunks = np.array_split(np.arange(len(labels)), 4)
-    clients = [training_arrays(real_client(i, pixels[chunk], labels[chunk], 4))
+    clients = [real_client(i, pixels[chunk], labels[chunk], 4)
                for i, chunk in enumerate(chunks)]
     params = init_model(schema, 8)
     trained = []
     for c in clients:
-        p, _ = local_train(params, c, cfg, rng_for(cfg.seed, "shuffle", 0,
-                                                   c.client_id))
+        p, _ = local_train(params, c.pixels / 255.0, c.labels, cfg,
+                           rng_for(cfg.seed, "shuffle", 0, c.client_id))
         trained.append(p)
     sizes = np.array([len(c) for c in clients], dtype=np.float64)
     out = fedavg_aggregate(trained, sizes / sizes.sum())

@@ -91,6 +91,8 @@ DEGENERATE_CONFIGS = {
     "noise-base_resolution-0": _config_text(("noise", "base_resolution", "0")),
     "dataset-toy_classes-0": _config_text(("dataset", "toy_classes", "0")),
     "dataset-toy_jitter--1": _config_text(("dataset", "toy_jitter", "-1")),
+    "dataset-toy_jitter-9223372036854775808": _config_text(
+        ("dataset", "toy_jitter", "9223372036854775808")),
     "train-lr-nan": _config_text(("train", "lr", "nan")),
     "train-lr-0": _config_text(("train", "lr", "0")),
     "train-eps-inf": _config_text(("train", "eps", "inf")),
@@ -208,6 +210,22 @@ def test_mix_from_tensor_directory(tmp_path):
     assert len(mixed) == 4
     assert all(m.label == 1 for m in mixed)
     assert all(m.provenance is Provenance.MIXUP for m in mixed)
+
+
+def test_mix_with_a_laplace_scale_past_float32_exits_2(tmp_path, capsys):
+    # It used to write mixups with infinite pixels and exit 0.
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    pixels, labels = make_toy_dataset(3, 3, (8, 8, 1), seed=0)
+    for i, (p, y) in enumerate(zip(pixels, labels)):
+        serialization.save_tensor_image(
+            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"), LabeledImage(p, int(y)))
+    out = tmp_path / "mixed"
+    assert main(["mix", "--in", str(pool), "--out", str(out), "--label", "1",
+                 "--count", "4", "--k", "3", "--sigma", "1e38"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: sigma 1e+38 ")
+    for path in serialization.list_tensor_images(str(out)):
+        serialization.load_tensor_image(path)
 
 
 def test_mix_rejects_a_pool_of_mixed_image_sizes(tmp_path, capsys):
@@ -462,7 +480,7 @@ k = 2
 rounds = 1
 batch_size = 4
 """
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "", "abc")
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e38", "", "abc")
 FUZZ_CASES = [(scheme, section, key, value)
               for scheme in ("class_skew", "dirichlet")
               for section, keys in experiments._SECTIONS.items() for key in keys

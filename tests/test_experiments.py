@@ -19,7 +19,6 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     run_grid)
 from fedbalance import datasets, experiments, serialization
 from fedbalance.protocol import write_trace
-from fedbalance.training import training_arrays
 from helpers import load_bench_module
 
 
@@ -134,9 +133,10 @@ class TestBalancePhase:
 
 
 # SHA-256 of everything the balance phase produces for PINNED_BALANCE: the
-# three CSVs, then each client's training_arrays x and y bytes. Balancing does
-# no BLAS matmul, so these pin the partition, mixup, trim and noise bytes
-# independently of the model. A change to any of them must be explained.
+# three CSVs, then each client's pixels / 255 (x) and label (y) bytes, the
+# arrays a training worker keeps. Balancing does no BLAS matmul, so these pin
+# the partition, mixup, trim and noise bytes independently of the model. A
+# change to any of them must be explained.
 PINNED_BALANCE = replace(TINY, classes_per_client=2, supplement_pct=50,
                          mix_fraction=0.5)
 PINNED_DIGESTS = {
@@ -174,8 +174,7 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("partition_manifest.csv", "balance_manifest.csv", "trace.csv")}
     for client in clients:
-        arrays = training_arrays(client)
-        for field, array in (("x", arrays.x), ("y", arrays.y)):
+        for field, array in (("x", client.pixels / 255.0), ("y", client.labels)):
             digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
                 array.tobytes()).hexdigest()
     assert digests == PINNED_DIGESTS
@@ -244,37 +243,43 @@ class TestRunExperiment:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_training_holds_one_copy_of_the_images(self, monkeypatch):
-        # By round 0 the loaded training and test pixels, the partitioned
-        # clients and their pre-balance pixels are all released; only the
-        # scaled arrays remain.
-        refs = []
+        # By round 0 the loaded training pixels and each client's pre-balance
+        # pixels are released. Every round is given the balanced clients
+        # themselves and the loaded test pixels, all unscaled: the training
+        # workers scale their own copies, and the main process makes none.
+        freed, loaded = [], {}
         load_test, partition = experiments.load_test, datasets.partition
         run_round = experiments.run_round
 
         def recording_load_test(cfg):
-            loaded = load_test(cfg)
-            refs.append(weakref.ref(loaded[0]))
-            return loaded
+            test = load_test(cfg)
+            loaded["test"] = weakref.ref(test[0])
+            return test
 
         def recording_partition(dataset, spec):
             clients = partition(dataset, spec)
-            refs.append(weakref.ref(dataset[0]))
-            refs.extend(weakref.ref(obj) for c in clients for obj in (c, c.pixels))
+            freed.append(weakref.ref(dataset[0]))
+            freed.extend(weakref.ref(c.pixels) for c in clients)
+            loaded["clients"] = [weakref.ref(c) for c in clients]
             return clients
 
-        alive = []
+        rounds = []
 
-        def checking_run_round(*args, **kwargs):
+        def checking_run_round(params, clients, test_pixels, *args):
             gc.collect()
-            alive.append(sum(ref() is not None for ref in refs))
-            return run_round(*args, **kwargs)
+            rounds.append((sum(ref() is not None for ref in freed),
+                           [c.client_id for c, ref in zip(clients, loaded["clients"])
+                            if c is ref()],
+                           test_pixels is loaded["test"](),
+                           min(a.max() for a in [test_pixels, *(c.pixels for c in clients)]) > 1))
+            return run_round(params, clients, test_pixels, *args)
 
         monkeypatch.setattr(experiments, "load_test", recording_load_test)
         monkeypatch.setattr(datasets, "partition", recording_partition)
         monkeypatch.setattr(experiments, "run_round", checking_run_round)
         run_experiment(replace(TINY, supplement_pct=50, mix_fraction=0.5))
-        assert len(refs) == 2 + 2 * TINY.num_clients
-        assert alive == [0] * TINY.rounds
+        assert len(freed) == 1 + TINY.num_clients
+        assert rounds == [(0, list(range(TINY.num_clients)), True, True)] * TINY.rounds
 
     def test_timing_column_only_when_enabled(self, tmp_path):
         out = tmp_path / "timed"

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (child_digests, finite_difference_worst, gradient_check_cases,
-                     load_bench_module, min_pool_gap, pool_corners, real_client,
-                     toy_clients)
+                     load_bench_module, min_pool_gap, pool_corners, toy_clients)
 
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
@@ -18,7 +17,7 @@ from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
                                  build_model, count_correct, fedavg_aggregate,
                                  forward, init_model, local_train, loss_and_grad,
                                  patch_rows, run_round, schema_param_count,
-                                 softmax_cross_entropy, training_arrays)
+                                 softmax_cross_entropy)
 from fedbalance.training import (_backward_from_delta, _chunk_bounds,
                                  _conv_forward, _conv_input_grad, _conv_taps,
                                  _im2col, _pool_backward, _pool_forward)
@@ -44,11 +43,10 @@ class TestForward:
         assert np.allclose(logits, [[6.5, -2.75]])
 
     def test_batch_of_128_has_finite_loss(self):
-        data = make_toy_dataset(13, 10, (10, 10, 1), seed=0)
-        client = training_arrays(real_client(0, *data, 10))
+        pixels, labels = make_toy_dataset(13, 10, (10, 10, 1), seed=0)
         schema = build_model("cnn", (10, 10, 1), 10)
         params = init_model(schema, 1)
-        loss, grad = loss_and_grad(params, client.x[:128], client.y[:128])
+        loss, grad = loss_and_grad(params, pixels[:128] / 255.0, labels[:128])
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
@@ -417,21 +415,21 @@ def test_patch_rows_train_and_evaluate_bitwise_as_im2col(dims):
     # 244 images at batch 128 leave a 116-image remainder batch, and two
     # evaluation chunks of 128 and 116.
     pixels, labels = make_toy_dataset(25, 10, dims, seed=4)
-    client = training_arrays(real_client(0, pixels[:244], labels[:244], 10))
+    x, y = pixels[:244] / 255.0, labels[:244]
     params = init_model(build_model("cnn", dims, 10), 5)
-    patches = patch_rows(client.x, params.flat.dtype)
+    patches = patch_rows(x, params.flat.dtype)
     assert patches.shape == (244, dims[0] * dims[1] * 9 * dims[2])
     cfg = TrainConfig(batch_size=128, local_epochs=2)
-    per_batch = local_train(params, client, cfg, rng_for(0, "shuffle", 0, 0))
-    cached = local_train(params, client, cfg, rng_for(0, "shuffle", 0, 0), patches)
+    per_batch = local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, 0))
+    cached = local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, 0), patches)
     assert cached[0].flat.tobytes() == per_batch[0].flat.tobytes()
     assert cached[1] == per_batch[1]
     bounds = _chunk_bounds(244, 128)
     assert bounds == [0, 128, 244]
-    assert (count_correct(cached[0], client.x, client.y, bounds, patches)
-            == count_correct(cached[0], client.x, client.y, bounds))
-    _, cache = forward(params, client.x[:128], patches[:128])
-    assert cache[0].tobytes() == _im2col(client.x[:128].astype(np.float32)).tobytes()
+    assert (count_correct(cached[0], x, y, bounds, patches)
+            == count_correct(cached[0], x, y, bounds))
+    _, cache = forward(params, x[:128], patches[:128])
+    assert cache[0].tobytes() == _im2col(x[:128].astype(np.float32)).tobytes()
 
 
 class TestAdam:
@@ -529,14 +527,14 @@ class TestRunRound:
     def test_single_client_equals_centralized(self):
         # centralized oracle: same shuffle streams, plain Adam loop
         clients = toy_clients(1, 12)
-        test_x, test_y = clients[0].x, clients[0].y
+        test_pixels, test_labels = clients[0].pixels, clients[0].labels
         cfg = TrainConfig(batch_size=16, seed=3)
         schema = build_model("mlp", (6, 6, 1), 4)
         fed = init_model(schema, 7)
         central = fed.copy()
         for rnd in range(5):
-            fed, _ = run_round(fed, clients, test_x, test_y, cfg, rnd)
-            central, _ = local_train(central, clients[0], cfg,
+            fed, _ = run_round(fed, clients, test_pixels, test_labels, cfg, rnd)
+            central, _ = local_train(central, test_pixels / 255.0, test_labels, cfg,
                                      rng_for(cfg.seed, "shuffle", rnd, 0))
             rel = np.abs(fed.flat - central.flat) / np.maximum(np.abs(central.flat), 1e-8)
             assert rel.max() < 1e-6
@@ -548,8 +546,8 @@ class TestRunRound:
         params = init_model(schema, 0)
         trained = []
         for c in clients:
-            p, _ = local_train(params, c, cfg, rng_for(cfg.seed, "shuffle", 0,
-                                                       c.client_id))
+            p, _ = local_train(params, c.pixels / 255.0, c.labels, cfg,
+                               rng_for(cfg.seed, "shuffle", 0, c.client_id))
             trained.append(p)
         sizes = np.array([len(c) for c in clients], dtype=np.float64)
         out = fedavg_aggregate(trained, sizes / sizes.sum())
@@ -563,8 +561,8 @@ class TestRunRound:
         params = init_model(build_model("logreg", (4, 4, 1), 3), 2)
         reports = []
         for rnd in range(200):
-            params, report = run_round(params, clients, clients[0].x,
-                                       clients[0].y, cfg, rnd)
+            params, report = run_round(params, clients, clients[0].pixels,
+                                       clients[0].labels, cfg, rnd)
             reports.append(report)
         assert len(reports) == 200
         assert reports[-1].round_index == 199
@@ -574,7 +572,8 @@ class TestRunRound:
         clients = toy_clients(5, 6, num_classes=3, dims=(4, 4, 1))
         cfg = TrainConfig(batch_size=8, seed=2, participation_fraction=0.4)
         params = init_model(build_model("logreg", (4, 4, 1), 3), 1)
-        _, report = run_round(params, clients, clients[0].x, clients[0].y, cfg, 0)
+        _, report = run_round(params, clients, clients[0].pixels, clients[0].labels,
+                              cfg, 0)
         assert len(report.client_losses) == 2   # ceil(0.4 * 5)
 
     def test_training_learns_toy_task(self):
@@ -582,15 +581,7 @@ class TestRunRound:
         cfg = TrainConfig(batch_size=32, seed=6)
         params = init_model(build_model("mlp", (6, 6, 1), 4), 3)
         for rnd in range(30):
-            params, report = run_round(params, clients, clients[0].x,
-                                       clients[0].y, cfg, rnd)
+            params, report = run_round(params, clients, clients[0].pixels,
+                                       clients[0].labels, cfg, rnd)
         assert report.test_accuracy > 0.9
 
-
-def test_training_arrays_scales_pixels():
-    pixels, labels = make_toy_dataset(2, 2, (4, 4, 1), seed=0)
-    client = training_arrays(real_client(0, pixels, labels, 2))
-    assert client.x.max() <= 1.0
-    assert client.x.dtype == np.float32
-    assert np.allclose(client.x * 255.0, pixels)
-    assert np.array_equal(client.y, labels)

@@ -196,13 +196,15 @@ def test_patch_rows_past_the_budget_train_through_im2col(monkeypatch):
     # (23,328 bytes), so a worker dealt two caches its first client's alone,
     # and not its test slice's. Whatever a worker caches, the bytes match.
     clients = toy_clients(4, 6, num_classes=3, dims=(6, 6, 1))
-    test_x, test_y = clients[0].x, clients[0].y
+    test_pixels, test_labels = clients[0].pixels, clients[0].labels
     params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
-    assert patch_rows(clients[0].x, np.float32).nbytes == 23_328
+    assert patch_rows(clients[0].pixels / 255.0, np.float32).nbytes == 23_328
     layout = (params.schema, params.flat.dtype)
-    assert list(workers._patch_rows(clients[:2], test_x, layout, 30_000)) == [0]
+    kept = {c.client_id: (c.pixels / 255.0, c.labels) for c in clients[:2]}
+    test_x = test_pixels / 255.0
+    assert list(workers._patch_rows(kept, test_x, layout, 30_000)) == [0]
     mlp = init_model(build_model("mlp", (6, 6, 1), 3), 0)
-    assert workers._patch_rows(clients[:2], test_x, (mlp.schema, mlp.flat.dtype), 30_000) == {}
+    assert workers._patch_rows(kept, test_x, (mlp.schema, mlp.flat.dtype), 30_000) == {}
 
     cfg = TrainConfig(batch_size=8)
     outputs = []
@@ -212,35 +214,54 @@ def test_patch_rows_past_the_budget_train_through_im2col(monkeypatch):
         trained = params
         reports = []
         for round_index in range(2):
-            trained, report = run_round(trained, fresh, test_x, test_y, cfg, round_index)
+            trained, report = run_round(trained, fresh, test_pixels, test_labels, cfg,
+                                        round_index)
             reports.append(report)
         outputs.append((trained.flat.tobytes(), reports))
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_a_client_changed_between_rounds_is_dealt_again():
+    # `add` keeps the client object and rebinds its arrays: a pool that only
+    # compared client objects would train round 1 on the rows dealt before.
+    clients = toy_clients(3, 6, num_classes=3, dims=(6, 6, 1))
+    extra = toy_clients(1, 2, num_classes=3, dims=(6, 6, 1), seed=1)[0]
+    test = (clients[0].pixels, clients[0].labels)
+    cfg = TrainConfig(batch_size=8)
+    params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
+    params, _ = run_round(params, clients, *test, cfg, 0)
+    clients[1].add(extra.pixels, extra.labels, extra.provenance)
+    after_add = run_round(params, clients, *test, cfg, 1)
+    workers.pool().close()
+    fresh = run_round(params, clients, *test, cfg, 1)
+    assert after_add[0].flat.tobytes() == fresh[0].flat.tobytes()
+    assert after_add[1] == fresh[1]
+
+
 def test_non_finite_gradient_in_a_worker_reaches_the_caller():
     clients = toy_clients(3, 6, num_classes=3, dims=(4, 4, 1))
-    clients[1].x[0, 0, 0, 0] = np.nan
+    clients[1].pixels[0, 0, 0, 0] = np.nan
     params = init_model(build_model("logreg", (4, 4, 1), 3), 0)
+    cfg = TrainConfig(batch_size=8)
     with pytest.raises(NonFiniteGradient, match="^gradient contains NaN or Inf$"):
-        run_round(params, clients, clients[0].x, clients[0].y, TrainConfig(batch_size=8), 0)
+        run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 0)
     assert workers.pool()._procs == []
-    clients[1].x[0, 0, 0, 0] = 0.0
-    run_round(params, clients, clients[0].x, clients[0].y, TrainConfig(batch_size=8), 0)
+    clients[1].pixels[0, 0, 0, 0] = 0.0
+    run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 0)
 
 
 def test_a_dead_worker_ends_the_round_with_an_error_naming_it():
     clients = toy_clients(3, 6, num_classes=3, dims=(4, 4, 1))
     params = init_model(build_model("logreg", (4, 4, 1), 3), 0)
     cfg = TrainConfig(batch_size=8)
-    run_round(params, clients, clients[0].x, clients[0].y, cfg, 0)
+    run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 0)
     victim = workers.pool()._procs[0]
     os.kill(victim.pid, signal.SIGKILL)
     victim.wait(timeout=10)
     with pytest.raises(TrainingError, match=rf"^training worker 0 \(pid {victim.pid}\) died"):
-        run_round(params, clients, clients[0].x, clients[0].y, cfg, 1)
+        run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
     assert workers.pool()._procs == []
-    run_round(params, clients, clients[0].x, clients[0].y, cfg, 1)
+    run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
 
 
 @pytest.mark.parametrize("participation", [1.0, 0.5])
@@ -302,7 +323,7 @@ def test_fedavg_sums_in_client_id_order():
     clients = toy_clients(10, 7, num_classes=5)
     params = init_model(build_model("mlp", (6, 6, 1), 5), 4)
     cfg = TrainConfig(batch_size=4, seed=9)
-    rounds = [run_round(params, order, clients[0].x, clients[0].y, cfg, 3)
+    rounds = [run_round(params, order, clients[0].pixels, clients[0].labels, cfg, 3)
               for order in (clients, clients[::-1], clients[3:] + clients[:3])]
     assert len({r[0].flat.tobytes() for r in rounds}) == 1
     assert len({r[1] for r in rounds}) == 1
