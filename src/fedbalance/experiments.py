@@ -3,8 +3,8 @@ the three-axis ablation grid.
 
 Configs are plain key=value files with [section] headers (stdlib configparser
 syntax), chosen so a 45-cell grid stays auditable as text. Every file a run
-writes is a deterministic function of (config, seed); wall-clock timing is
-only recorded when explicitly enabled.
+writes is a deterministic function of (config, seed) and, for mnist and
+cifar10, of the data files; nothing a run writes holds a wall-clock time.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import itertools
 import math
 import os
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -73,7 +72,6 @@ class ExperimentConfig:
     participation_fraction: float = 1.0
     # run
     seed: int = 0
-    timing: bool = False
     # grid axes (used by run_grid; empty = inherit the single value above)
     grid_classes_per_client: tuple[int, ...] = ()
     grid_supplement_pct: tuple[float, ...] = ()
@@ -86,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError(f"dataset must be toy/mnist/cifar10, got {self.dataset!r}")
         if self.dataset != "toy" and not self.data_path:
             raise ConfigError(f"dataset {self.dataset} needs a path")
+        if self.subset_per_class < 0:
+            raise ConfigError(f"subset_per_class must be >= 0, got {self.subset_per_class}")
         if self.toy_classes < 1 or not 0 <= self.toy_jitter < 2**63:
             raise ConfigError("toy_classes must be >= 1 and toy_jitter in [0, 2**63)")
         if min(self.toy_per_class, self.toy_test_per_class, *self.toy_dims) < 1:
@@ -176,7 +176,7 @@ _SECTIONS = {
               "lr": ("lr", float), "beta1": ("beta1", float),
               "beta2": ("beta2", float), "eps": ("eps", float),
               "participation_fraction": ("participation_fraction", float)},
-    "run": {"seed": ("seed", int), "timing": ("timing", "bool")},
+    "run": {"seed": ("seed", int)},
     "grid": {"classes_per_client": ("grid_classes_per_client", "int_list"),
              "supplement_pct": ("grid_supplement_pct", "float_list"),
              "mix_fraction": ("grid_mix_fraction", "float_list")},
@@ -190,13 +190,6 @@ def _convert(raw: str, kind):
         return int(raw)
     if kind is float:
         return float(raw)
-    if kind == "bool":
-        value = raw.strip().lower()
-        if value in ("true", "yes", "1", "on"):
-            return True
-        if value in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if kind == "dims":
         parts = raw.lower().replace(" ", "").split("x")
         if len(parts) != 3:
@@ -434,27 +427,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     clients = [c for c in clients if len(c)]
 
     reports = []
-    rows = []
     for round_index in range(cfg.rounds):
-        started = time.perf_counter()
         params, report = run_round(params, clients, test_pixels, test_labels,
                                    train_cfg, round_index)
-        elapsed = time.perf_counter() - started
         reports.append(report)
-        row = [report.round_index, f"{report.test_accuracy:.6f}",
-               f"{report.mean_train_loss:.6f}"]
-        if cfg.timing:
-            row.append(f"{elapsed:.3f}")
-        rows.append(row)
 
     final_acc = reports[-1].test_accuracy
     best_acc = max(r.test_accuracy for r in reports)
     tag = config_tag(cfg, num_classes)
     if out_dir:
-        header = ["round", "global_test_acc", "mean_train_loss"]
-        if cfg.timing:
-            header.append("seconds")
-        _write_csv_atomic(os.path.join(out_dir, "metrics.csv"), [header, *rows])
+        _write_csv_atomic(os.path.join(out_dir, "metrics.csv"), [
+            ["round", "global_test_acc", "mean_train_loss"],
+            *([r.round_index, f"{r.test_accuracy:.6f}", f"{r.mean_train_loss:.6f}"]
+              for r in reports)])
         serialization.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params)
         # Written last: run_grid never reuses a cell without its summary.
         _write_summary(os.path.join(out_dir, "summary.csv"), cfg, tag,
@@ -512,21 +497,32 @@ def cell_dirname(cell: ExperimentConfig) -> str:
 def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
     """Run every grid cell and assemble the grid summary CSV; returns its path.
     A cell is reused only if it has a summary and its `config.csv` fingerprint
-    (every config field with its repr) matches; otherwise it is recomputed."""
+    (every config field with its repr, plus a digest of both loaded splits for
+    mnist and cifar10) can be read and matches; otherwise it is recomputed."""
     cells = grid_cells(cfg)
     for cell in cells:   # before any cell runs, so a bad axis value trains nothing
         cell.validate()
+    data = []
+    if cfg.dataset != "toy":   # a toy config fixes its data
+        import hashlib   # here: its OpenSSL adds ~3.5 MB to every other command
+        digest = hashlib.sha256()
+        for split in ("train", "test"):
+            for array in _load_split(cfg, split)[0]:
+                digest.update(array.tobytes())
+        data = [["data_sha256", digest.hexdigest()]]
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     for cell in cells:
         cell_dir = os.path.join(cells_dir, cell_dirname(cell))
         fingerprint_path = os.path.join(cell_dir, "config.csv")
-        fingerprint = [[f.name, repr(getattr(cell, f.name))] for f in fields(cell)]
-        if (os.path.exists(os.path.join(cell_dir, "summary.csv"))
-                and os.path.exists(fingerprint_path)):
+        fingerprint = [[f.name, repr(getattr(cell, f.name))] for f in fields(cell)] + data
+        try:
             with open(fingerprint_path, newline="") as fh:
-                if list(csv.reader(fh)) == fingerprint:
+                if (list(csv.reader(fh)) == fingerprint
+                        and os.path.exists(os.path.join(cell_dir, "summary.csv"))):
                     continue
+        except (OSError, UnicodeDecodeError, csv.Error):
+            pass   # a missing or unreadable fingerprint matches nothing
         run_experiment(cell, cell_dir)
         # Written after the summary, so an interrupted cell is never reused.
         _write_csv_atomic(fingerprint_path, fingerprint)

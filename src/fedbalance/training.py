@@ -498,7 +498,8 @@ def _chunk_bounds(n: int, size: int) -> list[int]:
 
 
 # Images per evaluation forward: a desk training batch, so the forward cache
-# is no larger than a training step's.
+# is no larger than a training step's. Keep it fixed: under OpenBLAS's Haswell
+# kernels a forward's logits depend on its row count, and so would the outputs.
 EVAL_CHUNK = 128
 
 

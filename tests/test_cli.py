@@ -9,8 +9,8 @@ import pytest
 
 from fedbalance import experiments, serialization
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from fedbalance.datasets import (LabeledImage, Provenance, encode_idx,
-                                 make_toy_dataset)
+from fedbalance.datasets import (LabeledImage, Provenance, encode_cifar10,
+                                 encode_idx, make_toy_dataset)
 
 CONFIG_TEXT = """\
 [dataset]
@@ -91,6 +91,9 @@ DEGENERATE_CONFIGS = {
     "noise-base_resolution-0": _config_text(("noise", "base_resolution", "0")),
     "dataset-toy_classes-0": _config_text(("dataset", "toy_classes", "0")),
     "dataset-toy_jitter--1": _config_text(("dataset", "toy_jitter", "-1")),
+    "dataset-subset_per_class--1": _config_text(("dataset", "subset_per_class", "-1")),
+    "run-timing-true": _config_text(("run", "timing", "true")),
+    "run-timing-false": _config_text(("run", "timing", "false")),
     "dataset-toy_jitter-9223372036854775808": _config_text(
         ("dataset", "toy_jitter", "9223372036854775808")),
     "train-lr-nan": _config_text(("train", "lr", "nan")),
@@ -143,6 +146,28 @@ def test_grid_runs(config_path, tmp_path):
     out = tmp_path / "grid"
     assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
     assert (out / "summary.csv").exists()
+
+
+def grid_files(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: b"\xff\xfe\x00junk",
+    lambda raw: b"",
+    lambda raw: b"\x00" * len(raw),
+    lambda raw: raw[:len(raw) // 2],
+    lambda raw: b'"' + raw,
+], ids=["not-utf8", "empty", "nul", "truncated", "unterminated-quote"])
+def test_grid_reruns_a_cell_whose_fingerprint_is_damaged(config_path, tmp_path, damage):
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    (fingerprint,) = out.glob("cells/*/config.csv")
+    fingerprint.write_bytes(damage(fingerprint.read_bytes()))
+    assert main(["grid", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    fresh = tmp_path / "fresh"
+    assert main(["grid", "--config", config_path, "--out", str(fresh)]) == EXIT_OK
+    assert grid_files(out) == grid_files(fresh)
 
 
 @pytest.mark.parametrize("key, values", [("supplement_pct", "10,200"),
@@ -288,12 +313,14 @@ def test_io_error_exit_code(tmp_path, config_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
-def write_mnist_dir(directory, truncate_test_images, test_images=10, train_images=40):
+def write_mnist_dir(directory, truncate_test_images, test_images=10, train_images=40,
+                    seed=8):
     """MNIST IDX files: `train_images` training and `test_images` test images
-    of 28x28, four per class in training by default; optionally the
-    test-image file loses its last 100 bytes."""
-    rng = np.random.default_rng(8)
-    directory.mkdir()
+    of 28x28 with pixels drawn from `seed`, four per class in training by
+    default; optionally the test-image file loses its last 100 bytes. Files
+    already in `directory` are overwritten."""
+    rng = np.random.default_rng(seed)
+    directory.mkdir(exist_ok=True)
     for prefix, n in (("train", train_images), ("t10k", test_images)):
         images = encode_idx(rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
         if prefix == "t10k" and truncate_test_images:
@@ -301,6 +328,81 @@ def write_mnist_dir(directory, truncate_test_images, test_images=10, train_image
         (directory / f"{prefix}-images-idx3-ubyte").write_bytes(images)
         (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(
             encode_idx(np.arange(n, dtype=np.uint8) % 10))
+
+
+def one_cell_grid_config(tmp_path, kind, data):
+    cfg = tmp_path / f"{kind}.cfg"
+    cfg.write_text(f"[dataset]\nkind = {kind}\npath = {data}\n"
+                   "[train]\nmodel = logreg\nrounds = 1\n")
+    return str(cfg)
+
+
+def assert_resumed_grid_matches_a_fresh_one(tmp_path, cfg, change_data):
+    """Run the grid, call `change_data`, run it again in the same directory:
+    its files must be those of a fresh grid on the changed data."""
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    change_data()
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    fresh = tmp_path / "fresh"
+    assert main(["grid", "--config", cfg, "--out", str(fresh)]) == EXIT_OK
+    assert grid_files(out) == grid_files(fresh)
+
+
+def test_grid_reruns_a_cell_whose_data_files_changed(tmp_path):
+    data = tmp_path / "mnist"
+    write_mnist_dir(data, False, test_images=50, train_images=200)
+    assert_resumed_grid_matches_a_fresh_one(
+        tmp_path, one_cell_grid_config(tmp_path, "mnist", data),
+        lambda: write_mnist_dir(data, False, test_images=50, train_images=200, seed=9))
+
+
+@pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                                  "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"])
+def test_grid_reruns_a_cell_when_one_mnist_file_changed(tmp_path, name):
+    data = tmp_path / "mnist"
+    write_mnist_dir(data, False, test_images=50, train_images=200)
+    n = 200 if name.startswith("train") else 50
+    if "images" in name:
+        changed = encode_idx(np.random.default_rng(9).integers(
+            0, 256, size=(n, 28, 28), dtype=np.uint8))
+    else:   # the same labels, shifted by one class
+        changed = encode_idx((np.arange(n, dtype=np.uint8) + 1) % 10)
+    assert_resumed_grid_matches_a_fresh_one(
+        tmp_path, one_cell_grid_config(tmp_path, "mnist", data),
+        lambda: (data / name).write_bytes(changed))
+
+
+def test_grid_reruns_a_cell_whose_cifar10_test_batch_changed(tmp_path):
+    data = tmp_path / "cifar10"
+    data.mkdir()
+
+    def batch(n, seed):
+        pixels = np.random.default_rng(seed).integers(0, 256, size=(n, 32, 32, 3))
+        return encode_cifar10(pixels, np.arange(n) % 10)
+
+    for b in range(1, 6):
+        (data / f"data_batch_{b}.bin").write_bytes(batch(40, b))
+    (data / "test_batch.bin").write_bytes(batch(50, 6))
+    assert_resumed_grid_matches_a_fresh_one(
+        tmp_path, one_cell_grid_config(tmp_path, "cifar10", data),
+        lambda: (data / "test_batch.bin").write_bytes(batch(50, 7)))
+
+
+def test_grid_reuses_a_cell_whose_data_files_are_unchanged(tmp_path, monkeypatch):
+    data = tmp_path / "mnist"
+    write_mnist_dir(data, False, test_images=50, train_images=200)
+    cfg = one_cell_grid_config(tmp_path, "mnist", data)
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (fingerprint,) = out.glob("cells/*/config.csv")
+    assert list(csv.reader(fingerprint.read_text().splitlines()))[-1][0] == "data_sha256"
+    before = grid_files(out)
+    ran = []
+    monkeypatch.setattr(experiments, "run_experiment", lambda *args: ran.append(args))
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert ran == []
+    assert grid_files(out) == before
 
 
 def test_only_train_reads_the_test_split(tmp_path):

@@ -5,7 +5,7 @@ import os
 import sys
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +232,13 @@ class TestRunExperiment:
         assert (out / "trace.csv").exists()
         assert len(result.reports) == 2
 
+    def test_metrics_csv_has_one_header_and_a_row_per_round(self, tmp_path):
+        run_experiment(replace(TINY, rounds=3), str(tmp_path))
+        rows = list(csv.reader((tmp_path / "metrics.csv").read_text().splitlines()))
+        assert rows[0] == ["round", "global_test_acc", "mean_train_loss"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert all(len(row) == 3 for row in rows)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = replace(TINY, supplement_pct=20, mix_fraction=0.5)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -281,12 +288,6 @@ class TestRunExperiment:
         assert len(freed) == 1 + TINY.num_clients
         assert rounds == [(0, list(range(TINY.num_clients)), True, True)] * TINY.rounds
 
-    def test_timing_column_only_when_enabled(self, tmp_path):
-        out = tmp_path / "timed"
-        run_experiment(replace(TINY, timing=True), str(out))
-        header = (out / "metrics.csv").read_text().splitlines()[0]
-        assert header == "round,global_test_acc,mean_train_loss,seconds"
-
 
 class TestGrid:
     def test_cell_count_cross_product(self):
@@ -329,6 +330,13 @@ class TestGrid:
         run_grid(cfg, str(out))
         assert kept.stat().st_mtime_ns == mtime_before
         assert (removed_dir / "summary.csv").exists()
+
+    def test_toy_fingerprint_holds_the_config_fields_alone(self, tmp_path):
+        run_grid(TINY, str(tmp_path))
+        (cell,) = grid_cells(TINY)
+        path = tmp_path / "cells" / cell_dirname(cell) / "config.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert rows == [[f.name, repr(getattr(cell, f.name))] for f in fields(cell)]
 
     def test_resume_recomputes_cells_after_config_change(self, tmp_path):
         cfg = replace(TINY, grid_mix_fraction=(0.0, 1.0), supplement_pct=10,
