@@ -432,6 +432,56 @@ def test_patch_rows_train_and_evaluate_bitwise_as_im2col(dims):
     assert cache[0].tobytes() == _im2col(x[:128].astype(np.float32)).tobytes()
 
 
+# (loss.hex(), SHA-256 of the trained flat vector) of `local_train` at batch
+# 128 over two epochs, per (model, dims, patch rows, images): 129 and 255
+# images end each epoch on a batch of 1 and of 127, so a step that keeps
+# anything sized by one batch into the next would change these bytes.
+PINNED_LOCAL_TRAIN = {
+    ("cnn", (10, 10, 1), 129): (
+        "0x1.25bab88000000p+1",
+        "35c314ca2c61d94f4a4ffc74a50c71917f5304b2398160a183a390e5ec648521"),
+    ("cnn", (10, 10, 1), 255): (
+        "0x1.2760ac8000000p+1",
+        "95acd35268963a7b1d7093846d16b592af4b46f1513fa47f2e11a4ecf0cc9d96"),
+    ("cnn", (5, 5, 3), 129): (
+        "0x1.1e6f778000000p+1",
+        "a3fcc6ce4ffe96699b5cfa3349ad6722029c5931b24621d1067937a68b78c3c1"),
+    ("cnn", (5, 5, 3), 255): (
+        "0x1.2959798000000p+1",
+        "cbd246172be33db9a1c0a4696b6fa499fa1514d5925d69717e6d2761384bb4c9"),
+    ("mlp", (10, 10, 1), 129): (
+        "0x1.24faa08000000p+1",
+        "20962e3f7cc686c4747574422c0dcf65e7f6597cd8b7d95b161e803b71d9fd7c"),
+    ("mlp", (10, 10, 1), 255): (
+        "0x1.2b02350000000p+1",
+        "d9b5cb825d82d01eeb602f837de53b0d24055b5331b6aee81cfde2ae71c42a91"),
+    ("logreg", (10, 10, 1), 129): (
+        "0x1.493f110000000p+1",
+        "fd0f616343b3312bd40bdc32c25900ff5e2bb0d97e265b12be325778b68dc8bb"),
+    ("logreg", (10, 10, 1), 255): (
+        "0x1.409d6b8000000p+1",
+        "c90a49842063b144a479966689332d8a89c90888d872296cdd39a52814d5eb5b"),
+}
+
+
+@pytest.mark.parametrize("model, dims, with_rows", [
+    ("cnn", (10, 10, 1), True), ("cnn", (10, 10, 1), False),
+    ("cnn", (5, 5, 3), True), ("cnn", (5, 5, 3), False),
+    ("mlp", (10, 10, 1), False), ("logreg", (10, 10, 1), False)])
+@pytest.mark.parametrize("n_images", [129, 255])
+def test_local_train_on_ragged_batches_matches_pinned_digests(model, dims, with_rows,
+                                                              n_images):
+    rng = np.random.default_rng(13)
+    x = rng.random((n_images, *dims)).astype(np.float32)
+    y = rng.integers(0, 10, n_images)
+    params = init_model(build_model(model, dims, 10), 7)
+    patches = patch_rows(x, params.flat.dtype) if with_rows else None
+    trained, loss = local_train(params, x, y, TrainConfig(batch_size=128, local_epochs=2),
+                                rng_for(0, "shuffle", 1, 2), patches)
+    got = (loss.hex(), hashlib.sha256(trained.flat.tobytes()).hexdigest())
+    assert got == PINNED_LOCAL_TRAIN[model, dims, n_images]
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         flat = np.array([1.0, -2.0, 3.0], dtype=np.float32)
