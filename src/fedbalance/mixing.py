@@ -9,6 +9,7 @@ so the noise distribution stays untouched.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,7 +84,12 @@ def sample_laplace(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray
     """
     if sigma < 0:
         raise MixupError(f"sigma must be >= 0, got {sigma}")
-    u = rng.random(d) - 0.5
+    return _laplace(rng.random(d), sigma)
+
+
+def _laplace(uniform: np.ndarray, sigma: float) -> np.ndarray:
+    """`sample_laplace`'s noise from its U[0, 1) draws, elementwise."""
+    u = uniform - 0.5
     # u = -0.5 has probability 2^-53; the clamp keeps log finite without
     # disturbing the distribution.
     inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
@@ -99,16 +105,22 @@ class MixRecord:
     weights: np.ndarray
 
 
-def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
-                 rng: np.random.Generator, *, weights: Sequence[float] | None = None,
-                 record: list[MixRecord] | None = None) -> np.ndarray:
-    """Produce one k-way mixed (H, W, Ch) float32 pseudo-image for `target_label`.
+def mix_block(source: ClientDataset, target_label: int, cfg: DpMixConfig,
+              rngs: Sequence[np.random.Generator], *,
+              weights: Sequence[float] | None = None,
+              record: list[MixRecord] | None = None) -> np.ndarray:
+    """One k-way mixed pseudo-image for `target_label` per stream:
+    (len(rngs), H, W, Ch) float32.
 
-    The anchor is drawn uniformly from the target class and takes the largest
-    weight; the other k-1 images are drawn without replacement from the rest
-    of the source (any label). The label is never mixed: the caller labels the
-    image `target_label`. `weights` overrides sampling (tests and calibration);
-    `record`, when given, receives an audit entry for the selection.
+    Row i is `dp_labelhide(source, target_label, cfg, rngs[i])`, bit for
+    bit: each stream makes that call's draws in its order (anchor, fillers,
+    weights, then the noise's uniforms), and the arithmetic then runs once
+    over the block, elementwise as for one image. The anchor is drawn
+    uniformly from the target class and takes the largest weight; the other
+    k-1 images are drawn without replacement from the rest of the source
+    (any label). The label is never mixed: the caller labels the images
+    `target_label`. `weights` overrides sampling for every row (tests and
+    calibration); `record`, when given, receives an audit entry per row.
     """
     cfg.validate()
     k = cfg.k
@@ -119,33 +131,53 @@ def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
     if len(source) < k:
         raise InsufficientPool(
             f"client {source.client_id} holds {len(source)} examples, need {k}")
-
-    anchor = int(anchors[rng.integers(anchors.size)])
-    pool = np.delete(np.arange(len(source)), anchor)
-    fillers = rng.choice(pool, size=k - 1, replace=False)
-
-    if weights is None:
-        w = sample_weight_matrix(k, cfg.weight_mode, rng, 1)[0]
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if (w.shape != (k,) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9
-                or np.any(np.diff(w) > 0)):
+    if weights is not None:
+        forced = np.asarray(weights, dtype=np.float64)
+        if (forced.shape != (k,) or np.any(forced < 0) or abs(float(forced.sum()) - 1.0) > 1e-9
+                or np.any(np.diff(forced) > 0)):
             raise MixupError(f"forced weights must be {k} non-negative weights summing "
-                             f"to 1, sorted non-increasing; got {w}")
+                             f"to 1, sorted non-increasing; got {forced}")
 
-    rows = source.pixels[[anchor, *fillers]]
+    n = len(rngs)
+    shape = source.pixels.shape[1:]
+    picks = np.empty((k, n), dtype=np.int64)        # anchor, then fillers, per row
+    w = np.empty((k, n), dtype=np.float64)
+    uniform = np.empty((n, math.prod(shape)), dtype=np.float64)
+    for i, rng in enumerate(rngs):
+        anchor = anchors[rng.integers(anchors.size)]
+        # a choice among the other len(source) - 1 indices, as over
+        # np.delete(np.arange(len(source)), anchor)
+        fillers = rng.choice(len(source) - 1, size=k - 1, replace=False)
+        picks[0, i], picks[1:, i] = anchor, fillers + (fillers >= anchor)
+        w[:, i] = (sample_weight_matrix(k, cfg.weight_mode, rng, 1)[0]
+                   if weights is None else forced)
+        if cfg.sigma > 0:
+            rng.random(out=uniform[i])
+
+    rows = source.pixels[picks]                     # (k, n, H, W, Ch)
+    weight32 = w.astype(np.float32).reshape(k, n, *(1,) * len(shape))
     # Accumulate in float32, term by term, so the sigma=0 output is bitwise
     # reproducible by a plain loop oracle.
-    mixed = np.zeros(rows.shape[1:], dtype=np.float32)
-    for wi, row in zip(w, rows):
-        mixed += np.float32(wi) * row
+    mixed = np.zeros((n, *shape), dtype=np.float32)
+    for weight, row in zip(weight32, rows):
+        mixed += weight * row
     if cfg.sigma > 0:
         with np.errstate(over="ignore"):   # an overflow is reported below
-            eta = sample_laplace(mixed.size, cfg.sigma, rng).reshape(mixed.shape)
-            mixed = mixed + eta.astype(np.float32)
+            mixed += _laplace(uniform, cfg.sigma).astype(np.float32).reshape(mixed.shape)
         if not np.isfinite(mixed).all():
             raise MixupError(f"sigma {cfg.sigma} noises a pixel past the float32 range")
 
     if record is not None:
-        record.append(MixRecord(anchor, tuple(int(i) for i in fillers), w.copy()))
+        record += [MixRecord(int(picks[0, i]), tuple(int(j) for j in picks[1:, i]),
+                             w[:, i].copy()) for i in range(n)]
     return mixed
+
+
+def dp_labelhide(source: ClientDataset, target_label: int, cfg: DpMixConfig,
+                 rng: np.random.Generator, *, weights: Sequence[float] | None = None,
+                 record: list[MixRecord] | None = None) -> np.ndarray:
+    """Produce one k-way mixed (H, W, Ch) float32 pseudo-image for
+    `target_label`: `mix_block` over the one stream `rng`, whose `weights`
+    and `record` these are.
+    """
+    return mix_block(source, target_label, cfg, [rng], weights=weights, record=record)[0]

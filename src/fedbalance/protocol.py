@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .datasets import PROVENANCES, ClientDataset, Provenance
-from .mixing import DpMixConfig, dp_labelhide
+from .mixing import DpMixConfig, mix_block
 from .noisegen import GeneratorState, generate_block
 from .seeding import rng_for
 
@@ -48,7 +48,7 @@ class Record(NamedTuple):
 # Kept as a wrapper around a list: benchmarks/tracer.py counts `bool(.samples)`.
 @dataclass
 class BountyResponse:
-    samples: list[np.ndarray]       # one (H, W, Ch) float32 mixup each
+    samples: list[np.ndarray]       # one (H, W, Ch) float32 mixup each, rows of one block
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,18 @@ def serve_bounty(responder: ClientDataset, label: int, quantity: int, cfg: DpMix
     Serves min(requested, floor(capacity_fraction * local count of the label))
     mixups. A responder without an example of the label, or with fewer than
     k examples in all, returns an empty response rather than failing. Each
-    mixup gets its own derived generator stream so parallel generation stays
-    order-independent.
+    mixup gets its own derived generator stream, so parallel generation stays
+    order-independent; `mixing.mix_block` builds them as one block, and the
+    samples are its rows.
     """
     hist = responder.label_histogram
     if label >= responder.num_classes or hist[label] == 0 or hist.sum() < cfg.k:
         return BountyResponse([])
     n = min(quantity, math.floor(capacity_fraction * int(hist[label])))
     root = int(rng.integers(2**62))
-    return BountyResponse([dp_labelhide(responder, label, cfg,
-                                        rng_for(root, "mix", responder.client_id, i))
-                           for i in range(n)])
+    return BountyResponse(list(mix_block(
+        responder, label, cfg, [rng_for(root, "mix", responder.client_id, i)
+                                for i in range(n)])))
 
 
 def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],

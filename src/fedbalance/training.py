@@ -3,8 +3,10 @@
 Models are a flat float32 parameter vector plus a layer schema (Dense,
 Conv3x3, MaxPool2, ReLU, terminal Softmax). Forward/backward are written
 directly in numpy and are dtype-generic so gradient checks can run on 64-bit
-shadow parameters. Every shuffle and participation draw flows through named
-seed streams, which makes full runs reproducible bit for bit.
+shadow parameters; a step plan settles, once per batch size, each layer's
+dispatch, parameter views and buffers. Every shuffle and participation draw
+flows through named seed streams, which makes full runs reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -157,40 +159,77 @@ def _pool_rows(b: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, scatter
 
 
+class _Pool:
+    """2x2 max pooling of (B, H, W, C) batches of one shape and dtype, into
+    buffers made once.
+
+    One `take` of whole C-float pixel rows copies out the four corners; a
+    strided copy per corner would move them C floats at a time. A corner
+    replaces the running winner only when strictly larger, so ties go to the
+    first maximum in corner order (argmax's rule). The output is selected
+    bitwise, so it is the winning element itself, sign of zero included (NaN
+    inputs aside, where argmax would pick the first NaN). The cache is the
+    int8 winner index per output element.
+
+    Backward writes each corner's masked share of dout into its block of a
+    corner-major buffer whose extra last row stays zero; one `take` through
+    `scatter` then puts every pixel row in place, an uncovered pixel reading
+    zeros.
+    """
+
+    def __init__(self, shape: tuple[int, ...], dtype, train: bool = True):
+        b, h, w, c = shape
+        self.gather, self.scatter = _pool_rows(b, h, w)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        out_shape = (b, h // 2, w // 2, c)
+        # The corners that forward copies out and the shares that backward
+        # writes take turns in one buffer, whose last row no one writes.
+        self.shares = np.empty((4 * math.prod(out_shape[:3]) + 1, c), dtype=bits)
+        self.shares[-1] = 0
+        self.blocks = self.shares[:-1].reshape(4, *out_shape)
+        self.corners = self.blocks.view(dtype)
+        self.out = np.empty(out_shape, dtype=dtype)
+        self.out_bits = self.out.view(bits)
+        self.larger = np.empty(out_shape, dtype=bool)
+        self.mask = np.empty(out_shape, dtype=bits)
+        self.diff = np.empty(out_shape, dtype=bits)
+        self.winner = np.empty(out_shape, dtype=np.int8)
+        if train:
+            self.dx = np.empty(shape, dtype=dtype)
+            self.dx_rows = self.dx.view(bits).reshape(-1, c)
+
+    def forward(self, x: np.ndarray):
+        x.reshape(-1, x.shape[-1]).take(self.gather, axis=0, mode="clip",
+                                        out=self.corners.reshape(-1, x.shape[-1]))
+        np.copyto(self.out, self.corners[0])
+        self.winner.fill(0)
+        for k in range(1, 4):
+            np.greater(self.corners[k], self.out, out=self.larger)
+            np.negative(self.larger, dtype=self.mask.dtype, out=self.mask)
+            np.bitwise_xor(self.out_bits, self.blocks[k], out=self.diff)
+            self.diff &= self.mask
+            self.out_bits ^= self.diff
+            np.maximum(self.winner, self.larger * np.int8(k), out=self.winner)
+        return self.out, self.winner
+
+    def backward(self, dout: np.ndarray, winner: np.ndarray) -> np.ndarray:
+        dout_bits = np.ascontiguousarray(dout).view(self.mask.dtype)
+        for k in range(4):
+            np.equal(winner, k, out=self.larger)
+            np.negative(self.larger, dtype=self.mask.dtype, out=self.mask)
+            np.bitwise_and(dout_bits, self.mask, out=self.blocks[k])
+        self.shares.take(self.scatter, axis=0, out=self.dx_rows, mode="clip")
+        return self.dx
+
+
 def _pool_forward(x: np.ndarray):
-    # One `take` of whole C-float pixel rows copies out the four corners; a
-    # strided copy per corner would move them C floats at a time.
-    # A corner replaces the running winner only when strictly larger, so ties
-    # go to the first maximum in corner order (argmax's rule). The output is
-    # selected bitwise, so it is the winning element itself, sign of zero
-    # included (NaN inputs aside, where argmax would pick the first NaN).
-    b, h, w, c = x.shape
-    gather, _ = _pool_rows(b, h, w)
-    corners = np.take(x.reshape(-1, c), gather, axis=0).reshape(4, b, h // 2, w // 2, c)
-    bits = np.dtype(f"u{x.itemsize}")
-    out = corners[0].copy()
-    out_bits = out.view(bits)
-    winner = np.zeros(out.shape, dtype=np.int8)
-    for k, corner in enumerate(corners[1:], start=1):
-        larger = corner > out
-        out_bits ^= (out_bits ^ corner.view(bits)) & -larger.astype(bits)
-        np.maximum(winner, larger * np.int8(k), out=winner)
+    out, winner = _Pool(x.shape, x.dtype, train=False).forward(x)
     return out, (x.shape, winner)
 
 
 def _pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    # Each corner's masked share of dout fills its block of a corner-major
-    # buffer whose extra last row stays zero; one `take` through `scatter`
-    # then puts every pixel row in place, an uncovered pixel reading zeros.
-    (b, h, w, c), winner = cache
-    _, scatter = _pool_rows(b, h, w)
-    bits = np.dtype(f"u{dout.itemsize}")
-    dout_bits = np.ascontiguousarray(dout).view(bits)
-    shares = np.zeros((4 * math.prod(winner.shape[:3]) + 1, c), dtype=bits)
-    blocks = shares[:-1].reshape(4, *winner.shape)
-    for k in range(4):
-        np.bitwise_and(dout_bits, -(winner == k).astype(bits), out=blocks[k])
-    return np.take(shares, scatter, axis=0).view(dout.dtype).reshape(b, h, w, c)
+    shape, winner = cache
+    return _Pool(shape, dout.dtype).backward(dout, winner)
 
 
 def _conv_taps(h: int, w: int):
@@ -204,42 +243,52 @@ def _conv_taps(h: int, w: int):
                    (slice(y0 + dy - 1, y1 + dy - 1), slice(x0 + dx - 1, x1 + dx - 1)))
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B*H*W, 9*C) patch matrix for same-padded 3x3 convs.
+class _Im2col:
+    """(B, H, W, C) -> (B*H*W, 9*C) patch matrix for same-padded 3x3 convs,
+    for batches of one shape and dtype, into a buffer made once.
 
     With several channels, one copy of a zero-padded batch's 3x3 windows in
     (B, H, W, dy, dx, C) order moves runs of 3*C floats. With one channel
     those runs would be 3 floats, so nine clipped tap copies, each moving runs
     of W pixels, stay faster. At batch 128 on a 2-core x86 VM: 10x10x1 takes
     ~170 us as taps against ~300-400 us as a window copy; 5x5x8 takes
-    ~100-180 us as a window copy against ~220-270 us as taps.
+    ~100-180 us as a window copy against ~220-270 us as taps. The padding,
+    and the patch entries no tap covers, are zeroed once and never written.
     """
-    b, h, w, c = x.shape
-    if c == 1:
-        cols = np.zeros((b, h, w, 9, c), dtype=x.dtype)
-        for tap, (oy, ox), (sy, sx) in _conv_taps(h, w):
-            cols[:, oy, ox, tap, :] = x[:, sy, sx, :]
-        return cols.reshape(b * h * w, 9 * c)
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
-    padded[:, 1:-1, 1:-1, :] = x
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))   # (B, H, W, C, 3, 3)
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        b * h * w, 9 * c)
+
+    def __init__(self, shape: tuple[int, ...], dtype):
+        b, h, w, c = shape
+        cols = (np.zeros if c == 1 else np.empty)((b, h, w, 9, c), dtype=dtype)
+        self.cols = cols.reshape(b * h * w, 9 * c)
+        if c == 1:
+            self.taps = [(cols[:, oy, ox, tap, :], (slice(None), sy, sx))
+                         for tap, (oy, ox), (sy, sx) in _conv_taps(h, w)]
+        else:
+            padded = np.zeros((b, h + 2, w + 2, c), dtype=dtype)
+            self.taps = []
+            self.interior = padded[:, 1:-1, 1:-1, :]
+            self.windows = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(
+                0, 1, 2, 4, 5, 3)                          # (B, H, W, dy, dx, C)
+            self.window_cols = cols.reshape(b, h, w, 3, 3, c)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.taps:
+            for dst, src in self.taps:
+                dst[...] = x[src]
+        else:
+            self.interior[...] = x
+            np.copyto(self.window_cols, self.windows)
+        return self.cols
 
 
-def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
-                  bias: np.ndarray) -> np.ndarray:
-    # The bias is tiled once per pixel and added over whole-image rows: one
-    # inner loop per image rather than one per pixel, same bits.
-    b, h, width, c_in = x.shape
-    c_out = w.shape[-1]
-    out = (cols @ w.reshape(9 * c_in, c_out)).reshape(b, h * width * c_out)
-    out += np.tile(bias, h * width)
-    return out.reshape(b, h, width, c_out)
+def _im2col(x: np.ndarray) -> np.ndarray:
+    return _Im2col(x.shape, x.dtype)(x)
 
 
-def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """col2im of dout @ W^T; each input pixel sums its taps in dy, dx order.
+class _ConvInputGrad:
+    """col2im of dout @ W^T for (B, H, W, C_out) douts of one shape and
+    dtype, into buffers made once; each input pixel sums its taps in dy, dx
+    order.
 
     One GEMM gives every tap's block, with the bits of one GEMM per tap.
     Each block is then added in one run over the flat pixel axis, shifted by
@@ -248,32 +297,70 @@ def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     adding +0.0 to a sum that started at +0.0 changes no bit, since such a
     sum is never -0.0.
     """
-    b, h, width, c_out = dout.shape
-    c_in = w.shape[2]
-    n = b * h * width
-    dcols = (dout.reshape(n, c_out) @ w.reshape(9 * c_in, c_out).T).reshape(n, 9, c_in)
-    grad = np.zeros((n, c_in), dtype=dout.dtype)
-    for tap in range(9):
-        dy, dx = divmod(tap, 3)
-        block = np.take(dcols, tap, axis=1)     # a contiguous (N, C_in) copy
+
+    def __init__(self, shape: tuple[int, ...], c_in: int, dtype,
+                 dcols: np.ndarray | None = None):
+        b, h, width, c_out = shape
+        n = b * h * width
+        self.dout_shape = (n, c_out)
+        self.dcols = np.empty((n, 9 * c_in), dtype=dtype) if dcols is None else dcols
+        self.dcol_taps = self.dcols.reshape(n, 9, c_in)
+        self.grad = np.empty((b, h, width, c_in), dtype=dtype)
+        grad = self.grad.reshape(n, c_in)
+        self.block = block = np.empty((n, c_in), dtype=dtype)
         pixels = block.reshape(b, h, width, c_in)
-        if dy != 1:
-            pixels[:, 0 if dy == 0 else -1] = 0
-        if dx != 1:
-            pixels[:, :, 0 if dx == 0 else -1] = 0
-        shift = (dy - 1) * width + dx - 1
-        if shift >= 0:
-            grad[shift:] += block[:n - shift]
-        else:
-            grad[:shift] += block[-shift:]
-    return grad.reshape(b, h, width, c_in)
+        self.taps = []
+        for tap in range(9):
+            dy, dx = divmod(tap, 3)
+            edges = []
+            if dy != 1:
+                edges.append(pixels[:, 0 if dy == 0 else -1])
+            if dx != 1:
+                edges.append(pixels[:, :, 0 if dx == 0 else -1])
+            shift = (dy - 1) * width + dx - 1
+            if shift >= 0:
+                self.taps.append((tap, edges, grad[shift:], block[:n - shift]))
+            else:
+                self.taps.append((tap, edges, grad[:shift], block[-shift:]))
+
+    def __call__(self, dout: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        np.matmul(dout.reshape(self.dout_shape), kernel.T, out=self.dcols)
+        self.grad.fill(0)
+        for tap, edges, dst, src in self.taps:
+            self.dcol_taps.take(tap, axis=1, out=self.block, mode="clip")
+            for edge in edges:
+                edge.fill(0)
+            dst += src
+        return self.grad
+
+
+def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _ConvInputGrad(dout.shape, w.shape[2], dout.dtype)(
+        dout, w.reshape(-1, w.shape[-1]))
 
 
 _GEMM_Q = 448   # the K rows per block of OpenBLAS's sgemm drivers (see below)
 
 
-def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.T @ b, with the bits OpenBLAS's threaded driver gives.
+@functools.lru_cache(maxsize=64)
+def _gemm_blocks(k: int) -> tuple[slice, ...]:
+    """The K row blocks of OpenBLAS's threaded sgemm driver, in its order."""
+    blocks = []
+    start = 0
+    while start < k:
+        rows = k - start
+        if rows >= 2 * _GEMM_Q:
+            rows = _GEMM_Q
+        elif rows > _GEMM_Q:
+            rows = (rows + 1) // 2
+        blocks.append(slice(start, start + rows))
+        start += rows
+    return tuple(blocks)
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a.T @ b, with the bits OpenBLAS's threaded driver gives; into `out`
+    when given.
 
     Of the model's products, only this one, whose inner dimension K runs
     over the batch's rows, changes bits with the BLAS thread count. Both
@@ -291,21 +378,11 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k, m = a.shape
     n = b.shape[1]
     if m * n * k <= 1_000_000 or (m <= 16 and n <= 24):
-        return a.T @ b
-    out = None
-    start = 0
-    while start < k:
-        rows = k - start
-        if rows >= 2 * _GEMM_Q:
-            rows = _GEMM_Q
-        elif rows > _GEMM_Q:
-            rows = (rows + 1) // 2
-        block = a[start:start + rows].T @ b[start:start + rows]
-        if out is None:
-            out = block
-        else:
-            out += block
-        start += rows
+        return np.matmul(a.T, b, out=out)
+    first, *rest = _gemm_blocks(k)
+    out = np.matmul(a[first].T, b[first], out=out)
+    for rows in rest:
+        out += a[rows].T @ b[rows]
     return out
 
 
@@ -320,6 +397,193 @@ def patch_rows(x: np.ndarray, dtype) -> np.ndarray:
     return _im2col(np.asarray(x, dtype=dtype)).reshape(n, h * w * 9 * c)
 
 
+# The layer steps of a plan. Each is made for one input shape, with views of
+# its parameters and, when it trains, of its gradient; `forward` returns its
+# output buffer and what its `backward` needs, and `backward` writes the
+# layer's gradient and returns the input gradient (None for layer 0, whose
+# input gradient would be discarded).
+
+class _DenseStep:
+    def __init__(self, layer: Dense, view, grad_view, shape, first: bool):
+        batch, features = shape[0], math.prod(shape[1:])
+        if features != layer.in_features:
+            raise ShapeMismatch(f"Dense expects {layer.in_features} features, got {features}")
+        self.in_shape, self.flat_shape = shape, (batch, features)
+        self.w, self.b = view
+        self.out = np.empty((batch, layer.out_features), dtype=self.w.dtype)
+        if grad_view is not None:
+            self.gw, self.gb = grad_view
+            self.din = None if first else np.empty(self.flat_shape, dtype=self.w.dtype)
+
+    def forward(self, act: np.ndarray):
+        flat_in = act.reshape(self.flat_shape)
+        np.matmul(flat_in, self.w, out=self.out)
+        self.out += self.b
+        return self.out, flat_in
+
+    def backward(self, delta: np.ndarray, flat_in: np.ndarray):
+        _weight_grad(flat_in, delta, out=self.gw)
+        np.sum(delta, axis=0, out=self.gb)
+        if self.din is None:
+            return None
+        np.matmul(delta, self.w.T, out=self.din)
+        return self.din.reshape(self.in_shape)
+
+
+class _ConvStep:
+    """The bias is tiled once per pixel and added over whole-image rows: one
+    inner loop per image rather than one per pixel, same bits. The tile is
+    refreshed from the bias on every forward, since training moves it."""
+
+    def __init__(self, layer: Conv3x3, view, grad_view, shape, first: bool):
+        if len(shape) != 4 or shape[3] != layer.in_channels:
+            raise ShapeMismatch(
+                f"Conv3x3 expects (B,H,W,{layer.in_channels}), got {shape}")
+        b, h, w, c_in = shape
+        c_out = layer.out_channels
+        weights, self.bias = view
+        dtype = weights.dtype
+        self.shape, self.cols_shape = shape, (b * h * w, 9 * c_in)
+        self.kernel = weights.reshape(9 * c_in, c_out)
+        # Layer 0's is made on first use: patch rows may stand in for it.
+        self.im2col = None if first else _Im2col(shape, dtype)
+        self.out = np.empty((b, h, w, c_out), dtype=dtype)
+        self.out_pixels = self.out.reshape(b * h * w, c_out)
+        self.out_images = self.out.reshape(b, h * w * c_out)
+        self.tile = np.empty(h * w * c_out, dtype=dtype)
+        self.tile_pixels = self.tile.reshape(h * w, c_out)
+        if grad_view is not None:
+            gw, self.gbias = grad_view
+            self.gkernel = gw.reshape(9 * c_in, c_out)
+            # The input gradient's GEMM writes over the patch matrix, which
+            # the weight gradient has read by then.
+            self.input_grad = None if first else _ConvInputGrad(
+                self.out.shape, c_in, dtype, self.im2col.cols)
+
+    def forward(self, act: np.ndarray, cols: np.ndarray | None = None):
+        if cols is None:
+            if self.im2col is None:
+                self.im2col = _Im2col(self.shape, self.out.dtype)
+            cols = self.im2col(act)
+        np.matmul(cols, self.kernel, out=self.out_pixels)
+        self.tile_pixels[...] = self.bias
+        self.out_images += self.tile
+        return self.out, cols
+
+    def backward(self, delta: np.ndarray, cols: np.ndarray):
+        dout = delta.reshape(self.out_pixels.shape)
+        _weight_grad(cols, dout, out=self.gkernel)
+        # einsum adds the rows in order, as sum(axis=0) does, but runs one
+        # inner loop over the whole array rather than one per row.
+        np.einsum("nc->c", dout, out=self.gbias)
+        return None if self.input_grad is None else self.input_grad(delta, self.kernel)
+
+
+def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
+                  bias: np.ndarray) -> np.ndarray:
+    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), None, x.shape, True).forward(x, cols)[0]
+
+
+class _ReluStep:
+    def __init__(self, shape, dtype, train: bool):
+        self.out = np.empty(shape, dtype=dtype)
+        self.mask = np.empty(shape, dtype=bool)
+        if train:
+            self.din = np.empty(shape, dtype=dtype)
+
+    def forward(self, act: np.ndarray):
+        np.greater(act, 0, out=self.mask)
+        np.maximum(act, 0, out=self.out)
+        return self.out, self.mask
+
+    def backward(self, delta: np.ndarray, mask: np.ndarray):
+        return np.multiply(delta, mask, out=self.din)
+
+
+class _StepPlan:
+    """One forward/backward implementation of a schema, settled for batches
+    of `batch` inputs of shape `in_shape` in the parameters' dtype.
+
+    Built once, it holds the per-layer steps in order (the terminal Softmax
+    marker is a no-op and gets none), the views of `params.flat` and, when
+    `train`, of its own gradient vector, and every buffer a step writes: the
+    layer outputs, the patch buffers, the bias tiles, the pool indices and
+    the gradient buffers. A step therefore allocates nearly nothing and runs
+    no per-layer dispatch, and `params.flat` may change in place between
+    steps (Adam does). Each call overwrites the arrays the previous one
+    returned.
+    """
+
+    def __init__(self, params: ModelParams, batch: int, in_shape: tuple[int, ...],
+                 train: bool = True):
+        dtype = params.flat.dtype
+        views = _param_views(params.schema, params.flat)
+        self.grad = np.zeros_like(params.flat) if train else None
+        grad_views = (_param_views(params.schema, self.grad) if train
+                      else [None] * len(views))
+        shape = (batch, *in_shape)
+        self.dtype, self.steps = dtype, []
+        for i, (layer, view, grad_view) in enumerate(zip(params.schema, views, grad_views)):
+            if isinstance(layer, Dense):
+                step = _DenseStep(layer, view, grad_view, shape, first=i == 0)
+            elif isinstance(layer, Conv3x3):
+                step = _ConvStep(layer, view, grad_view, shape, first=i == 0)
+            elif isinstance(layer, MaxPool2):
+                step = _Pool(shape, dtype, train)
+            elif isinstance(layer, ReLU):
+                step = _ReluStep(shape, dtype, train)
+            elif isinstance(layer, Softmax):
+                continue
+            else:
+                raise SchemaMismatch(f"unknown layer {layer!r}")
+            self.steps.append(step)
+            shape = step.out.shape
+        if train:
+            # the gathered batch: its images, or layer 0's patch rows
+            self.inputs = np.empty((batch, *in_shape), dtype=dtype)
+            if isinstance(self.steps[0], _ConvStep):
+                self.rows = np.empty((batch, math.prod(in_shape) * 9), dtype=dtype)
+
+    def forward(self, x: np.ndarray | None, rows: np.ndarray | None = None):
+        """(logits, cache) of a batch; `rows`, when given, are its
+        `patch_rows` and stand in for layer 0's `_im2col`, and `x` is not read."""
+        first, *rest = self.steps
+        if rows is None:
+            act, saved = first.forward(np.asarray(x, dtype=self.dtype))
+        else:
+            act, saved = first.forward(None, rows.reshape(first.cols_shape))
+        cache = [saved]
+        for step in rest:
+            act, saved = step.forward(act)
+            cache.append(saved)
+        return act, cache
+
+    def backward(self, delta: np.ndarray, cache: list) -> np.ndarray:
+        """The flat gradient, from the loss gradient w.r.t. the logits."""
+        for step, saved in zip(reversed(self.steps), reversed(cache)):
+            delta = step.backward(delta, saved)
+        return self.grad
+
+    def loss_and_grad(self, x, labels, rows=None):
+        logits, cache = self.forward(x, rows)
+        loss, delta = softmax_cross_entropy(logits, labels)
+        return loss, self.backward(delta, cache)
+
+
+class _Plans(dict):
+    """Step plans of one model and input shape by batch size, each built on
+    first use."""
+
+    def __init__(self, params: ModelParams, in_shape: tuple[int, ...], train: bool):
+        super().__init__()
+        self.args = (params, in_shape, train)
+
+    def __missing__(self, batch: int) -> _StepPlan:
+        params, in_shape, train = self.args
+        plan = self[batch] = _StepPlan(params, batch, in_shape, train)
+        return plan
+
+
 def forward(params: ModelParams, x: np.ndarray,
             patches: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Run the schema over a batch of inputs; returns (logits, cache).
@@ -328,42 +592,10 @@ def forward(params: ModelParams, x: np.ndarray,
     (batch, H, W, channels). The terminal Softmax marker is a no-op here;
     loss and gradients use it through softmax_cross_entropy. `patches`, when
     given, are the batch's `patch_rows` in the parameters' dtype and stand in
-    for layer 0's `_im2col`.
+    for layer 0's `_im2col`. The cache holds one entry per layer step, layer
+    0's patch matrix first for a CNN.
     """
-    views = _param_views(params.schema, params.flat)
-    act = np.asarray(x, dtype=params.flat.dtype)
-    cache: list = []
-    for i, (layer, view) in enumerate(zip(params.schema, views)):
-        if isinstance(layer, Dense):
-            flat_in = act.reshape(act.shape[0], -1)
-            if flat_in.shape[1] != layer.in_features:
-                raise ShapeMismatch(
-                    f"Dense expects {layer.in_features} features, got {flat_in.shape[1]}")
-            w, b = view
-            cache.append((act.shape, flat_in))
-            act = flat_in @ w + b
-        elif isinstance(layer, Conv3x3):
-            if act.ndim != 4 or act.shape[3] != layer.in_channels:
-                raise ShapeMismatch(
-                    f"Conv3x3 expects (B,H,W,{layer.in_channels}), got {act.shape}")
-            w, b = view
-            if i or patches is None:
-                cols = _im2col(act)
-            else:
-                cols = patches.reshape(-1, 9 * layer.in_channels)
-            cache.append(cols)
-            act = _conv_forward(act, cols, w, b)
-        elif isinstance(layer, MaxPool2):
-            act, pool_cache = _pool_forward(act)
-            cache.append(pool_cache)
-        elif isinstance(layer, ReLU):
-            cache.append(act > 0)
-            act = np.maximum(act, 0)
-        elif isinstance(layer, Softmax):
-            cache.append(None)
-        else:
-            raise SchemaMismatch(f"unknown layer {layer!r}")
-    return act, cache
+    return _StepPlan(params, len(x), np.shape(x)[1:], train=False).forward(x, patches)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -382,44 +614,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray,
                   patches: np.ndarray | None = None):
     """One forward/backward pass: (mean cross-entropy, flat gradient)."""
-    logits, cache = forward(params, x, patches)
-    loss, delta = softmax_cross_entropy(logits, labels)
-    return loss, _backward_from_delta(params, delta, cache)
-
-
-def _backward_from_delta(params: ModelParams, delta: np.ndarray,
-                         cache: list) -> np.ndarray:
-    views = _param_views(params.schema, params.flat)
-    grad_flat = np.zeros_like(params.flat)
-    grad_views = _param_views(params.schema, grad_flat)
-    # The input gradient of layer 0 would be discarded, so it is not computed.
-    for i in range(len(params.schema) - 1, -1, -1):
-        layer = params.schema[i]
-        if isinstance(layer, Dense):
-            in_shape, flat_in = cache[i]
-            w, _ = views[i]
-            gw, gb = grad_views[i]
-            gw[...] = _weight_grad(flat_in, delta)
-            gb[...] = delta.sum(axis=0)
-            if i:
-                delta = (delta @ w.T).reshape(in_shape)
-        elif isinstance(layer, Conv3x3):
-            w, _ = views[i]
-            gw, gb = grad_views[i]
-            dout2d = delta.reshape(-1, w.shape[-1])
-            gw[...] = _weight_grad(cache[i], dout2d).reshape(w.shape)
-            # einsum adds the rows in order, as sum(axis=0) does, but runs
-            # one inner loop over the whole array rather than one per row.
-            gb[...] = np.einsum("nc->c", dout2d)
-            if i:
-                delta = _conv_input_grad(delta, w)
-        elif isinstance(layer, MaxPool2):
-            delta = _pool_backward(delta, cache[i])
-        elif isinstance(layer, ReLU):
-            delta = delta * cache[i]
-        elif isinstance(layer, Softmax):
-            continue
-    return grad_flat
+    return _StepPlan(params, len(x), np.shape(x)[1:]).loss_and_grad(x, labels, patches)
 
 
 @dataclass
@@ -443,18 +638,35 @@ class OptState:
 
 
 def adam_step(flat: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
-    """Standard bias-corrected Adam update; mutates opt, returns new params."""
-    if not np.all(np.isfinite(grads)):
+    """Standard bias-corrected Adam update, in place: moves `flat`, `opt.m`
+    and `opt.v` and returns `flat`.
+
+    Each operation is the one of `flat - lr * m_hat / (sqrt(v_hat) + eps)`
+    with `m = beta1 * m + (1 - beta1) * g` and `v = beta2 * v + (1 - beta2)
+    * g * g`, in that order, written into the arrays it updates or into two
+    scratch vectors, so the bits are those of the expression.
+    """
+    if not np.isfinite(grads).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
     if flat.shape != grads.shape:
         raise ShapeMismatch(f"params {flat.shape} vs grads {grads.shape}")
     opt.step += 1
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads * grads
-    m_hat = opt.m / (1.0 - opt.beta1 ** opt.step)
-    v_hat = opt.v / (1.0 - opt.beta2 ** opt.step)
-    return flat - np.asarray(opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps),
-                             dtype=flat.dtype)
+    m, v = opt.m, opt.v
+    scaled = np.multiply(grads, 1.0 - opt.beta1)
+    m *= opt.beta1
+    m += scaled
+    np.multiply(grads, 1.0 - opt.beta2, out=scaled)
+    scaled *= grads
+    v *= opt.beta2
+    v += scaled
+    step = np.divide(m, 1.0 - opt.beta1 ** opt.step, out=scaled)    # m_hat
+    step *= opt.lr
+    denom = np.divide(v, 1.0 - opt.beta2 ** opt.step)               # v_hat
+    np.sqrt(denom, out=denom)
+    denom += opt.eps
+    step /= denom
+    flat -= step
+    return flat
 
 
 def fedavg_aggregate(client_params: Sequence[ModelParams],
@@ -506,11 +718,13 @@ EVAL_CHUNK = 128
 def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
                   bounds: Sequence[int], patches: np.ndarray | None = None) -> int:
     """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]);
-    `patches` are x's `patch_rows`, when built."""
+    `patches` are x's `patch_rows`, when built. One step plan serves every
+    chunk of a size."""
+    plans = _Plans(params, np.shape(x)[1:], train=False)
     correct = 0
     for start, stop in zip(bounds, bounds[1:]):
-        logits, _ = forward(params, x[start:stop],
-                            None if patches is None else patches[start:stop])
+        logits, _ = plans[stop - start].forward(
+            x[start:stop], None if patches is None else patches[start:stop])
         correct += int((logits.argmax(axis=1) == labels[start:stop]).sum())
     return correct
 
@@ -540,21 +754,36 @@ def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
                 patches: np.ndarray | None = None) -> tuple[ModelParams, float]:
     """Local epochs of Adam on images `x` (scaled to [0, 1]) and labels `y`
     from fresh optimizer state; returns (params, mean loss). `patches` are
-    x's `patch_rows`, when built."""
+    x's `patch_rows`, when built.
+
+    Each batch size (the full one, and a ragged last batch) gets one step
+    plan, built on first use over the trained copy's flat vector, which
+    `adam_step` then moves in place. A batch gathers its patch rows when
+    there are some, and its images otherwise, into the plan's buffers.
+    """
     params = global_params.copy()
     opt = OptState.fresh(params.flat.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
                          dtype=params.flat.dtype)
+    x = np.asarray(x, dtype=params.flat.dtype)
+    plans = _Plans(params, x.shape[1:], train=True)
     n = len(y)
     losses = []
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            rows = None if patches is None else np.take(patches, idx, axis=0)
-            loss, grad = loss_and_grad(params, x[idx], y[idx], rows)
-            params.flat = adam_step(params.flat, grad, opt)
+            plan = plans[len(idx)]
+            if patches is None:
+                loss, grad = plan.loss_and_grad(
+                    x.take(idx, axis=0, out=plan.inputs, mode="clip"), y.take(idx))
+            else:
+                loss, grad = plan.loss_and_grad(
+                    None, y.take(idx), patches.take(idx, axis=0, out=plan.rows, mode="clip"))
+            adam_step(params.flat, grad, opt)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0
+
+
 
 
 def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],

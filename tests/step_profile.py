@@ -1,0 +1,94 @@
+"""Per-layer timings of the two loops the workers spend their time in: the
+desk CNN training step and the building of one bounty's mixups. A report
+only; it asserts nothing and no test collects it.
+
+    PYTHONPATH=src python3 tests/step_profile.py [--repeats 40]
+
+It runs in one process under the workers' settings (`workers._ENV`: one
+BLAS thread and their glibc malloc thresholds), re-executing itself once to
+set them. A worker round is `local_train` over five desk-shaped clients
+(1,140 images of 10x10x1 each, 9 steps of at most 128 images, the CNN, with
+layer-0 patch rows), as one of the two workers of a desk cell trains them;
+its median time is printed per round and per step, with the Python-level
+calls per step that cProfile counts over one round. A bounty is one
+`serve_bounty` of 60 mixups (k = 4, sigma = 50) from a 600-image client, a
+desk requester's ask of the one peer holding the label.
+"""
+
+import argparse
+import cProfile
+import os
+import pstats
+import statistics
+import sys
+import time
+
+from fedbalance import workers
+
+if any(os.environ.get(key) != value for key, value in workers._ENV.items()):
+    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **workers._ENV})
+
+import numpy as np  # noqa: E402
+
+from fedbalance.datasets import ClientDataset  # noqa: E402
+from fedbalance.mixing import DpMixConfig  # noqa: E402
+from fedbalance.protocol import serve_bounty  # noqa: E402
+from fedbalance.seeding import rng_for  # noqa: E402
+from fedbalance.training import (TrainConfig, build_model, init_model,  # noqa: E402
+                                 local_train, patch_rows)
+
+CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
+
+
+def median_ms(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=40, help="timed runs of each")
+    repeats = parser.parse_args().repeats
+
+    rng = np.random.default_rng(0)
+    params = init_model(build_model("cnn", DIMS, 10), 1)
+    clients = []
+    for cid in range(CLIENTS):
+        x = rng.random((IMAGES, *DIMS)).astype(np.float32)
+        clients.append((cid, x, rng.integers(0, 10, IMAGES), patch_rows(x, np.float32)))
+    cfg = TrainConfig(batch_size=128)
+    steps = CLIENTS * -(-IMAGES // cfg.batch_size)
+
+    def worker_round():
+        for cid, x, y, rows in clients:
+            local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, cid), rows)
+
+    worker_round()                                  # warm the caches
+    round_ms = median_ms(worker_round, repeats)
+    profile = cProfile.Profile()
+    profile.runcall(worker_round)
+    calls = pstats.Stats(profile).total_calls
+    print(f"worker round: {CLIENTS} clients, {steps} steps, median of {repeats}")
+    print(f"  {round_ms:.1f} ms per round, {1e3 * round_ms / steps:.0f} us per step, "
+          f"{calls / steps:.0f} Python-level calls per step")
+
+    pixels = (rng.random((600, *DIMS)) * 255).astype(np.float32)
+    responder = ClientDataset(1, 10, pixels, np.full(600, 3, dtype=np.int64),
+                              np.zeros(600, dtype=np.int8))
+    mix_cfg = DpMixConfig(k=4, sigma=50.0)
+
+    def bounty():
+        return serve_bounty(responder, 3, 60, mix_cfg, rng_for(0, "serve", 3, 1))
+
+    n = len(bounty().samples)
+    bounty_ms = median_ms(bounty, repeats)
+    print(f"bounty: {n} mixups, median of {repeats}")
+    print(f"  {bounty_ms:.2f} ms per bounty, {1e3 * bounty_ms / n:.1f} us per mixup")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,8 +6,9 @@ from scipy import stats
 
 from fedbalance.datasets import ClientDataset, LabeledImage, Provenance
 from fedbalance.mixing import (DpMixConfig, InsufficientLabel, InsufficientPool,
-                               MixupError, WeightMode, dp_labelhide,
+                               MixupError, WeightMode, dp_labelhide, mix_block,
                                sample_laplace, sample_weight_matrix)
+from fedbalance.seeding import rng_for
 
 
 def forced_mix(weights, k=None):
@@ -179,3 +180,38 @@ class TestDpLabelHide:
         tiny = ClientDataset.from_images(0, [image([1, 2, 3, 4], 0)], 1)
         with pytest.raises(InsufficientPool):
             dp_labelhide(tiny, 0, DpMixConfig(k=2), np.random.default_rng(0))
+
+
+def three_label_client():
+    """23 (3, 4, 2) images under labels 0, 1 and 2, interleaved, so fillers
+    cross labels and anchors are spread over the client."""
+    rng = np.random.default_rng(17)
+    pixels = (rng.random((23, 3, 4, 2)) * 255).astype(np.float32)
+    labels = np.array([0, 1, 2, 2, 0, 1] * 3 + [2, 0, 2, 1, 0], dtype=np.int64)
+    return ClientDataset(0, 3, pixels, labels, np.zeros(23, dtype=np.int8))
+
+
+class TestMixBlock:
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("sigma", [0.0, 50.0])
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_rows_equal_one_dp_labelhide_call_per_stream(self, k, sigma, mode):
+        client = three_label_client()
+        cfg = DpMixConfig(k=k, sigma=sigma, weight_mode=mode)
+        for label in (0, 2):
+            def streams():
+                return [rng_for(label, "mix", 0, i) for i in range(9)]
+            block_record, single_record = [], []
+            block = mix_block(client, label, cfg, streams(), record=block_record)
+            singles = [dp_labelhide(client, label, cfg, rng, record=single_record)
+                       for rng in streams()]
+            assert block.dtype == np.float32 and block.shape == (9, 3, 4, 2)
+            assert block.tobytes() == np.stack(singles).tobytes()
+            assert [(r.anchor_index, r.filler_indices, r.weights.tobytes())
+                    for r in block_record] == [
+                (r.anchor_index, r.filler_indices, r.weights.tobytes())
+                for r in single_record]
+
+    def test_no_stream_gives_an_empty_block(self):
+        block = mix_block(three_label_client(), 1, DpMixConfig(), [])
+        assert block.shape == (0, 3, 4, 2) and block.dtype == np.float32

@@ -18,7 +18,7 @@ from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
                                  forward, init_model, local_train, loss_and_grad,
                                  patch_rows, run_round, schema_param_count,
                                  softmax_cross_entropy)
-from fedbalance.training import (_backward_from_delta, _chunk_bounds,
+from fedbalance.training import (_StepPlan, _chunk_bounds,
                                  _conv_forward, _conv_input_grad, _conv_taps,
                                  _im2col, _pool_backward, _pool_forward)
 
@@ -261,7 +261,7 @@ def test_conv_bias_grad_matches_row_sum_reference(dtype, c_in):
             head_then_ones.flat[0] = 1e8 if dtype == np.float32 else 1e17
             delta[..., 0] = head_then_ones
             delta[..., 1] = -0.0
-            grad = _backward_from_delta(params, delta, [_im2col(x)])
+            grad = _StepPlan(params, batch, x.shape[1:]).backward(delta, [_im2col(x)])
             expected = delta.reshape(-1, c_out).sum(axis=0)
             assert grad[-c_out:].tobytes() == expected.tobytes()
 
