@@ -298,12 +298,11 @@ class _ConvInputGrad:
     sum is never -0.0.
     """
 
-    def __init__(self, shape: tuple[int, ...], c_in: int, dtype,
-                 dcols: np.ndarray | None = None):
+    def __init__(self, shape: tuple[int, ...], c_in: int, dtype):
         b, h, width, c_out = shape
         n = b * h * width
         self.dout_shape = (n, c_out)
-        self.dcols = np.empty((n, 9 * c_in), dtype=dtype) if dcols is None else dcols
+        self.dcols = np.empty((n, 9 * c_in), dtype=dtype)
         self.dcol_taps = self.dcols.reshape(n, 9, c_in)
         self.grad = np.empty((b, h, width, c_in), dtype=dtype)
         grad = self.grad.reshape(n, c_in)
@@ -445,8 +444,7 @@ class _ConvStep:
         dtype = weights.dtype
         self.shape, self.cols_shape = shape, (b * h * w, 9 * c_in)
         self.kernel = weights.reshape(9 * c_in, c_out)
-        # Layer 0's is made on first use: patch rows may stand in for it.
-        self.im2col = None if first else _Im2col(shape, dtype)
+        self.im2col = None          # made on first use: patch rows may stand in for it
         self.out = np.empty((b, h, w, c_out), dtype=dtype)
         self.out_pixels = self.out.reshape(b * h * w, c_out)
         self.out_images = self.out.reshape(b, h * w * c_out)
@@ -455,10 +453,7 @@ class _ConvStep:
         if grad_view is not None:
             gw, self.gbias = grad_view
             self.gkernel = gw.reshape(9 * c_in, c_out)
-            # The input gradient's GEMM writes over the patch matrix, which
-            # the weight gradient has read by then.
-            self.input_grad = None if first else _ConvInputGrad(
-                self.out.shape, c_in, dtype, self.im2col.cols)
+            self.input_grad = None if first else _ConvInputGrad(self.out.shape, c_in, dtype)
 
     def forward(self, act: np.ndarray, cols: np.ndarray | None = None):
         if cols is None:
@@ -782,8 +777,6 @@ def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
             adam_step(params.flat, grad, opt)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0
-
-
 
 
 def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],

@@ -11,8 +11,9 @@ from helpers import (child_digests, finite_difference_worst, gradient_check_case
 
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
-from fedbalance.training import (Conv3x3, Dense, ModelParams, NonFiniteGradient,
-                                 NonFiniteParam, OptState, ReLU, SchemaMismatch,
+from fedbalance.training import (Conv3x3, Dense, MaxPool2, ModelParams,
+                                 NonFiniteGradient, NonFiniteParam, OptState,
+                                 ReLU, SchemaMismatch,
                                  ShapeMismatch, Softmax, TrainConfig, adam_step,
                                  build_model, count_correct, fedavg_aggregate,
                                  forward, init_model, local_train, loss_and_grad,
@@ -480,6 +481,27 @@ def test_local_train_on_ragged_batches_matches_pinned_digests(model, dims, with_
                                 rng_for(0, "shuffle", 1, 2), patches)
     got = (loss.hex(), hashlib.sha256(trained.flat.tobytes()).hexdigest())
     assert got == PINNED_LOCAL_TRAIN[model, dims, n_images]
+
+
+@pytest.mark.parametrize("schema, in_shape", [
+    (build_model("cnn", (10, 10, 1), 10), (10, 10, 1)),
+    (build_model("cnn", (5, 5, 3), 10), (5, 5, 3)),
+    (build_model("mlp", (4, 4, 2), 10), (4, 4, 2)),
+    # a one-channel conv after layer 0 takes the tap-copy im2col, whose
+    # uncovered patch entries must stay zero from step to step
+    ((Conv3x3(1, 1), ReLU(), Conv3x3(1, 2), MaxPool2(), Dense(8, 10), Softmax()),
+     (4, 4, 1)),
+])
+def test_a_reused_step_plan_gives_a_fresh_plans_bytes(schema, in_shape):
+    params = init_model(schema, 3)
+    plan = _StepPlan(params, 8, in_shape)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        x = signed_zero_normals(rng, (8, *in_shape), np.float32)
+        y = rng.integers(0, 10, 8)
+        loss, grad = plan.loss_and_grad(x, y)
+        fresh_loss, fresh_grad = loss_and_grad(params, x, y)
+        assert (loss, grad.tobytes()) == (fresh_loss, fresh_grad.tobytes())
 
 
 class TestAdam:
