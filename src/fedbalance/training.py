@@ -298,11 +298,12 @@ class _ConvInputGrad:
     sum is never -0.0.
     """
 
-    def __init__(self, shape: tuple[int, ...], c_in: int, dtype):
+    def __init__(self, shape: tuple[int, ...], c_in: int, dtype,
+                 dcols: np.ndarray | None = None):
         b, h, width, c_out = shape
         n = b * h * width
         self.dout_shape = (n, c_out)
-        self.dcols = np.empty((n, 9 * c_in), dtype=dtype)
+        self.dcols = np.empty((n, 9 * c_in), dtype=dtype) if dcols is None else dcols
         self.dcol_taps = self.dcols.reshape(n, 9, c_in)
         self.grad = np.empty((b, h, width, c_in), dtype=dtype)
         grad = self.grad.reshape(n, c_in)
@@ -444,7 +445,8 @@ class _ConvStep:
         dtype = weights.dtype
         self.shape, self.cols_shape = shape, (b * h * w, 9 * c_in)
         self.kernel = weights.reshape(9 * c_in, c_out)
-        self.im2col = None          # made on first use: patch rows may stand in for it
+        # Layer 0's is made on first use: patch rows may stand in for it.
+        self.im2col = None if first else _Im2col(shape, dtype)
         self.out = np.empty((b, h, w, c_out), dtype=dtype)
         self.out_pixels = self.out.reshape(b * h * w, c_out)
         self.out_images = self.out.reshape(b, h * w * c_out)
@@ -453,7 +455,11 @@ class _ConvStep:
         if grad_view is not None:
             gw, self.gbias = grad_view
             self.gkernel = gw.reshape(9 * c_in, c_out)
-            self.input_grad = None if first else _ConvInputGrad(self.out.shape, c_in, dtype)
+            # With several input channels the window copy rewrites the whole
+            # patch matrix, so once the weight gradient has read it, the
+            # input gradient's GEMM may write over it.
+            self.input_grad = None if first else _ConvInputGrad(
+                self.out.shape, c_in, dtype, self.im2col.cols if c_in > 1 else None)
 
     def forward(self, act: np.ndarray, cols: np.ndarray | None = None):
         if cols is None:
