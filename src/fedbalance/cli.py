@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error (an allocation numpy refuses
+included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -88,13 +89,15 @@ def _cmd_spectrum(args) -> int:
     paths = serialization.list_tensor_images(args.in_dir)
     if not paths:
         raise ConfigError(f"no {serialization.TENSOR_SUFFIX} files under {args.in_dir}")
+    rows = []
+    for path in paths:   # every slope first, so a bad file leaves no partial CSV
+        image = serialization.load_tensor_image(path)
+        name = os.path.splitext(os.path.basename(path))[0]
+        rows.append([name, f"{noisegen.power_spectrum_slope(image.pixels):.6f}"])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "slope"])
-        for path in paths:
-            image = serialization.load_tensor_image(path)
-            name = os.path.splitext(os.path.basename(path))[0]
-            writer.writerow([name, f"{noisegen.power_spectrum_slope(image.pixels):.6f}"])
+        writer.writerows(rows)
     print(args.out)
     return EXIT_OK
 
@@ -150,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--label", type=int, required=True, help="target label")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=50.0)
+    p.add_argument("--k", type=int, default=DpMixConfig.k)
+    p.add_argument("--sigma", type=float, default=DpMixConfig.sigma)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ppm", action="store_true", help="also write clamped previews")
     p.set_defaults(func=_cmd_mix)
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, MixupError, noisegen.NoiseGenError, datasets.InfeasibleSpec,
-            NonFiniteGradient, NonFiniteParam) as exc:
+            NonFiniteGradient, NonFiniteParam, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, DatasetError, serialization.FormatError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import datasets, noisegen, serialization
 from .datasets import ClientDataset, PartitionSpec
-from .mixing import DpMixConfig, WeightMode
+from .mixing import DpMixConfig, MixupError
 from .protocol import Record, Topology, plan_deficits, run_balance, write_trace
 from .seeding import derive_seed, rng_for
 from .training import TrainConfig, build_model, init_model, run_round
@@ -50,8 +50,8 @@ class ExperimentConfig:
     # balance
     supplement_pct: float = 0.0
     mix_fraction: float = 0.75
-    k: int = 4
-    sigma: float = 50.0
+    k: int = DpMixConfig.k
+    sigma: float = DpMixConfig.sigma
     deadline: int = 2
     capacity_fraction: float = 1.0
     topology: str = "star"               # "star" or an edge list "0-1,1-2"
@@ -63,13 +63,13 @@ class ExperimentConfig:
     # training
     model: str = "cnn"
     rounds: int = 50
-    batch_size: int = 128
-    local_epochs: int = 1
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    participation_fraction: float = 1.0
+    batch_size: int = TrainConfig.batch_size
+    local_epochs: int = TrainConfig.local_epochs
+    lr: float = TrainConfig.lr
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
+    participation_fraction: float = TrainConfig.participation_fraction
     # run
     seed: int = 0
     # grid axes (used by run_grid; empty = inherit the single value above)
@@ -98,16 +98,13 @@ class ExperimentConfig:
         try:
             build_partition_spec(self).validate(
                 self.toy_classes if self.dataset == "toy" else 10)
-        except datasets.InfeasibleSpec as exc:
+            DpMixConfig(self.k, self.sigma).validate()
+        except (datasets.InfeasibleSpec, MixupError) as exc:
             raise ConfigError(str(exc)) from exc
         if not (0.0 <= self.supplement_pct <= 100.0):
             raise ConfigError(f"supplement_pct must be in [0, 100], got {self.supplement_pct}")
         if not (0.0 <= self.mix_fraction <= 1.0):
             raise ConfigError(f"mix_fraction must be in [0, 1], got {self.mix_fraction}")
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.deadline < 1:
             raise ConfigError(f"deadline must be >= 1, got {self.deadline}")
         if not (0.0 <= self.capacity_fraction <= 1.0):
@@ -345,7 +342,7 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
     (id -> deficits) against `snapshots`, each on streams named after its own
     id. Returns {client id: `run_balance`'s (pixels, labels, provenance,
     records)}."""
-    mix_cfg = DpMixConfig(cfg.k, cfg.sigma, WeightMode.DOMINANT_UNIFORM)
+    mix_cfg = DpMixConfig(cfg.k, cfg.sigma)
     topology = _parse_topology(cfg.topology)
     added = {}
     for cid, deficits in plans.items():
@@ -421,8 +418,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 
     schema = build_model(cfg.model, dims, num_classes)
     params = init_model(schema, derive_seed(cfg.seed, "model-init"))
-    train_cfg = TrainConfig(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.batch_size,
-                            cfg.local_epochs, cfg.participation_fraction, cfg.seed)
+    train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
     clients = [c for c in clients if len(c)]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -177,7 +177,7 @@ class _Pool:
     zeros.
     """
 
-    def __init__(self, shape: tuple[int, ...], dtype, train: bool = True):
+    def __init__(self, shape: tuple[int, ...], dtype):
         b, h, w, c = shape
         self.gather, self.scatter = _pool_rows(b, h, w)
         bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
@@ -194,9 +194,8 @@ class _Pool:
         self.mask = np.empty(out_shape, dtype=bits)
         self.diff = np.empty(out_shape, dtype=bits)
         self.winner = np.empty(out_shape, dtype=np.int8)
-        if train:
-            self.dx = np.empty(shape, dtype=dtype)
-            self.dx_rows = self.dx.view(bits).reshape(-1, c)
+        self.dx = np.empty(shape, dtype=dtype)
+        self.dx_rows = self.dx.view(bits).reshape(-1, c)
 
     def forward(self, x: np.ndarray):
         x.reshape(-1, x.shape[-1]).take(self.gather, axis=0, mode="clip",
@@ -223,7 +222,7 @@ class _Pool:
 
 
 def _pool_forward(x: np.ndarray):
-    out, winner = _Pool(x.shape, x.dtype, train=False).forward(x)
+    out, winner = _Pool(x.shape, x.dtype).forward(x)
     return out, (x.shape, winner)
 
 
@@ -398,10 +397,10 @@ def patch_rows(x: np.ndarray, dtype) -> np.ndarray:
 
 
 # The layer steps of a plan. Each is made for one input shape, with views of
-# its parameters and, when it trains, of its gradient; `forward` returns its
-# output buffer and what its `backward` needs, and `backward` writes the
-# layer's gradient and returns the input gradient (None for layer 0, whose
-# input gradient would be discarded).
+# its parameters and of its gradient; `forward` returns its output buffer and
+# what its `backward` needs, and `backward` writes the layer's gradient and
+# returns the input gradient (None for layer 0, whose input gradient would be
+# discarded).
 
 class _DenseStep:
     def __init__(self, layer: Dense, view, grad_view, shape, first: bool):
@@ -411,9 +410,8 @@ class _DenseStep:
         self.in_shape, self.flat_shape = shape, (batch, features)
         self.w, self.b = view
         self.out = np.empty((batch, layer.out_features), dtype=self.w.dtype)
-        if grad_view is not None:
-            self.gw, self.gb = grad_view
-            self.din = None if first else np.empty(self.flat_shape, dtype=self.w.dtype)
+        self.gw, self.gb = grad_view
+        self.din = None if first else np.empty(self.flat_shape, dtype=self.w.dtype)
 
     def forward(self, act: np.ndarray):
         flat_in = act.reshape(self.flat_shape)
@@ -452,14 +450,13 @@ class _ConvStep:
         self.out_images = self.out.reshape(b, h * w * c_out)
         self.tile = np.empty(h * w * c_out, dtype=dtype)
         self.tile_pixels = self.tile.reshape(h * w, c_out)
-        if grad_view is not None:
-            gw, self.gbias = grad_view
-            self.gkernel = gw.reshape(9 * c_in, c_out)
-            # With several input channels the window copy rewrites the whole
-            # patch matrix, so once the weight gradient has read it, the
-            # input gradient's GEMM may write over it.
-            self.input_grad = None if first else _ConvInputGrad(
-                self.out.shape, c_in, dtype, self.im2col.cols if c_in > 1 else None)
+        gw, self.gbias = grad_view
+        self.gkernel = gw.reshape(9 * c_in, c_out)
+        # With several input channels the window copy rewrites the whole
+        # patch matrix, so once the weight gradient has read it, the input
+        # gradient's GEMM may write over it.
+        self.input_grad = None if first else _ConvInputGrad(
+            self.out.shape, c_in, dtype, self.im2col.cols if c_in > 1 else None)
 
     def forward(self, act: np.ndarray, cols: np.ndarray | None = None):
         if cols is None:
@@ -482,15 +479,16 @@ class _ConvStep:
 
 def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
                   bias: np.ndarray) -> np.ndarray:
-    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), None, x.shape, True).forward(x, cols)[0]
+    grad_view = (np.empty_like(w), np.empty_like(bias))
+    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), grad_view, x.shape, True).forward(
+        x, cols)[0]
 
 
 class _ReluStep:
-    def __init__(self, shape, dtype, train: bool):
+    def __init__(self, shape, dtype):
         self.out = np.empty(shape, dtype=dtype)
         self.mask = np.empty(shape, dtype=bool)
-        if train:
-            self.din = np.empty(shape, dtype=dtype)
+        self.din = np.empty(shape, dtype=dtype)
 
     def forward(self, act: np.ndarray):
         np.greater(act, 0, out=self.mask)
@@ -506,22 +504,20 @@ class _StepPlan:
     of `batch` inputs of shape `in_shape` in the parameters' dtype.
 
     Built once, it holds the per-layer steps in order (the terminal Softmax
-    marker is a no-op and gets none), the views of `params.flat` and, when
-    `train`, of its own gradient vector, and every buffer a step writes: the
-    layer outputs, the patch buffers, the bias tiles, the pool indices and
-    the gradient buffers. A step therefore allocates nearly nothing and runs
-    no per-layer dispatch, and `params.flat` may change in place between
-    steps (Adam does). Each call overwrites the arrays the previous one
-    returned.
+    marker is a no-op and gets none), the views of `params.flat` and of its
+    own gradient vector, and every buffer a step writes: the gathered batch,
+    the layer outputs, the patch buffers, the bias tiles, the pool indices
+    and the gradient buffers. A step therefore allocates nearly nothing and
+    runs no per-layer dispatch, and `params.flat` may change in place
+    between steps (Adam does). Training and evaluation run the same plans.
+    Each call overwrites the arrays the previous one returned.
     """
 
-    def __init__(self, params: ModelParams, batch: int, in_shape: tuple[int, ...],
-                 train: bool = True):
+    def __init__(self, params: ModelParams, batch: int, in_shape: tuple[int, ...]):
         dtype = params.flat.dtype
         views = _param_views(params.schema, params.flat)
-        self.grad = np.zeros_like(params.flat) if train else None
-        grad_views = (_param_views(params.schema, self.grad) if train
-                      else [None] * len(views))
+        self.grad = np.zeros_like(params.flat)
+        grad_views = _param_views(params.schema, self.grad)
         shape = (batch, *in_shape)
         self.dtype, self.steps = dtype, []
         for i, (layer, view, grad_view) in enumerate(zip(params.schema, views, grad_views)):
@@ -530,20 +526,19 @@ class _StepPlan:
             elif isinstance(layer, Conv3x3):
                 step = _ConvStep(layer, view, grad_view, shape, first=i == 0)
             elif isinstance(layer, MaxPool2):
-                step = _Pool(shape, dtype, train)
+                step = _Pool(shape, dtype)
             elif isinstance(layer, ReLU):
-                step = _ReluStep(shape, dtype, train)
+                step = _ReluStep(shape, dtype)
             elif isinstance(layer, Softmax):
                 continue
             else:
                 raise SchemaMismatch(f"unknown layer {layer!r}")
             self.steps.append(step)
             shape = step.out.shape
-        if train:
-            # the gathered batch: its images, or layer 0's patch rows
-            self.inputs = np.empty((batch, *in_shape), dtype=dtype)
-            if isinstance(self.steps[0], _ConvStep):
-                self.rows = np.empty((batch, math.prod(in_shape) * 9), dtype=dtype)
+        # the gathered batch: its images, or layer 0's patch rows
+        self.inputs = np.empty((batch, *in_shape), dtype=dtype)
+        if isinstance(self.steps[0], _ConvStep):
+            self.rows = np.empty((batch, math.prod(in_shape) * 9), dtype=dtype)
 
     def forward(self, x: np.ndarray | None, rows: np.ndarray | None = None):
         """(logits, cache) of a batch; `rows`, when given, are its
@@ -575,28 +570,24 @@ class _Plans(dict):
     """Step plans of one model and input shape by batch size, each built on
     first use."""
 
-    def __init__(self, params: ModelParams, in_shape: tuple[int, ...], train: bool):
+    def __init__(self, params: ModelParams, in_shape: tuple[int, ...]):
         super().__init__()
-        self.args = (params, in_shape, train)
+        self.params, self.in_shape = params, in_shape
 
     def __missing__(self, batch: int) -> _StepPlan:
-        params, in_shape, train = self.args
-        plan = self[batch] = _StepPlan(params, batch, in_shape, train)
+        plan = self[batch] = _StepPlan(self.params, batch, self.in_shape)
         return plan
 
 
-def forward(params: ModelParams, x: np.ndarray,
-            patches: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the schema over a batch of inputs; returns (logits, cache).
 
     Dense layers flatten whatever rank they receive; Conv3x3 expects
     (batch, H, W, channels). The terminal Softmax marker is a no-op here;
-    loss and gradients use it through softmax_cross_entropy. `patches`, when
-    given, are the batch's `patch_rows` in the parameters' dtype and stand in
-    for layer 0's `_im2col`. The cache holds one entry per layer step, layer
-    0's patch matrix first for a CNN.
+    loss and gradients use it through softmax_cross_entropy. The cache holds
+    one entry per layer step, layer 0's patch matrix first for a CNN.
     """
-    return _StepPlan(params, len(x), np.shape(x)[1:], train=False).forward(x, patches)
+    return _StepPlan(params, len(x), np.shape(x)[1:]).forward(x)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -612,35 +603,29 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return float(loss), dlogits
 
 
-def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-                  patches: np.ndarray | None = None):
+def loss_and_grad(params: ModelParams, x: np.ndarray, labels: np.ndarray):
     """One forward/backward pass: (mean cross-entropy, flat gradient)."""
-    return _StepPlan(params, len(x), np.shape(x)[1:]).loss_and_grad(x, labels, patches)
+    return _StepPlan(params, len(x), np.shape(x)[1:]).loss_and_grad(x, labels)
 
 
 @dataclass
 class OptState:
-    """Adam moments and hyperparameters for one flat parameter vector."""
+    """Adam's moments and step count for one flat parameter vector; its
+    hyperparameters are the `TrainConfig`'s."""
 
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              dtype=np.float32) -> "OptState":
-        return cls(lr, beta1, beta2, eps,
-                   np.zeros(n_params, dtype=dtype), np.zeros(n_params, dtype=dtype), 0)
+    def fresh(cls, n_params: int, dtype=np.float32) -> "OptState":
+        return cls(np.zeros(n_params, dtype=dtype), np.zeros(n_params, dtype=dtype))
 
 
-def adam_step(flat: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
-    """Standard bias-corrected Adam update, in place: moves `flat`, `opt.m`
-    and `opt.v` and returns `flat`.
+def adam_step(flat: np.ndarray, grads: np.ndarray, opt: OptState,
+              cfg: TrainConfig) -> np.ndarray:
+    """Standard bias-corrected Adam update with `cfg`'s lr, beta1, beta2 and
+    eps, in place: moves `flat`, `opt.m` and `opt.v` and returns `flat`.
 
     Each operation is the one of `flat - lr * m_hat / (sqrt(v_hat) + eps)`
     with `m = beta1 * m + (1 - beta1) * g` and `v = beta2 * v + (1 - beta2)
@@ -653,18 +638,18 @@ def adam_step(flat: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
         raise ShapeMismatch(f"params {flat.shape} vs grads {grads.shape}")
     opt.step += 1
     m, v = opt.m, opt.v
-    scaled = np.multiply(grads, 1.0 - opt.beta1)
-    m *= opt.beta1
+    scaled = np.multiply(grads, 1.0 - cfg.beta1)
+    m *= cfg.beta1
     m += scaled
-    np.multiply(grads, 1.0 - opt.beta2, out=scaled)
+    np.multiply(grads, 1.0 - cfg.beta2, out=scaled)
     scaled *= grads
-    v *= opt.beta2
+    v *= cfg.beta2
     v += scaled
-    step = np.divide(m, 1.0 - opt.beta1 ** opt.step, out=scaled)    # m_hat
-    step *= opt.lr
-    denom = np.divide(v, 1.0 - opt.beta2 ** opt.step)               # v_hat
+    step = np.divide(m, 1.0 - cfg.beta1 ** opt.step, out=scaled)    # m_hat
+    step *= cfg.lr
+    denom = np.divide(v, 1.0 - cfg.beta2 ** opt.step)               # v_hat
     np.sqrt(denom, out=denom)
-    denom += opt.eps
+    denom += cfg.eps
     step /= denom
     flat -= step
     return flat
@@ -721,7 +706,7 @@ def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]);
     `patches` are x's `patch_rows`, when built. One step plan serves every
     chunk of a size."""
-    plans = _Plans(params, np.shape(x)[1:], train=False)
+    plans = _Plans(params, np.shape(x)[1:])
     correct = 0
     for start, stop in zip(bounds, bounds[1:]):
         logits, _ = plans[stop - start].forward(
@@ -763,10 +748,9 @@ def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
     there are some, and its images otherwise, into the plan's buffers.
     """
     params = global_params.copy()
-    opt = OptState.fresh(params.flat.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
-                         dtype=params.flat.dtype)
+    opt = OptState.fresh(params.flat.size, params.flat.dtype)
     x = np.asarray(x, dtype=params.flat.dtype)
-    plans = _Plans(params, x.shape[1:], train=True)
+    plans = _Plans(params, x.shape[1:])
     n = len(y)
     losses = []
     for _ in range(cfg.local_epochs):
@@ -780,7 +764,7 @@ def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
             else:
                 loss, grad = plan.loss_and_grad(
                     None, y.take(idx), patches.take(idx, axis=0, out=plan.rows, mode="clip"))
-            adam_step(params.flat, grad, opt)
+            adam_step(params.flat, grad, opt, cfg)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0
 

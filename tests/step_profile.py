@@ -1,6 +1,6 @@
-"""Per-layer timings of the two loops the workers spend their time in: the
-desk CNN training step and the building of one bounty's mixups. A report
-only; it asserts nothing and no test collects it.
+"""Timings of the loops the workers spend their time in: the desk CNN
+training step, its evaluation, and the building of one bounty's mixups. A
+report only; it asserts nothing and no test collects it.
 
     PYTHONPATH=src python3 tests/step_profile.py [--repeats 40]
 
@@ -10,7 +10,9 @@ set them. A worker round is `local_train` over five desk-shaped clients
 (1,140 images of 10x10x1 each, 9 steps of at most 128 images, the CNN, with
 layer-0 patch rows), as one of the two workers of a desk cell trains them;
 its median time is printed per round and per step, with the Python-level
-calls per step that cProfile counts over one round. A bounty is one
+calls per step that cProfile counts over one round. An evaluate request is
+`count_correct` over a 500-image 10x10x1 test slice with patch rows, in
+chunks of `EVAL_CHUNK` (128) images. A bounty is one
 `serve_bounty` of 60 mixups (k = 4, sigma = 50) from a 600-image client, a
 desk requester's ask of the one peer holding the label.
 """
@@ -34,10 +36,12 @@ from fedbalance.datasets import ClientDataset  # noqa: E402
 from fedbalance.mixing import DpMixConfig  # noqa: E402
 from fedbalance.protocol import serve_bounty  # noqa: E402
 from fedbalance.seeding import rng_for  # noqa: E402
-from fedbalance.training import (TrainConfig, build_model, init_model,  # noqa: E402
+from fedbalance.training import (EVAL_CHUNK, TrainConfig, _chunk_bounds,  # noqa: E402
+                                 build_model, count_correct, init_model,
                                  local_train, patch_rows)
 
 CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
+TEST_IMAGES = 500
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -75,6 +79,19 @@ def main() -> None:
     print(f"worker round: {CLIENTS} clients, {steps} steps, median of {repeats}")
     print(f"  {round_ms:.1f} ms per round, {1e3 * round_ms / steps:.0f} us per step, "
           f"{calls / steps:.0f} Python-level calls per step")
+
+    test_rng = np.random.default_rng(1)
+    test_x = test_rng.random((TEST_IMAGES, *DIMS))  # float64, as a worker scales it
+    test = (test_x, test_rng.integers(0, 10, TEST_IMAGES),
+            _chunk_bounds(TEST_IMAGES, EVAL_CHUNK), patch_rows(test_x, np.float32))
+
+    def evaluate():
+        return count_correct(params, *test)
+
+    evaluate()
+    eval_ms = median_ms(evaluate, repeats)
+    print(f"evaluate: {TEST_IMAGES} images in chunks of {EVAL_CHUNK}, median of {repeats}")
+    print(f"  {eval_ms:.2f} ms per request")
 
     pixels = (rng.random((600, *DIMS)) * 255).astype(np.float32)
     responder = ClientDataset(1, 10, pixels, np.full(600, 3, dtype=np.int64),

@@ -101,6 +101,9 @@ DEGENERATE_CONFIGS = {
     "train-eps-inf": _config_text(("train", "eps", "inf")),
     "train-beta1-1": _config_text(("train", "beta1", "1")),
     "train-beta2--0.1": _config_text(("train", "beta2", "-0.1")),
+    "balance-k-1": _config_text(("balance", "k", "1")),
+    "balance-sigma--1": _config_text(("balance", "sigma", "-1")),
+    "balance-sigma-nan": _config_text(("balance", "sigma", "nan")),
     "dataset-toy_per_class-0": _config_text(("dataset", "toy_per_class", "0")),
     "dataset-toy_test_per_class-0": _config_text(("dataset", "toy_test_per_class", "0")),
     "dataset-toy_dims-0x0x1": _config_text(("dataset", "toy_dims", "0x0x1")),
@@ -265,15 +268,21 @@ def test_mix_rejects_a_pool_of_mixed_image_sizes(tmp_path, capsys):
 
 
 def test_spectrum_rejects_a_non_finite_pixel(tmp_path, capsys):
-    # It used to write the slope "nan" and exit 0.
+    # It used to write the slope "nan" and exit 0, and then, with a good
+    # file before the bad one, a CSV of the header and the good file's row.
     in_dir = tmp_path / "in"
     in_dir.mkdir()
     pixels = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32) * 255
-    pixels[3, 4, 0] = np.inf
-    serialization.save_tensor_image(str(in_dir / f"a{serialization.TENSOR_SUFFIX}"),
-                                    LabeledImage(pixels, 0))
-    assert main(["spectrum", "--in", str(in_dir), "--out", str(tmp_path / "s.csv")]) == EXIT_IO
-    assert "non-finite pixel" in capsys.readouterr().err
+    bad = pixels.copy()
+    bad[3, 4, 0] = np.inf
+    out = tmp_path / "s.csv"
+    for name, image in (("b", bad), ("a", pixels)):
+        serialization.save_tensor_image(str(in_dir / f"{name}{serialization.TENSOR_SUFFIX}"),
+                                        LabeledImage(image, 0))
+        assert main(["spectrum", "--in", str(in_dir), "--out", str(out)]) == EXIT_IO
+        assert (f"b{serialization.TENSOR_SUFFIX}: the payload holds a non-finite pixel"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_mix_rejects_a_pool_holding_a_nan_image(tmp_path, capsys):

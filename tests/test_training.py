@@ -429,8 +429,7 @@ def test_patch_rows_train_and_evaluate_bitwise_as_im2col(dims):
     assert bounds == [0, 128, 244]
     assert (count_correct(cached[0], x, y, bounds, patches)
             == count_correct(cached[0], x, y, bounds))
-    _, cache = forward(params, x[:128], patches[:128])
-    assert cache[0].tobytes() == _im2col(x[:128].astype(np.float32)).tobytes()
+    assert patches[:128].tobytes() == _im2col(x[:128].astype(np.float32)).tobytes()
 
 
 # (loss.hex(), SHA-256 of the trained flat vector) of `local_train` at batch
@@ -508,13 +507,16 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         flat = np.array([1.0, -2.0, 3.0], dtype=np.float32)
         opt = OptState.fresh(3)
-        out = adam_step(flat, np.zeros(3, dtype=np.float32), opt)
+        out = adam_step(flat, np.zeros(3, dtype=np.float32), opt, TrainConfig())
         assert np.array_equal(out, flat)
         assert opt.step == 1
 
-    def test_three_step_recurrence_oracle(self):
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(), TrainConfig(lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6)],
+        ids=["defaults", "non-default"])
+    def test_three_step_recurrence_oracle(self, cfg):
         # hand-rolled Adam on one scalar with constant gradient 1
-        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
         p, m, v = 0.5, 0.0, 0.0
         expected = []
         for t in range(1, 4):
@@ -526,7 +528,7 @@ class TestAdam:
         opt = OptState.fresh(1, dtype=np.float64)
         got = []
         for _ in range(3):
-            flat = adam_step(flat, np.ones(1), opt)
+            flat = adam_step(flat, np.ones(1), opt, cfg)
             got.append(float(flat[0]))
         assert np.allclose(got, expected, rtol=1e-12)
 
@@ -536,7 +538,8 @@ class TestAdam:
             opt = OptState.fresh(4)
             rng = np.random.default_rng(0)
             for _ in range(5):
-                flat = adam_step(flat, rng.normal(size=4).astype(np.float32), opt)
+                flat = adam_step(flat, rng.normal(size=4).astype(np.float32), opt,
+                                 TrainConfig())
             return flat
         assert np.array_equal(run(), run())
 
@@ -544,7 +547,7 @@ class TestAdam:
         opt = OptState.fresh(2)
         with pytest.raises(NonFiniteGradient):
             adam_step(np.ones(2, dtype=np.float32),
-                      np.array([1.0, np.nan], dtype=np.float32), opt)
+                      np.array([1.0, np.nan], dtype=np.float32), opt, TrainConfig())
 
 
 class TestFedAvgAggregate:

@@ -181,6 +181,19 @@ def test_a_balance_error_in_a_worker_reaches_the_caller_as_its_own_type(tmp_path
     assert "generator produced a constant image twice in a row" in capsys.readouterr().err
 
 
+def test_an_allocation_a_worker_is_refused_exits_2(tmp_path, capsys):
+    # Each noise block would be (images, 8, 10**7, 10**7) float64, petabytes
+    # past any address space, so numpy refuses it without touching memory.
+    # It used to end in a MemoryError traceback (exit 1).
+    path = tmp_path / "exp.cfg"
+    path.write_text(DEGENERATE_BALANCE.replace("toy_dims = 1x1x1", "toy_dims = 8x8x1")
+                    + "\n[noise]\nbase_resolution = 10000000\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: Unable to allocate ")
+    assert workers.pool()._procs == []
+
+
 def test_importing_the_cli_loads_neither_the_pool_nor_subprocess():
     # benchmarks/run.py times `import fedbalance.cli` as part of setup_s;
     # the pool's modules load when a cell first balances or trains.
