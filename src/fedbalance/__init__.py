@@ -13,10 +13,11 @@ from .mixing import DpMixConfig, WeightMode, dp_labelhide, sample_laplace
 from .noisegen import (GeneratorConfig, GeneratorState, WaveletBank, generate,
                        init_generator, power_spectrum_slope, sample_wavelet)
 from .protocol import (BountyResponse, Record, Topology, plan_deficits, route,
-                       run_balance, serve_bounty, write_trace)
+                       run_balance, serve_bounty)
 from .training import (ModelParams, OptState, RoundReport, TrainConfig,
                        adam_step, build_model, fedavg_aggregate, forward,
                        init_model, loss_and_grad, run_round)
+from .serialization import write_trace
 from .experiments import (ExperimentConfig, load_config, run_experiment,
                           run_grid)
 

@@ -7,11 +7,10 @@ included), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
-from . import datasets, experiments, noisegen, protocol, serialization
+from . import datasets, experiments, noisegen, serialization
 from .datasets import DatasetError
 from .experiments import ConfigError
 from .mixing import DpMixConfig, MixupError, dp_labelhide
@@ -44,7 +43,7 @@ def _cmd_partition(args) -> int:
     clients = datasets.partition(train, experiments.build_partition_spec(cfg))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "partition_manifest.csv")
-    datasets.write_partition_manifest(clients, path)
+    serialization.write_partition_manifest(clients, path)
     print(path)
     return EXIT_OK
 
@@ -94,10 +93,7 @@ def _cmd_spectrum(args) -> int:
         image = serialization.load_tensor_image(path)
         name = os.path.splitext(os.path.basename(path))[0]
         rows.append([name, f"{noisegen.power_spectrum_slope(image.pixels):.6f}"])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "slope"])
-        writer.writerows(rows)
+    serialization.write_csv(args.out, [["image_id", "slope"], *rows])
     print(args.out)
     return EXIT_OK
 
@@ -107,9 +103,9 @@ def _cmd_balance(args) -> int:
     clients, _, _ = experiments.prepare_clients(cfg, args.out)
     if cfg.supplement_pct == 0:
         # Nothing to balance: record the partition as it stands and an empty trace.
-        datasets.write_partition_manifest(
+        serialization.write_partition_manifest(
             clients, os.path.join(args.out, "balance_manifest.csv"))
-        protocol.write_trace(os.path.join(args.out, "trace.csv"), [])
+        serialization.write_trace(os.path.join(args.out, "trace.csv"), [])
     print(args.out)
     return EXIT_OK
 

@@ -11,7 +11,6 @@ Labeled sets are column-wise: loaders return `(pixels, labels)` pairs of an
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import os
@@ -383,14 +382,3 @@ def partition(dataset: tuple[np.ndarray, np.ndarray],
     return [ClientDataset(cid, num_classes, pixels[idx], labels[idx],
                           np.zeros(idx.size, dtype=np.int8))
             for cid, idx in enumerate(members)]
-
-
-def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:
-    """Export per-client label counts as CSV (client_id, label, count)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "label", "count"])
-        for client in clients:
-            hist = client.label_histogram
-            for label in range(client.num_classes):
-                writer.writerow([client.client_id, label, int(hist[label])])

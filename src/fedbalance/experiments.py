@@ -22,7 +22,7 @@ import numpy as np
 from . import datasets, noisegen, serialization
 from .datasets import ClientDataset, PartitionSpec
 from .mixing import DpMixConfig, MixupError
-from .protocol import Record, Topology, plan_deficits, run_balance, write_trace
+from .protocol import Record, Topology, plan_deficits, run_balance
 from .seeding import derive_seed, rng_for
 from .training import TrainConfig, build_model, init_model, run_round
 
@@ -399,15 +399,21 @@ def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
     del train
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        datasets.write_partition_manifest(
+        serialization.write_partition_manifest(
             clients, os.path.join(out_dir, "partition_manifest.csv"))
     if cfg.supplement_pct > 0:
         records = balance_clients(clients, cfg, dims)
         if out_dir:
-            datasets.write_partition_manifest(
+            serialization.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
-            write_trace(os.path.join(out_dir, "trace.csv"), records)
+            serialization.write_trace(os.path.join(out_dir, "trace.csv"), records)
     return clients, dims, num_classes
+
+
+_SUMMARY_FIELDS = ["dataset", "model", "scheme", "classes_per_client",
+                   "concentration", "num_clients", "supplement_pct",
+                   "mix_fraction", "k", "sigma", "rounds", "seed", "tag",
+                   "final_accuracy", "best_accuracy"]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
@@ -432,40 +438,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     best_acc = max(r.test_accuracy for r in reports)
     tag = config_tag(cfg, num_classes)
     if out_dir:
-        _write_csv_atomic(os.path.join(out_dir, "metrics.csv"), [
+        serialization.write_csv(os.path.join(out_dir, "metrics.csv"), [
             ["round", "global_test_acc", "mean_train_loss"],
             *([r.round_index, f"{r.test_accuracy:.6f}", f"{r.mean_train_loss:.6f}"]
               for r in reports)])
         serialization.save_checkpoint(os.path.join(out_dir, "model.ckpt"), params)
         # Written last: run_grid never reuses a cell without its summary.
-        _write_summary(os.path.join(out_dir, "summary.csv"), cfg, tag,
-                       final_acc, best_acc)
+        serialization.write_csv(os.path.join(out_dir, "summary.csv"), [_SUMMARY_FIELDS, [
+            cfg.dataset, cfg.model, cfg.scheme, cfg.classes_per_client,
+            _fmt_num(cfg.concentration), cfg.num_clients,
+            _fmt_num(cfg.supplement_pct), _fmt_num(cfg.mix_fraction),
+            cfg.k, _fmt_num(cfg.sigma), cfg.rounds, cfg.seed, tag,
+            f"{final_acc:.6f}", f"{best_acc:.6f}"]])
     return ExperimentResult(cfg, reports, final_acc, best_acc, tag, out_dir)
-
-
-_SUMMARY_FIELDS = ["dataset", "model", "scheme", "classes_per_client",
-                   "concentration", "num_clients", "supplement_pct",
-                   "mix_fraction", "k", "sigma", "rounds", "seed", "tag",
-                   "final_accuracy", "best_accuracy"]
-
-
-def _write_summary(path: str, cfg: ExperimentConfig, tag: str,
-                   final_acc: float, best_acc: float) -> None:
-    row = [cfg.dataset, cfg.model, cfg.scheme, cfg.classes_per_client,
-           _fmt_num(cfg.concentration), cfg.num_clients,
-           _fmt_num(cfg.supplement_pct), _fmt_num(cfg.mix_fraction),
-           cfg.k, _fmt_num(cfg.sigma), cfg.rounds, cfg.seed, tag,
-           f"{final_acc:.6f}", f"{best_acc:.6f}"]
-    _write_csv_atomic(path, [_SUMMARY_FIELDS, row])
-
-
-def _write_csv_atomic(path: str, rows) -> None:
-    """Write rows through a temp file and os.replace, so a reader sees either
-    the whole file or none of it."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    os.replace(tmp, path)
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[ExperimentConfig]:
@@ -513,7 +498,7 @@ def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
         fingerprint_path = os.path.join(cell_dir, "config.csv")
         fingerprint = [[f.name, repr(getattr(cell, f.name))] for f in fields(cell)] + data
         try:
-            with open(fingerprint_path, newline="") as fh:
+            with open(fingerprint_path, newline="", encoding="utf-8") as fh:
                 if (list(csv.reader(fh)) == fingerprint
                         and os.path.exists(os.path.join(cell_dir, "summary.csv"))):
                     continue
@@ -521,13 +506,13 @@ def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
             pass   # a missing or unreadable fingerprint matches nothing
         run_experiment(cell, cell_dir)
         # Written after the summary, so an interrupted cell is never reused.
-        _write_csv_atomic(fingerprint_path, fingerprint)
+        serialization.write_csv(fingerprint_path, fingerprint)
 
     rows = [_SUMMARY_FIELDS]
     for cell in cells:
         cell_summary = os.path.join(cells_dir, cell_dirname(cell), "summary.csv")
-        with open(cell_summary, newline="") as cell_fh:
+        with open(cell_summary, newline="", encoding="utf-8") as cell_fh:
             rows.append(list(csv.reader(cell_fh))[1])
     summary_path = os.path.join(out_dir, "summary.csv")
-    _write_csv_atomic(summary_path, rows)
+    serialization.write_csv(summary_path, rows)
     return summary_path

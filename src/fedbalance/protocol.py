@@ -14,7 +14,6 @@ silently drops it; delivered messages keep the order they were sent in.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -77,14 +76,6 @@ def route(records: Sequence[Record], topology: Topology) -> list[Record]:
     are silent; bounties are best-effort.
     """
     return [r for r in records if topology.connected(r.src, r.dst)]
-
-
-def write_trace(path: str, records: Iterable[Record]) -> None:
-    """Write `records` as `trace.csv`, one row per delivered message."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "msg_type", "src", "dst", "label", "count"])
-        writer.writerows(records)
 
 
 def plan_deficits(client: ClientDataset, target: int) -> list[tuple[int, int]]:

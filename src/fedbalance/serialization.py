@@ -1,4 +1,7 @@
-"""File formats: tensor images, PPM previews, model checkpoints, metrics CSV.
+"""Every file fedbalance writes, and the tensor and checkpoint readers.
+
+Each writer builds its file's bytes in memory and `_write_file` renames them
+into place through `<path>.tmp`, so a file appears whole or not at all.
 
 Tensor image files are a single JSON header line (dims, label, provenance)
 followed by the raw pixel buffer as little-endian 32-bit floats. Checkpoints
@@ -8,22 +11,66 @@ clamps to [0, 255] at write time only; stored tensors keep their raw values.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import training
-from .datasets import LabeledImage, Provenance
+from .datasets import ClientDataset, LabeledImage, Provenance
 
 TENSOR_SUFFIX = ".timg"
 
 
 class FormatError(ValueError):
     pass
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write `data` to `<path>.tmp`, then rename it onto `path`."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:   # `path` keeps what it held, and no temp file is left
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path: str, rows: Iterable[Sequence]) -> None:
+    """Write `rows` as UTF-8 CSV; a row that fails to format writes nothing."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    _write_file(path, text.getvalue().encode("utf-8"))
+
+
+def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:
+    """Export per-client label counts as CSV (client_id, label, count)."""
+    rows = [["client_id", "label", "count"]]
+    for client in clients:
+        hist = client.label_histogram
+        rows += ([client.client_id, label, int(hist[label])]
+                 for label in range(client.num_classes))
+    write_csv(path, rows)
+
+
+def write_trace(path: str, records: Iterable[tuple]) -> None:
+    """Write `protocol.Record`s as `trace.csv`, one row per delivered message."""
+    write_csv(path, [["round", "msg_type", "src", "dst", "label", "count"], *records])
+
+
+def _header_and_floats(header: dict, values: np.ndarray) -> bytes:
+    """The JSON header line, then `values` as little-endian float32."""
+    return (json.dumps(header).encode("ascii") + b"\n"
+            + np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
 def save_tensor_image(path: str, image: LabeledImage) -> None:
@@ -33,9 +80,7 @@ def save_tensor_image(path: str, image: LabeledImage) -> None:
         "label": int(image.label) if image.label >= 0 else None,
         "provenance": image.provenance.value,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(image.pixels, dtype="<f4").tobytes())
+    _write_file(path, _header_and_floats(header, image.pixels))
 
 
 def _read_header(path: str, fh) -> dict:
@@ -76,16 +121,11 @@ def load_tensor_image(path: str) -> LabeledImage:
 def save_ppm(path: str, pixels: np.ndarray) -> None:
     """Binary PPM (3-channel) or PGM (1-channel) preview, clamped to [0, 255]."""
     h, w, c = pixels.shape
+    if c not in (1, 3):
+        raise FormatError(f"PPM export supports 1 or 3 channels, got {c}")
     data = np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        if c == 3:
-            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(data.tobytes())
-        elif c == 1:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(data[..., 0].tobytes())
-        else:
-            raise FormatError(f"PPM export supports 1 or 3 channels, got {c}")
+    magic = "P6" if c == 3 else "P5"
+    _write_file(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
 
 
 _LAYER_NAMES = {
@@ -121,9 +161,7 @@ def _layer_from_json(entry: Sequence) -> object:
 
 def save_checkpoint(path: str, params: training.ModelParams) -> None:
     header = {"schema": [_layer_to_json(layer) for layer in params.schema]}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f4").tobytes())
+    _write_file(path, _header_and_floats(header, params.flat))
 
 
 def load_checkpoint(path: str) -> training.ModelParams:

@@ -1,8 +1,10 @@
+import ast
 import configparser
 import csv
 import hashlib
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -568,6 +570,47 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.flat, params.flat)
     with pytest.raises(serialization.FormatError):
         serialization.save_checkpoint(path, ModelParams((object(),), params.flat))
+
+
+def test_write_csv_that_fails_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old,bytes\r\n")
+
+    def rows():
+        yield ["a", 1]
+        raise RuntimeError("row 2")
+
+    with pytest.raises(RuntimeError, match="row 2"):
+        serialization.write_csv(str(path), rows())
+    assert path.read_bytes() == b"old,bytes\r\n"
+    # A rename that fails (the target is a directory) removes the temp file.
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        serialization.write_csv(str(tmp_path / "dir"), [["a", 1]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.csv"]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A builtin `open` in a write, append, create or update mode, or `os.replace`."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+        mode = modes[0] if modes else ast.Constant("r")
+        return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+    return (isinstance(func, ast.Attribute) and func.attr == "replace"
+            and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
+def test_only_serialization_writes_files():
+    # Every output goes through serialization._write_file, so each file
+    # appears whole or not at all. The workers' os.fdopen of their reply
+    # pipe opens no file.
+    package = pathlib.Path(serialization.__file__).parent
+    writes = {path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                          if isinstance(node, ast.Call) and _writes_a_file(node)]
+              for path in sorted(package.glob("*.py"))}
+    assert {name for name, lines in writes.items() if lines} == {"serialization.py"}
+    assert len(writes["serialization.py"]) == 2   # one open, one os.replace
 
 
 FUZZ_BASE = """\

@@ -14,9 +14,9 @@ from fedbalance.datasets import (PROVENANCES, BadMagic, BadRecordLength,
                                  PartitionSpec, Provenance, TruncatedFile, encode_cifar10,
                                  encode_idx, load_cifar10_dir, load_mnist_dir,
                                  make_toy_dataset, parse_cifar10, parse_idx,
-                                 partition, toy_templates,
-                                 write_partition_manifest)
+                                 partition, toy_templates)
 from fedbalance.seeding import derive_seed
+from fedbalance.serialization import write_partition_manifest
 
 
 def idx_bytes(magic, dims, payload):

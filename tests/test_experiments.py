@@ -18,7 +18,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     load_config, load_dataset, run_experiment,
                                     run_grid)
 from fedbalance import datasets, experiments, serialization
-from fedbalance.protocol import write_trace
+from fedbalance.serialization import write_trace
 from helpers import load_bench_module
 
 
@@ -160,9 +160,9 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     cfg = PINNED_BALANCE
     train, _, dims, _ = load_dataset(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
-    datasets.write_partition_manifest(clients, str(tmp_path / "partition_manifest.csv"))
+    serialization.write_partition_manifest(clients, str(tmp_path / "partition_manifest.csv"))
     records = balance_clients(clients, cfg, dims)
-    datasets.write_partition_manifest(clients, str(tmp_path / "balance_manifest.csv"))
+    serialization.write_partition_manifest(clients, str(tmp_path / "balance_manifest.csv"))
     write_trace(str(tmp_path / "trace.csv"), records)
 
     # the fixture exercises every balance path: 32 mixups served, 16 kept

@@ -11,8 +11,9 @@ from fedbalance.mixing import DpMixConfig
 from fedbalance.noisegen import GeneratorConfig, generate_block, init_generator
 from fedbalance.protocol import (DeadlineZero, ProtocolError, Record, Topology,
                                  plan_deficits, route, run_balance,
-                                 serve_bounty, write_trace)
+                                 serve_bounty)
 from fedbalance.seeding import rng_for
+from fedbalance.serialization import write_trace
 from helpers import load_bench_module
 
 DIMS = (6, 6, 1)
