@@ -50,6 +50,8 @@ def _cmd_partition(args) -> int:
 
 def _cmd_mix(args) -> int:
     pool = _load_pool(args.in_dir)
+    if args.ppm:   # before --out exists, so a bad channel count leaves no file
+        serialization.check_ppm_channels(pool.pixels.shape[-1])
     cfg = DpMixConfig(k=args.k, sigma=args.sigma)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
@@ -70,6 +72,8 @@ def _cmd_gen_noise(args) -> int:
         wavelet_bank=noisegen.WaveletBank(args.bank),
         seed=derive_seed(args.seed, "cli-noise-state"))
     state = noisegen.init_generator(gen_cfg)
+    if args.ppm:
+        serialization.check_ppm_channels(args.channels)
     os.makedirs(args.out, exist_ok=True)
     for start in range(0, args.count, noisegen.NOISE_BLOCK):
         ids = range(start, min(start + noisegen.NOISE_BLOCK, args.count))

@@ -390,20 +390,23 @@ def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
     """Load, partition and (when `supplement_pct` > 0) balance the clients.
 
     With `out_dir` set, writes `partition_manifest.csv` and, after a balance,
-    `balance_manifest.csv` and `trace.csv`. Returns (clients, dims,
+    `balance_manifest.csv` and `trace.csv`, all once the balance has returned,
+    so a failed balance creates no file. Returns (clients, dims,
     num_classes). The test split is not read. The loaded training set is
     released here: each client holds its own copy of its rows.
     """
     train, dims, num_classes = load_train(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
     del train
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        serialization.write_partition_manifest(
-            clients, os.path.join(out_dir, "partition_manifest.csv"))
+    # The label counts, not the pre-balance pixels, outlive the balance.
+    partition_rows = serialization.manifest_rows(clients) if out_dir else []
     if cfg.supplement_pct > 0:
         records = balance_clients(clients, cfg, dims)
-        if out_dir:
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        serialization.write_csv(os.path.join(out_dir, "partition_manifest.csv"),
+                                partition_rows)
+        if cfg.supplement_pct > 0:
             serialization.write_partition_manifest(
                 clients, os.path.join(out_dir, "balance_manifest.csv"))
             serialization.write_trace(os.path.join(out_dir, "trace.csv"), records)

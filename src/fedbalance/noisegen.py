@@ -211,6 +211,14 @@ def _synthesize(state: GeneratorState, rngs: list[np.random.Generator]) -> np.nd
     """
     cfg = state.config
     cps = cfg.channels_per_scale
+    # The bytes of the block's largest array: a 3x3 conv's padded input or
+    # the output. numpy refuses, as a ValueError, one past intp's range.
+    res, pad = state.gen_resolution, 2 if state.scale_convs else 0
+    largest = 8 * len(rngs) * max(cps * (res + pad) ** 2,
+                                  len(state.output_conv.biases) * res ** 2)
+    if largest > np.iinfo(np.intp).max:
+        raise NoiseGenError(f"a block of {len(rngs)} noise images at resolution {res} "
+                            f"needs a {largest}-byte array, more than numpy can index")
     sizes = [cfg.base_resolution * 2 ** s for s in range(state.num_scales + 1)]
     draws = [np.empty((len(rngs), cps, size, size)) for size in sizes]
     for row, rng in enumerate(rngs):

@@ -52,14 +52,20 @@ def write_csv(path: str, rows: Iterable[Sequence]) -> None:
     _write_file(path, text.getvalue().encode("utf-8"))
 
 
-def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:
-    """Export per-client label counts as CSV (client_id, label, count)."""
-    rows = [["client_id", "label", "count"]]
+def manifest_rows(clients: Sequence[ClientDataset]) -> list[list]:
+    """A partition manifest's CSV rows: (client_id, label, count) per client
+    and label, after a header."""
+    rows: list[list] = [["client_id", "label", "count"]]
     for client in clients:
         hist = client.label_histogram
         rows += ([client.client_id, label, int(hist[label])]
                  for label in range(client.num_classes))
-    write_csv(path, rows)
+    return rows
+
+
+def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:
+    """Export per-client label counts as CSV (client_id, label, count)."""
+    write_csv(path, manifest_rows(clients))
 
 
 def write_trace(path: str, records: Iterable[tuple]) -> None:
@@ -118,11 +124,15 @@ def load_tensor_image(path: str) -> LabeledImage:
     return LabeledImage(pixels, -1 if label is None else label, provenance)
 
 
+def check_ppm_channels(channels: int) -> None:
+    if channels not in (1, 3):
+        raise FormatError(f"PPM export supports 1 or 3 channels, got {channels}")
+
+
 def save_ppm(path: str, pixels: np.ndarray) -> None:
     """Binary PPM (3-channel) or PGM (1-channel) preview, clamped to [0, 255]."""
     h, w, c = pixels.shape
-    if c not in (1, 3):
-        raise FormatError(f"PPM export supports 1 or 3 channels, got {c}")
+    check_ppm_channels(c)
     data = np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
     magic = "P6" if c == 3 else "P5"
     _write_file(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + data.tobytes())

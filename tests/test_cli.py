@@ -242,6 +242,29 @@ def test_mix_from_tensor_directory(tmp_path):
     assert all(m.provenance is Provenance.MIXUP for m in mixed)
 
 
+def test_gen_noise_ppm_of_two_channels_exits_3_writing_nothing(tmp_path, capsys):
+    # It used to leave noise_00000.timg and an empty noise_00000.ppm.
+    out = tmp_path / "noise"
+    assert main(["gen-noise", "--out", str(out), "--count", "2", "--height", "8",
+                 "--width", "8", "--channels", "2", "--ppm"]) == EXIT_IO
+    assert "PPM export supports 1 or 3 channels, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_ppm_of_a_two_channel_pool_exits_3_writing_nothing(tmp_path, capsys):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    pixels, labels = make_toy_dataset(3, 3, (8, 8, 2), seed=0)
+    for i, (p, y) in enumerate(zip(pixels, labels)):
+        serialization.save_tensor_image(
+            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"), LabeledImage(p, int(y)))
+    out = tmp_path / "mixed"
+    assert main(["mix", "--in", str(pool), "--out", str(out), "--label", "1",
+                 "--count", "2", "--k", "3", "--ppm"]) == EXIT_IO
+    assert "PPM export supports 1 or 3 channels, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mix_with_a_laplace_scale_past_float32_exits_2(tmp_path, capsys):
     # It used to write mixups with infinite pixels and exit 0.
     pool = tmp_path / "pool"

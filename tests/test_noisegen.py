@@ -168,6 +168,17 @@ class TestGenerate:
         with pytest.raises(DegenerateImage):
             generate(flat, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(out_dims=(8, 8, 1), base_resolution=10**10),   # no scale
+        GeneratorConfig(out_dims=(2**31, 1, 1)),                       # 29 scales
+    ])
+    def test_a_block_past_numpy_s_array_limit_is_a_noise_gen_error(self, cfg):
+        # numpy would refuse the block with a ValueError ("array is too big").
+        # The generator itself is small, so init_generator still runs.
+        state = init_generator(cfg)
+        with pytest.raises(NoiseGenError, match="more than numpy can index"):
+            _synthesize(state, [np.random.default_rng(0)])
+
     def test_state_is_immutable(self):
         # training-free contract: nothing can update the generator after init
         state = init_generator(GeneratorConfig(out_dims=(16, 16, 1), seed=0))

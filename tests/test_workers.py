@@ -179,6 +179,11 @@ def test_a_balance_error_in_a_worker_reaches_the_caller_as_its_own_type(tmp_path
     assert main(["balance", "--config", str(path), "--out", str(tmp_path / "out")]) \
         == EXIT_CONFIG
     assert "generator produced a constant image twice in a row" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()   # no manifest is written before the balance
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "train")]) \
+        == EXIT_CONFIG
+    assert "generator produced a constant image twice in a row" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
 
 
 def test_an_allocation_a_worker_is_refused_exits_2(tmp_path, capsys):
@@ -192,6 +197,21 @@ def test_an_allocation_a_worker_is_refused_exits_2(tmp_path, capsys):
         == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: Unable to allocate ")
     assert workers.pool()._procs == []
+
+
+def test_a_noise_block_past_numpy_s_array_limit_exits_2(tmp_path, capsys):
+    # At 10**10 a block's byte count passes intp, where numpy raises
+    # ValueError ("array is too big") rather than MemoryError. It used to
+    # end in a traceback (exit 1) and leave the partition manifest.
+    path = tmp_path / "exp.cfg"
+    path.write_text(DEGENERATE_BALANCE.replace("toy_dims = 1x1x1", "toy_dims = 8x8x1")
+                    + "\n[noise]\nbase_resolution = 10000000000\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a block of ") and "more than numpy can index" in err
+    assert workers.pool()._procs == []
+    assert not out.exists()
 
 
 def test_importing_the_cli_loads_neither_the_pool_nor_subprocess():
