@@ -104,12 +104,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_balance(args) -> int:
     cfg = experiments.load_config(args.config, args.seed)
-    clients, _, _ = experiments.prepare_clients(cfg, args.out)
-    if cfg.supplement_pct == 0:
-        # Nothing to balance: record the partition as it stands and an empty trace.
-        serialization.write_partition_manifest(
-            clients, os.path.join(args.out, "balance_manifest.csv"))
-        serialization.write_trace(os.path.join(args.out, "trace.csv"), [])
+    experiments.write_client_files(args.out, experiments.prepare_clients(cfg))
     print(args.out)
     return EXIT_OK
 

@@ -385,32 +385,45 @@ def _fmt_num(value) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def prepare_clients(cfg: ExperimentConfig, out_dir: str | None = None
-                    ) -> tuple[list[ClientDataset], tuple[int, int, int], int]:
-    """Load, partition and (when `supplement_pct` > 0) balance the clients.
+@dataclass
+class PreparedClients:
+    """The partitioned, balanced clients and what their files record: the
+    partition manifest's rows, taken before the balance, and the balance's
+    trace records (empty when `supplement_pct` is 0)."""
 
-    With `out_dir` set, writes `partition_manifest.csv` and, after a balance,
-    `balance_manifest.csv` and `trace.csv`, all once the balance has returned,
-    so a failed balance creates no file. Returns (clients, dims,
-    num_classes). The test split is not read. The loaded training set is
-    released here: each client holds its own copy of its rows.
+    clients: list[ClientDataset]
+    dims: tuple[int, int, int]
+    num_classes: int
+    partition_rows: list[list]
+    records: list[Record]
+
+
+def prepare_clients(cfg: ExperimentConfig) -> PreparedClients:
+    """Load, partition and (when `supplement_pct` > 0) balance the clients.
+    Writes nothing, so a failed balance or training creates no file. The
+    test split is not read. The loaded training set is released here: each
+    client holds its own copy of its rows.
     """
     train, dims, num_classes = load_train(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
     del train
     # The label counts, not the pre-balance pixels, outlive the balance.
-    partition_rows = serialization.manifest_rows(clients) if out_dir else []
-    if cfg.supplement_pct > 0:
-        records = balance_clients(clients, cfg, dims)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        serialization.write_csv(os.path.join(out_dir, "partition_manifest.csv"),
-                                partition_rows)
-        if cfg.supplement_pct > 0:
-            serialization.write_partition_manifest(
-                clients, os.path.join(out_dir, "balance_manifest.csv"))
-            serialization.write_trace(os.path.join(out_dir, "trace.csv"), records)
-    return clients, dims, num_classes
+    partition_rows = serialization.manifest_rows(clients)
+    records = balance_clients(clients, cfg, dims) if cfg.supplement_pct > 0 else []
+    return PreparedClients(clients, dims, num_classes, partition_rows, records)
+
+
+def write_client_files(out_dir: str, prepared: PreparedClients,
+                       balanced: bool = True) -> None:
+    """`partition_manifest.csv` and, when `balanced`, `balance_manifest.csv`
+    and `trace.csv`, into `out_dir`, which is made if need be."""
+    os.makedirs(out_dir, exist_ok=True)
+    serialization.write_csv(os.path.join(out_dir, "partition_manifest.csv"),
+                            prepared.partition_rows)
+    if balanced:
+        serialization.write_partition_manifest(
+            prepared.clients, os.path.join(out_dir, "balance_manifest.csv"))
+        serialization.write_trace(os.path.join(out_dir, "trace.csv"), prepared.records)
 
 
 _SUMMARY_FIELDS = ["dataset", "model", "scheme", "classes_per_client",
@@ -420,16 +433,18 @@ _SUMMARY_FIELDS = ["dataset", "model", "scheme", "classes_per_client",
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
-    """Full pipeline: load, partition, balance, train; write CSVs when out_dir set."""
+    """Full pipeline: load, partition, balance, train. With `out_dir` set,
+    writes every file after the last round, so a run that fails creates
+    none."""
     cfg.validate()
     test_pixels, test_labels = load_test(cfg)
-    clients, dims, num_classes = prepare_clients(cfg, out_dir)
+    prepared = prepare_clients(cfg)
 
-    schema = build_model(cfg.model, dims, num_classes)
+    schema = build_model(cfg.model, prepared.dims, prepared.num_classes)
     params = init_model(schema, derive_seed(cfg.seed, "model-init"))
     train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     # Empty clients (a Dirichlet draw can leave some) sit out every round.
-    clients = [c for c in clients if len(c)]
+    clients = [c for c in prepared.clients if len(c)]
 
     reports = []
     for round_index in range(cfg.rounds):
@@ -439,8 +454,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 
     final_acc = reports[-1].test_accuracy
     best_acc = max(r.test_accuracy for r in reports)
-    tag = config_tag(cfg, num_classes)
+    tag = config_tag(cfg, prepared.num_classes)
     if out_dir:
+        write_client_files(out_dir, prepared, balanced=cfg.supplement_pct > 0)
         serialization.write_csv(os.path.join(out_dir, "metrics.csv"), [
             ["round", "global_test_acc", "mean_train_loss"],
             *([r.round_index, f"{r.test_accuracy:.6f}", f"{r.mean_train_loss:.6f}"]

@@ -385,17 +385,6 @@ def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def patch_rows(x: np.ndarray, dtype) -> np.ndarray:
-    """Each image's layer-0 `_im2col` rows, cast to `dtype`, as one
-    (N, H*W*9*C) row per image.
-
-    `_im2col` only copies pixels, so the patch rows of a batch `x[idx]` are
-    `patch_rows(x, dtype)[idx]`, bit for bit.
-    """
-    n, h, w, c = x.shape
-    return _im2col(np.asarray(x, dtype=dtype)).reshape(n, h * w * 9 * c)
-
-
 # The layer steps of a plan. Each is made for one input shape, with views of
 # its parameters and of its gradient; `forward` returns its output buffer and
 # what its `backward` needs, and `backward` writes the layer's gradient and
@@ -441,10 +430,8 @@ class _ConvStep:
         c_out = layer.out_channels
         weights, self.bias = view
         dtype = weights.dtype
-        self.shape, self.cols_shape = shape, (b * h * w, 9 * c_in)
         self.kernel = weights.reshape(9 * c_in, c_out)
-        # Layer 0's is made on first use: patch rows may stand in for it.
-        self.im2col = None if first else _Im2col(shape, dtype)
+        self.im2col = _Im2col(shape, dtype)
         self.out = np.empty((b, h, w, c_out), dtype=dtype)
         self.out_pixels = self.out.reshape(b * h * w, c_out)
         self.out_images = self.out.reshape(b, h * w * c_out)
@@ -458,11 +445,8 @@ class _ConvStep:
         self.input_grad = None if first else _ConvInputGrad(
             self.out.shape, c_in, dtype, self.im2col.cols if c_in > 1 else None)
 
-    def forward(self, act: np.ndarray, cols: np.ndarray | None = None):
-        if cols is None:
-            if self.im2col is None:
-                self.im2col = _Im2col(self.shape, self.out.dtype)
-            cols = self.im2col(act)
+    def forward(self, act: np.ndarray):
+        cols = self.im2col(act)
         np.matmul(cols, self.kernel, out=self.out_pixels)
         self.tile_pixels[...] = self.bias
         self.out_images += self.tile
@@ -477,11 +461,9 @@ class _ConvStep:
         return None if self.input_grad is None else self.input_grad(delta, self.kernel)
 
 
-def _conv_forward(x: np.ndarray, cols: np.ndarray, w: np.ndarray,
-                  bias: np.ndarray) -> np.ndarray:
+def _conv_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     grad_view = (np.empty_like(w), np.empty_like(bias))
-    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), grad_view, x.shape, True).forward(
-        x, cols)[0]
+    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), grad_view, x.shape, True).forward(x)[0]
 
 
 class _ReluStep:
@@ -535,21 +517,12 @@ class _StepPlan:
                 raise SchemaMismatch(f"unknown layer {layer!r}")
             self.steps.append(step)
             shape = step.out.shape
-        # the gathered batch: its images, or layer 0's patch rows
-        self.inputs = np.empty((batch, *in_shape), dtype=dtype)
-        if isinstance(self.steps[0], _ConvStep):
-            self.rows = np.empty((batch, math.prod(in_shape) * 9), dtype=dtype)
+        self.inputs = np.empty((batch, *in_shape), dtype=dtype)   # the gathered batch
 
-    def forward(self, x: np.ndarray | None, rows: np.ndarray | None = None):
-        """(logits, cache) of a batch; `rows`, when given, are its
-        `patch_rows` and stand in for layer 0's `_im2col`, and `x` is not read."""
-        first, *rest = self.steps
-        if rows is None:
-            act, saved = first.forward(np.asarray(x, dtype=self.dtype))
-        else:
-            act, saved = first.forward(None, rows.reshape(first.cols_shape))
-        cache = [saved]
-        for step in rest:
+    def forward(self, x: np.ndarray):
+        """(logits, cache) of a batch."""
+        act, cache = np.asarray(x, dtype=self.dtype), []
+        for step in self.steps:
             act, saved = step.forward(act)
             cache.append(saved)
         return act, cache
@@ -560,8 +533,8 @@ class _StepPlan:
             delta = step.backward(delta, saved)
         return self.grad
 
-    def loss_and_grad(self, x, labels, rows=None):
-        logits, cache = self.forward(x, rows)
+    def loss_and_grad(self, x, labels):
+        logits, cache = self.forward(x)
         loss, delta = softmax_cross_entropy(logits, labels)
         return loss, self.backward(delta, cache)
 
@@ -702,15 +675,13 @@ EVAL_CHUNK = 128
 
 
 def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-                  bounds: Sequence[int], patches: np.ndarray | None = None) -> int:
-    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]);
-    `patches` are x's `patch_rows`, when built. One step plan serves every
-    chunk of a size."""
+                  bounds: Sequence[int]) -> int:
+    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]).
+    One step plan serves every chunk of a size."""
     plans = _Plans(params, np.shape(x)[1:])
     correct = 0
     for start, stop in zip(bounds, bounds[1:]):
-        logits, _ = plans[stop - start].forward(
-            x[start:stop], None if patches is None else patches[start:stop])
+        logits, _ = plans[stop - start].forward(x[start:stop])
         correct += int((logits.argmax(axis=1) == labels[start:stop]).sum())
     return correct
 
@@ -736,16 +707,14 @@ class RoundReport:
 
 
 def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
-                cfg: TrainConfig, rng: np.random.Generator,
-                patches: np.ndarray | None = None) -> tuple[ModelParams, float]:
+                cfg: TrainConfig, rng: np.random.Generator) -> tuple[ModelParams, float]:
     """Local epochs of Adam on images `x` (scaled to [0, 1]) and labels `y`
-    from fresh optimizer state; returns (params, mean loss). `patches` are
-    x's `patch_rows`, when built.
+    from fresh optimizer state; returns (params, mean loss).
 
     Each batch size (the full one, and a ragged last batch) gets one step
     plan, built on first use over the trained copy's flat vector, which
-    `adam_step` then moves in place. A batch gathers its patch rows when
-    there are some, and its images otherwise, into the plan's buffers.
+    `adam_step` then moves in place. A batch gathers its images into the
+    plan's input buffer.
     """
     params = global_params.copy()
     opt = OptState.fresh(params.flat.size, params.flat.dtype)
@@ -758,12 +727,8 @@ def local_train(global_params: ModelParams, x: np.ndarray, y: np.ndarray,
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             plan = plans[len(idx)]
-            if patches is None:
-                loss, grad = plan.loss_and_grad(
-                    x.take(idx, axis=0, out=plan.inputs, mode="clip"), y.take(idx))
-            else:
-                loss, grad = plan.loss_and_grad(
-                    None, y.take(idx), patches.take(idx, axis=0, out=plan.rows, mode="clip"))
+            loss, grad = plan.loss_and_grad(
+                x.take(idx, axis=0, out=plan.inputs, mode="clip"), y.take(idx))
             adam_step(params.flat, grad, opt, cfg)
             losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0
@@ -777,12 +742,13 @@ def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],
     `clients` and `test_pixels` hold unscaled pixels. Aggregation weights are
     proportional to each participant's local dataset size (pseudo-images
     included). Local training and evaluation run in the worker processes of
-    `fedbalance.workers`, which are sent the clients and the test set once and
-    keep scaled copies, so no array may change in place between rounds (an
-    `add` rebinds them, and is dealt again). Participants are drawn and
-    averaged in client-id order, and each client's shuffle stream is derived
-    from (seed, round, client id), so neither the order of `clients` nor the
-    order in which workers finish changes a result.
+    `fedbalance.workers`, which are sent the clients and the test set once,
+    whatever the model, and keep scaled copies, so no array may change in
+    place between rounds (an `add` rebinds them, and is dealt again).
+    Participants are drawn and averaged in client-id order, and each
+    client's shuffle stream is derived from (seed, round, client id), so
+    neither the order of `clients` nor the order in which workers finish
+    changes a result.
     """
     from . import workers
 
@@ -796,8 +762,7 @@ def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],
         participants = clients
 
     pool = workers.pool()
-    pool.deal(clients, test_pixels, test_labels,
-              (global_params.schema, global_params.flat.dtype))
+    pool.deal(clients, test_pixels, test_labels)
     trained = pool.train(global_params, cfg, round_index,
                          [c.client_id for c in participants])
     losses = [trained[c.client_id][1] for c in participants]

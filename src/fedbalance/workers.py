@@ -8,16 +8,19 @@ running numpy with one BLAS thread. Each worker is `python -c` running
 writes one pickled `(status, value)` reply per request to its stdout.
 `Pool.balance` sends every worker the pre-balance snapshots and a share of
 the clients to balance, and returns the rows and trace records each client
-gained. `Pool.deal` sends each worker its clients as they are, a slice of
-the unscaled test set and the model's layout (schema and dtype); a worker
-divides those pixels by 255 once and keeps only the scaled arrays, and
-when the layout's layer 0 is a Conv3x3 builds their layer-0 patch rows, up
-to `PATCH_BUDGET` bytes. Until the clients, the arrays they hold, the test
-set or the layout change, a round sends only the global parameters and the
-participants' ids, and each worker trains the participants it holds and
-evaluates its slice. The parent draws participants, averages and writes
-every file, in client-id order, so no output depends on how clients are
-dealt or on the order in which workers reply.
+gained. `Pool.deal` sends each worker its clients as they are and a slice
+of the unscaled test set; a worker divides those pixels by 255 once and
+keeps only the scaled arrays. What is dealt does not depend on the model.
+Until the clients, the arrays they hold or the test set change, a round
+sends only the global parameters and the participants' ids, and each
+worker trains the participants it holds and evaluates its slice. The
+parent draws participants, averages and writes every file, in client-id
+order, so no output depends on how clients are dealt or on the order in
+which workers reply.
+
+A worker answers its requests with numpy's overflow, invalid and divide
+warnings off: a diverging run reports itself once, as the
+`NonFiniteGradient` or `NonFiniteParam` that training's checks raise.
 
 The pool starts lazily, once per process, and is reused across runs. Any
 failure closes it, and the next request starts a new one. A worker exits
@@ -40,7 +43,7 @@ import numpy as np
 from . import experiments, training
 from .datasets import ClientDataset
 from .seeding import rng_for
-from .training import Conv3x3, ModelParams, TrainConfig, TrainingError
+from .training import ModelParams, TrainConfig, TrainingError
 
 _ENV = {
     # The workers fill the cores, so each runs one BLAS thread; no BLAS
@@ -52,9 +55,6 @@ _ENV = {
     "MALLOC_MMAP_THRESHOLD_": "16777216", "MALLOC_TRIM_THRESHOLD_": "33554432",
 }
 _COMMAND = "from fedbalance.workers import serve; serve()"
-# Bytes of layer-0 patch rows a worker keeps per deal: a desk-cell worker's
-# rows fit (~22 MB), and those of an MNIST-sized share (~850 MB) would not.
-PATCH_BUDGET = 64 * 2**20
 
 
 def _usable_cores() -> int:
@@ -70,7 +70,6 @@ class Pool:
     def __init__(self) -> None:
         self._procs: list[subprocess.Popen] = []
         self._dealt: list[weakref.ref] = []   # each client, its arrays, the test set
-        self._layout: tuple = ()              # the model layout they were dealt for
         self._in_use = 0                      # how many workers they were dealt to
 
     def _grow(self, n: int) -> None:
@@ -110,13 +109,13 @@ class Pool:
         return {cid: added for reply in replies.values() for cid, added in reply.items()}
 
     def deal(self, clients: list[ClientDataset], test_pixels: np.ndarray,
-             test_labels: np.ndarray, layout: tuple) -> None:
-        """Give each worker its clients and its evaluation chunks for a model
-        of `layout` (schema, dtype), unless these very clients, holding these
-        very arrays, and test arrays were dealt last for that layout."""
+             test_labels: np.ndarray) -> None:
+        """Give each worker its clients and its evaluation chunks, unless
+        these very clients, holding these very arrays, and test arrays were
+        dealt last."""
         dealt = [obj for c in clients for obj in (c, c.pixels, c.labels)]
         dealt += [test_pixels, test_labels]
-        if (layout == self._layout and len(dealt) == len(self._dealt)
+        if (len(dealt) == len(self._dealt)
                 and all(ref() is obj for ref, obj in zip(self._dealt, dealt))):
             return
         shares = self._share_out({c.client_id: len(c) for c in clients})
@@ -131,11 +130,10 @@ class Pool:
             first, last = (k * chunks // n, (k + 1) * chunks // n) if k < n else (0, 0)
             lo, hi = bounds[first], bounds[last]
             local = [b - lo for b in bounds[first:last + 1]]
-            requests[k] = ("deal", share, (test_pixels[lo:hi], test_labels[lo:hi], local),
-                           layout, PATCH_BUDGET)
+            requests[k] = ("deal", share, (test_pixels[lo:hi], test_labels[lo:hi], local))
         self._call(requests)
         self._dealt = [weakref.ref(obj) for obj in dealt]
-        self._layout, self._in_use = layout, n
+        self._in_use = n
 
     def train(self, params: ModelParams, cfg: TrainConfig, round_index: int,
               client_ids: list[int]) -> dict[int, tuple[np.ndarray, float]]:
@@ -207,24 +205,6 @@ def pool() -> Pool:
     return _POOL
 
 
-def _patch_rows(clients: dict[int, tuple], test_x: np.ndarray, layout: tuple,
-                budget: int) -> dict:
-    """`training.patch_rows` of the {client id: (x, y)} arrays by client id,
-    and by None for the test slice, when the layout's layer 0 is a Conv3x3:
-    built in deal order until the next would pass `budget`; an array without
-    rows trains through `_im2col`."""
-    schema, dtype = layout
-    rows: dict = {}
-    if isinstance(schema[0], Conv3x3):
-        for key, x in [*((cid, x) for cid, (x, _) in clients.items()), (None, test_x)]:
-            size = 9 * x.size * dtype.itemsize
-            if size > budget:
-                break
-            rows[key] = training.patch_rows(x, dtype)
-            budget -= size
-    return rows
-
-
 def serve() -> None:
     """A worker's loop: answer requests until stdin closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles Ctrl-C
@@ -233,7 +213,8 @@ def serve() -> None:
     # Python or from C, goes to stderr instead of into the reply stream.
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
-    clients, test, rows = {}, ((), (), [0]), {}   # nothing dealt yet
+    np.seterr(over="ignore", invalid="ignore", divide="ignore")   # see the docstring
+    clients, test = {}, ((), (), [0])   # nothing dealt yet
     while True:
         try:
             kind, *args = pickle.load(requests)
@@ -241,10 +222,9 @@ def serve() -> None:
             return
         try:
             if kind == "deal":
-                share, (pixels, labels, bounds), layout, budget = args
+                share, (pixels, labels, bounds) = args
                 clients = {c.client_id: (c.pixels / 255.0, c.labels) for c in share}
                 test = (pixels / 255.0, labels, bounds)
-                rows = _patch_rows(clients, test[0], layout, budget)
                 del args, share, pixels   # only the scaled pixels stay
                 value = None
             elif kind == "balance":
@@ -255,10 +235,10 @@ def serve() -> None:
                 for cid in filter(clients.__contains__, ids):
                     trained, loss = training.local_train(
                         params, *clients[cid], cfg,
-                        rng_for(cfg.seed, "shuffle", round_index, cid), rows.get(cid))
+                        rng_for(cfg.seed, "shuffle", round_index, cid))
                     value.append((cid, trained.flat, loss))
             else:
-                value = training.count_correct(args[0], *test, rows.get(None))
+                value = training.count_correct(args[0], *test)
             reply = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             try:

@@ -14,7 +14,7 @@ from fedbalance.datasets import ClientDataset, make_toy_dataset
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
                                  softmax_cross_entropy)
-from fedbalance.training import (_conv_forward, _im2col, _param_views,
+from fedbalance.training import (_conv_forward, _param_views,
                                  _pool_forward)
 
 
@@ -38,8 +38,7 @@ def min_pool_gap(params, x):
         if isinstance(layer, Dense):
             act = act.reshape(act.shape[0], -1) @ view[0] + view[1]
         elif isinstance(layer, Conv3x3):
-            cols = _im2col(act)
-            act = _conv_forward(act, cols, view[0], view[1])
+            act = _conv_forward(act, view[0], view[1])
         elif isinstance(layer, MaxPool2):
             windows = np.stack(pool_corners(act), axis=-1)
             top2 = np.sort(windows, axis=-1)[..., 2:]

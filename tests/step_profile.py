@@ -7,20 +7,22 @@ report only; it asserts nothing and no test collects it.
 It runs in one process under the workers' settings (`workers._ENV`: one
 BLAS thread and their glibc malloc thresholds), re-executing itself once to
 set them. A worker round is `local_train` over five desk-shaped clients
-(1,140 images of 10x10x1 each, 9 steps of at most 128 images, the CNN, with
-layer-0 patch rows), as one of the two workers of a desk cell trains them;
-its median time is printed per round and per step, with the Python-level
-calls per step that cProfile counts over one round. An evaluate request is
-`count_correct` over a 500-image 10x10x1 test slice with patch rows, in
-chunks of `EVAL_CHUNK` (128) images. A bounty is one
-`serve_bounty` of 60 mixups (k = 4, sigma = 50) from a 600-image client, a
-desk requester's ask of the one peer holding the label.
+(1,140 images of 10x10x1 each, 9 steps of at most 128 images, the CNN), as
+one of the two workers of a desk cell trains them; its median time is
+printed per round and per step, with the Python-level calls per step that
+cProfile counts over one round. An evaluate request is `count_correct` over
+a 500-image 10x10x1 test slice, in chunks of `EVAL_CHUNK` (128) images. A
+bounty is one `serve_bounty` of 60 mixups (k = 4, sigma = 50) from a
+600-image client, a desk requester's ask of the one peer holding the label.
+Last comes the process's peak RSS (`ru_maxrss`), which holds what a worker
+of a desk cell holds plus the profile's own arrays.
 """
 
 import argparse
 import cProfile
 import os
 import pstats
+import resource
 import statistics
 import sys
 import time
@@ -38,7 +40,7 @@ from fedbalance.protocol import serve_bounty  # noqa: E402
 from fedbalance.seeding import rng_for  # noqa: E402
 from fedbalance.training import (EVAL_CHUNK, TrainConfig, _chunk_bounds,  # noqa: E402
                                  build_model, count_correct, init_model,
-                                 local_train, patch_rows)
+                                 local_train)
 
 CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
 TEST_IMAGES = 500
@@ -63,13 +65,13 @@ def main() -> None:
     clients = []
     for cid in range(CLIENTS):
         x = rng.random((IMAGES, *DIMS)).astype(np.float32)
-        clients.append((cid, x, rng.integers(0, 10, IMAGES), patch_rows(x, np.float32)))
+        clients.append((cid, x, rng.integers(0, 10, IMAGES)))
     cfg = TrainConfig(batch_size=128)
     steps = CLIENTS * -(-IMAGES // cfg.batch_size)
 
     def worker_round():
-        for cid, x, y, rows in clients:
-            local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, cid), rows)
+        for cid, x, y in clients:
+            local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, cid))
 
     worker_round()                                  # warm the caches
     round_ms = median_ms(worker_round, repeats)
@@ -82,8 +84,7 @@ def main() -> None:
 
     test_rng = np.random.default_rng(1)
     test_x = test_rng.random((TEST_IMAGES, *DIMS))  # float64, as a worker scales it
-    test = (test_x, test_rng.integers(0, 10, TEST_IMAGES),
-            _chunk_bounds(TEST_IMAGES, EVAL_CHUNK), patch_rows(test_x, np.float32))
+    test = (test_x, test_rng.integers(0, 10, TEST_IMAGES), _chunk_bounds(TEST_IMAGES, EVAL_CHUNK))
 
     def evaluate():
         return count_correct(params, *test)
@@ -105,6 +106,8 @@ def main() -> None:
     bounty_ms = median_ms(bounty, repeats)
     print(f"bounty: {n} mixups, median of {repeats}")
     print(f"  {bounty_ms:.2f} ms per bounty, {1e3 * bounty_ms / n:.1f} us per mixup")
+    # Linux reports ru_maxrss in KiB.
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

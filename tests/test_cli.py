@@ -66,6 +66,18 @@ def test_balance_writes_trace_and_manifests(config_path, tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_balance_without_a_supplement_records_the_partition_and_an_empty_trace(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CONFIG_TEXT.replace("supplement_pct = 20", "supplement_pct = 0"))
+    out = tmp_path / "out"
+    assert main(["balance", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "balance_manifest.csv", "partition_manifest.csv", "trace.csv"]
+    assert ((out / "balance_manifest.csv").read_bytes()
+            == (out / "partition_manifest.csv").read_bytes())
+    assert (out / "trace.csv").read_bytes() == b"round,msg_type,src,dst,label,count\r\n"
+
+
 def test_train_runs_pipeline(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", config_path, "--out", str(out)]) == EXIT_OK

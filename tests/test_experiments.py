@@ -129,7 +129,8 @@ class TestBalancePhase:
         result = run_experiment(replace(TINY, supplement_pct=0),
                                 str(tmp_path / "out"))
         assert result.tag == "No Supplement"
-        assert not os.path.exists(tmp_path / "out" / "trace.csv")
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "metrics.csv", "model.ckpt", "partition_manifest.csv", "summary.csv"]
 
 
 # SHA-256 of everything the balance phase produces for PINNED_BALANCE: the

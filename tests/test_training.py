@@ -15,9 +15,9 @@ from fedbalance.training import (Conv3x3, Dense, MaxPool2, ModelParams,
                                  NonFiniteGradient, NonFiniteParam, OptState,
                                  ReLU, SchemaMismatch,
                                  ShapeMismatch, Softmax, TrainConfig, adam_step,
-                                 build_model, count_correct, fedavg_aggregate,
+                                 build_model, fedavg_aggregate,
                                  forward, init_model, local_train, loss_and_grad,
-                                 patch_rows, run_round, schema_param_count,
+                                 run_round, schema_param_count,
                                  softmax_cross_entropy)
 from fedbalance.training import (_StepPlan, _chunk_bounds,
                                  _conv_forward, _conv_input_grad, _conv_taps,
@@ -241,7 +241,7 @@ def test_conv_bias_add_matches_broadcast_reference(dtype, c_in):
             cols = _im2col(x)
             expected = cols @ w.reshape(9 * c_in, c_out)
             expected += bias
-            got = _conv_forward(x, cols, w, bias)
+            got = _conv_forward(x, w, bias)
             assert got.tobytes() == expected.tobytes()
 
 
@@ -411,29 +411,8 @@ def test_evaluation_chunks_never_hold_one_image():
     assert _chunk_bounds(1, 128) == [0, 1]
 
 
-@pytest.mark.parametrize("dims", [(10, 10, 1), (28, 28, 1), (32, 32, 3)])
-def test_patch_rows_train_and_evaluate_bitwise_as_im2col(dims):
-    # 244 images at batch 128 leave a 116-image remainder batch, and two
-    # evaluation chunks of 128 and 116.
-    pixels, labels = make_toy_dataset(25, 10, dims, seed=4)
-    x, y = pixels[:244] / 255.0, labels[:244]
-    params = init_model(build_model("cnn", dims, 10), 5)
-    patches = patch_rows(x, params.flat.dtype)
-    assert patches.shape == (244, dims[0] * dims[1] * 9 * dims[2])
-    cfg = TrainConfig(batch_size=128, local_epochs=2)
-    per_batch = local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, 0))
-    cached = local_train(params, x, y, cfg, rng_for(0, "shuffle", 0, 0), patches)
-    assert cached[0].flat.tobytes() == per_batch[0].flat.tobytes()
-    assert cached[1] == per_batch[1]
-    bounds = _chunk_bounds(244, 128)
-    assert bounds == [0, 128, 244]
-    assert (count_correct(cached[0], x, y, bounds, patches)
-            == count_correct(cached[0], x, y, bounds))
-    assert patches[:128].tobytes() == _im2col(x[:128].astype(np.float32)).tobytes()
-
-
 # (loss.hex(), SHA-256 of the trained flat vector) of `local_train` at batch
-# 128 over two epochs, per (model, dims, patch rows, images): 129 and 255
+# 128 over two epochs, per (model, dims, images): 129 and 255
 # images end each epoch on a batch of 1 and of 127, so a step that keeps
 # anything sized by one batch into the next would change these bytes.
 PINNED_LOCAL_TRAIN = {
@@ -464,20 +443,16 @@ PINNED_LOCAL_TRAIN = {
 }
 
 
-@pytest.mark.parametrize("model, dims, with_rows", [
-    ("cnn", (10, 10, 1), True), ("cnn", (10, 10, 1), False),
-    ("cnn", (5, 5, 3), True), ("cnn", (5, 5, 3), False),
-    ("mlp", (10, 10, 1), False), ("logreg", (10, 10, 1), False)])
+@pytest.mark.parametrize("model, dims", [
+    ("cnn", (10, 10, 1)), ("cnn", (5, 5, 3)), ("mlp", (10, 10, 1)), ("logreg", (10, 10, 1))])
 @pytest.mark.parametrize("n_images", [129, 255])
-def test_local_train_on_ragged_batches_matches_pinned_digests(model, dims, with_rows,
-                                                              n_images):
+def test_local_train_on_ragged_batches_matches_pinned_digests(model, dims, n_images):
     rng = np.random.default_rng(13)
     x = rng.random((n_images, *dims)).astype(np.float32)
     y = rng.integers(0, 10, n_images)
     params = init_model(build_model(model, dims, 10), 7)
-    patches = patch_rows(x, params.flat.dtype) if with_rows else None
     trained, loss = local_train(params, x, y, TrainConfig(batch_size=128, local_epochs=2),
-                                rng_for(0, "shuffle", 1, 2), patches)
+                                rng_for(0, "shuffle", 1, 2))
     got = (loss.hex(), hashlib.sha256(trained.flat.tobytes()).hexdigest())
     assert got == PINNED_LOCAL_TRAIN[model, dims, n_images]
 

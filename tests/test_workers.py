@@ -1,5 +1,5 @@
 """The worker processes that balance the clients and train each round: their
-lifetime, how their failures reach the caller, the patch rows they keep, and
+lifetime, how their failures reach the caller, what they are dealt, and
 outputs that depend neither on the client order, nor on the number of
 workers, nor on the BLAS thread count, nor on the hash seed."""
 
@@ -22,7 +22,7 @@ from fedbalance.cli import EXIT_CONFIG, main
 from fedbalance.experiments import ExperimentConfig, run_experiment
 from fedbalance.noisegen import DegenerateImage
 from fedbalance.training import (NonFiniteGradient, TrainConfig, TrainingError,
-                                 build_model, init_model, patch_rows, run_round)
+                                 build_model, init_model, run_round)
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ExperimentConfig(dataset="toy", toy_classes=4, toy_per_class=12,
@@ -122,8 +122,9 @@ def test_no_worker_outlives_its_parent(how, tmp_path):
     assert wait_until_ended(pids) == []
 
 
-def request_kinds(monkeypatch, cfg):
-    """The kinds of request each of the pool's calls sends while `cfg` runs."""
+def request_kinds(monkeypatch, run, *args):
+    """The kinds of request each of the pool's calls sends while `run(*args)`
+    runs."""
     pool = workers.pool()
     call = pool._call
     kinds = []
@@ -133,18 +134,41 @@ def request_kinds(monkeypatch, cfg):
         return call(requests)
 
     monkeypatch.setattr(pool, "_call", recording_call)
-    run_experiment(cfg)
+    run(*args)
     return kinds
 
 
 def test_a_run_deals_its_clients_once(monkeypatch):
-    kinds = request_kinds(monkeypatch, replace(TINY, rounds=3))
+    kinds = request_kinds(monkeypatch, run_experiment, replace(TINY, rounds=3))
     assert kinds == [{"deal"}] + [{"train"}, {"evaluate"}] * 3
 
 
 def test_a_balanced_run_balances_once_before_the_deal(monkeypatch):
-    kinds = request_kinds(monkeypatch, replace(TINY, rounds=3, supplement_pct=50))
+    kinds = request_kinds(monkeypatch, run_experiment,
+                          replace(TINY, rounds=3, supplement_pct=50))
     assert kinds == [{"balance"}, {"deal"}] + [{"train"}, {"evaluate"}] * 3
+
+
+def test_a_second_model_over_the_same_clients_is_not_dealt_again(monkeypatch):
+    # What a worker is dealt does not depend on the model, so a round of
+    # the MLP after one of the CNN trains on the arrays the CNN's deal sent.
+    clients = toy_clients(3, 6, num_classes=3, dims=(6, 6, 1))
+    test = (clients[0].pixels, clients[0].labels)
+    cfg = TrainConfig(batch_size=8)
+    cnn = init_model(build_model("cnn", (6, 6, 1), 3), 0)
+    mlp = init_model(build_model("mlp", (6, 6, 1), 3), 0)
+    second = []
+
+    def two_models():
+        run_round(cnn, clients, *test, cfg, 0)
+        second.append(run_round(mlp, clients, *test, cfg, 0))
+
+    kinds = request_kinds(monkeypatch, two_models)
+    assert kinds == [{"deal"}] + [{"train"}, {"evaluate"}] * 2
+    workers.pool().close()
+    fresh = run_round(mlp, clients, *test, cfg, 0)
+    assert second[0][0].flat.tobytes() == fresh[0].flat.tobytes()
+    assert second[0][1] == fresh[1]
 
 
 # desk_trends.cfg, shrunk to 1x1 images, whose noise backfill is constant.
@@ -224,36 +248,6 @@ def test_importing_the_cli_loads_neither_the_pool_nor_subprocess():
     assert out.stdout == "[]\n"
 
 
-def test_patch_rows_past_the_budget_train_through_im2col(monkeypatch):
-    # Four 18-image clients. A 30,000-byte budget holds one client's rows
-    # (23,328 bytes), so a worker dealt two caches its first client's alone,
-    # and not its test slice's. Whatever a worker caches, the bytes match.
-    clients = toy_clients(4, 6, num_classes=3, dims=(6, 6, 1))
-    test_pixels, test_labels = clients[0].pixels, clients[0].labels
-    params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
-    assert patch_rows(clients[0].pixels / 255.0, np.float32).nbytes == 23_328
-    layout = (params.schema, params.flat.dtype)
-    kept = {c.client_id: (c.pixels / 255.0, c.labels) for c in clients[:2]}
-    test_x = test_pixels / 255.0
-    assert list(workers._patch_rows(kept, test_x, layout, 30_000)) == [0]
-    mlp = init_model(build_model("mlp", (6, 6, 1), 3), 0)
-    assert workers._patch_rows(kept, test_x, (mlp.schema, mlp.flat.dtype), 30_000) == {}
-
-    cfg = TrainConfig(batch_size=8)
-    outputs = []
-    for budget in (0, 30_000, workers.PATCH_BUDGET):
-        monkeypatch.setattr(workers, "PATCH_BUDGET", budget)
-        fresh = [replace(c) for c in clients]    # new objects: the pool deals again
-        trained = params
-        reports = []
-        for round_index in range(2):
-            trained, report = run_round(trained, fresh, test_pixels, test_labels, cfg,
-                                        round_index)
-            reports.append(report)
-        outputs.append((trained.flat.tobytes(), reports))
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_a_client_changed_between_rounds_is_dealt_again():
     # `add` keeps the client object and rebinds its arrays: a pool that only
     # compared client objects would train round 1 on the rows dealt before.
@@ -281,6 +275,24 @@ def test_non_finite_gradient_in_a_worker_reaches_the_caller():
     assert workers.pool()._procs == []
     clients[1].pixels[0, 0, 0, 0] = 0.0
     run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 0)
+
+
+def test_a_diverging_train_prints_one_line_and_writes_nothing(tmp_path):
+    # In a child Python, whose stderr is also its workers': each used to
+    # print numpy's overflow warnings before the error line, and the
+    # manifests and the trace were written before the rounds ran.
+    text = (ROOT / "configs" / "quick_toy.cfg").read_text()
+    assert "model = cnn" in text and "rounds = 15" in text
+    config = tmp_path / "diverging.cfg"
+    config.write_text(text.replace("model = cnn", "model = logreg")
+                      .replace("rounds = 15", "rounds = 3\nlr = 1e38"))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "fedbalance.cli", "train", "--config",
+                          str(config), "--out", str(out)],
+                         env=child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr.splitlines() == ["config error: gradient contains NaN or Inf"]
+    assert not out.exists()
 
 
 def test_a_dead_worker_ends_the_round_with_an_error_naming_it():
