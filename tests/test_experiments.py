@@ -15,10 +15,11 @@ from fedbalance.datasets import Provenance
 from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     balance_clients, build_partition_spec,
                                     cell_dirname, config_tag, grid_cells,
-                                    load_config, load_dataset, run_experiment,
-                                    run_grid)
+                                    load_config, load_dataset, prepare_clients,
+                                    run_experiment, run_grid, write_client_files)
 from fedbalance import datasets, experiments, serialization
 from fedbalance.serialization import write_trace
+from fedbalance.training import NonFiniteGradient
 from helpers import load_bench_module
 
 
@@ -181,6 +182,37 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+def file_digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def test_prepared_client_files_match_pinned_digests(tmp_path):
+    # The partition rows are taken before the balance and written after it,
+    # with the balanced manifest and the trace, by one helper.
+    prepared = prepare_clients(PINNED_BALANCE)
+    write_client_files(str(tmp_path), prepared)
+    digests = file_digests(tmp_path)
+    for client in prepared.clients:
+        for field, array in (("x", client.pixels / 255.0), ("y", client.labels)):
+            digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
+                array.tobytes()).hexdigest()
+    assert digests == PINNED_DIGESTS
+
+
+def test_unbalanced_client_files_hold_the_partition_alone(tmp_path):
+    write_client_files(str(tmp_path), prepare_clients(PINNED_BALANCE), balanced=False)
+    assert file_digests(tmp_path) == {
+        "partition_manifest.csv": PINNED_DIGESTS["partition_manifest.csv"]}
+
+
+def test_prepare_clients_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    prepared = prepare_clients(PINNED_BALANCE)
+    assert prepared.records and prepared.partition_rows
+    assert os.listdir(tmp_path) == []
+
+
 def test_bench_tracer_hook_still_counts_kept_mixups():
     # benchmarks/tracer.py counts kept mixups from the provenance column of
     # the clients `balance_clients` was given, read through
@@ -249,6 +281,16 @@ class TestRunExperiment:
                      "partition_manifest.csv", "balance_manifest.csv",
                      "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("supplement_pct", [0, 50])
+    def test_a_diverging_run_writes_nothing(self, tmp_path, supplement_pct):
+        # Every file, the client files included, is written after the last
+        # round, so a run whose training diverges leaves no `out_dir`.
+        out = tmp_path / "out"
+        cfg = replace(TINY, rounds=3, lr=1e38, supplement_pct=supplement_pct)
+        with pytest.raises(NonFiniteGradient):
+            run_experiment(cfg, str(out))
+        assert not out.exists()
 
     def test_training_holds_one_copy_of_the_images(self, monkeypatch):
         # By round 0 the loaded training pixels and each client's pre-balance
