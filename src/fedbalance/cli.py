@@ -7,13 +7,14 @@ included), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
 from . import datasets, experiments, noisegen, serialization
 from .datasets import DatasetError
 from .experiments import ConfigError
-from .mixing import DpMixConfig, MixupError, dp_labelhide
+from .mixing import DpMixConfig, MixupError, mix_block
 from .seeding import derive_seed, rng_for
 from .training import NonFiniteGradient, NonFiniteParam
 
@@ -48,42 +49,48 @@ def _cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mix(args) -> int:
-    pool = _load_pool(args.in_dir)
-    if args.ppm:   # before --out exists, so a bad channel count leaves no file
-        serialization.check_ppm_channels(pool.pixels.shape[-1])
-    cfg = DpMixConfig(k=args.k, sigma=args.sigma)
+def _stream_blocks(count: int, seed: int, *name):
+    """`rng_for(seed, *name, i)` for i in range(count), NOISE_BLOCK streams a list."""
+    ids = range(count)
+    for start in ids[::noisegen.NOISE_BLOCK]:
+        yield [rng_for(seed, *name, i) for i in ids[start:start + noisegen.NOISE_BLOCK]]
+
+
+def _write_images(args, prefix: str, blocks, label: int, provenance) -> None:
+    """Create `args.out`, then write the rows of `blocks` in turn as
+    `<prefix><i:05d>` tensor files, with clamped `.ppm` previews if `args.ppm`."""
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.count):
-        rng = rng_for(args.seed, "cli-mix", args.label, i)
-        pixels = dp_labelhide(pool, args.label, cfg, rng)
-        image = datasets.LabeledImage(pixels, args.label, datasets.Provenance.MIXUP)
-        base = os.path.join(args.out, f"mix_{args.label:03d}_{i:05d}")
-        serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX, image)
+    for i, pixels in enumerate(itertools.chain.from_iterable(blocks)):
+        base = os.path.join(args.out, f"{prefix}{i:05d}")
+        serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX,
+                                        datasets.LabeledImage(pixels, label, provenance))
         if args.ppm:
             serialization.save_ppm(base + ".ppm", pixels)
+
+
+def _cmd_mix(args) -> int:
+    pool = _load_pool(args.in_dir)
+    # Every check and mixup runs before --out exists, so a failure leaves none.
+    if args.ppm:
+        serialization.check_ppm_channels(pool.pixels.shape[-1])
+    cfg = DpMixConfig(k=args.k, sigma=args.sigma)
+    blocks = [mix_block(pool, args.label, cfg, rngs)
+              for rngs in _stream_blocks(args.count, args.seed, "cli-mix", args.label)]
+    _write_images(args, f"mix_{args.label:03d}_", blocks, args.label, datasets.Provenance.MIXUP)
     print(args.out)
     return EXIT_OK
 
 
 def _cmd_gen_noise(args) -> int:
-    gen_cfg = noisegen.GeneratorConfig(
+    state = noisegen.init_generator(noisegen.GeneratorConfig(
         out_dims=(args.height, args.width, args.channels),
         wavelet_bank=noisegen.WaveletBank(args.bank),
-        seed=derive_seed(args.seed, "cli-noise-state"))
-    state = noisegen.init_generator(gen_cfg)
+        seed=derive_seed(args.seed, "cli-noise-state")))
     if args.ppm:
         serialization.check_ppm_channels(args.channels)
-    os.makedirs(args.out, exist_ok=True)
-    for start in range(0, args.count, noisegen.NOISE_BLOCK):
-        ids = range(start, min(start + noisegen.NOISE_BLOCK, args.count))
-        block = noisegen.generate_block(state, [rng_for(args.seed, "cli-noise", i) for i in ids])
-        for i, pixels in zip(ids, block):
-            image = datasets.LabeledImage(pixels, -1, datasets.Provenance.NATURAL_NOISE)
-            base = os.path.join(args.out, f"noise_{i:05d}")
-            serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX, image)
-            if args.ppm:
-                serialization.save_ppm(base + ".ppm", pixels)
+    blocks = (noisegen.generate_block(state, rngs)
+              for rngs in _stream_blocks(args.count, args.seed, "cli-noise"))
+    _write_images(args, "noise_", blocks, -1, datasets.Provenance.NATURAL_NOISE)
     print(args.out)
     return EXIT_OK
 

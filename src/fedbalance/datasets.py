@@ -195,19 +195,6 @@ def parse_idx(data: bytes) -> tuple[np.ndarray, dict]:
     return tensor, {"magic": magic, "dims": dims}
 
 
-def encode_idx(tensor: np.ndarray) -> bytes:
-    """Inverse of parse_idx for round-trip checks and fixture building."""
-    arr = np.ascontiguousarray(tensor, dtype=np.uint8)
-    if arr.ndim == 3:
-        magic = IDX_IMAGE_MAGIC
-    elif arr.ndim == 1:
-        magic = IDX_LABEL_MAGIC
-    else:
-        raise DatasetError(f"IDX encoder handles 1-D or 3-D tensors, got {arr.ndim}-D")
-    header = struct.pack(f">I{arr.ndim}I", magic, *arr.shape)
-    return header + arr.tobytes()
-
-
 def parse_cifar10(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Decode CIFAR-10 binary batch records (1 label byte + 3072 planar pixels)."""
     if len(data) % CIFAR10_RECORD_BYTES != 0:
@@ -221,11 +208,6 @@ def parse_cifar10(data: bytes) -> tuple[np.ndarray, np.ndarray]:
                               f"{bad[0] * CIFAR10_RECORD_BYTES}")
     planes = records[:, 1:].reshape(-1, 3, 32, 32)
     return planes.transpose(0, 2, 3, 1).astype(np.float32), labels
-
-
-def encode_cifar10(pixels: np.ndarray, labels: np.ndarray) -> bytes:
-    planes = pixels.astype(np.uint8).transpose(0, 3, 1, 2).reshape(len(labels), -1)
-    return np.column_stack([labels.astype(np.uint8), planes]).tobytes()
 
 
 _MNIST_FILES = {

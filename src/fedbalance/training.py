@@ -221,16 +221,6 @@ class _Pool:
         return self.dx
 
 
-def _pool_forward(x: np.ndarray):
-    out, winner = _Pool(x.shape, x.dtype).forward(x)
-    return out, (x.shape, winner)
-
-
-def _pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    shape, winner = cache
-    return _Pool(shape, dout.dtype).backward(dout, winner)
-
-
 def _conv_taps(h: int, w: int):
     """For each 3x3 tap dy*3+dx, the output rows/cols whose shifted source
     pixel lies inside an (h, w) image, and those source rows/cols."""
@@ -280,10 +270,6 @@ class _Im2col:
         return self.cols
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    return _Im2col(x.shape, x.dtype)(x)
-
-
 class _ConvInputGrad:
     """col2im of dout @ W^T for (B, H, W, C_out) douts of one shape and
     dtype, into buffers made once; each input pixel sums its taps in dy, dx
@@ -331,11 +317,6 @@ class _ConvInputGrad:
                 edge.fill(0)
             dst += src
         return self.grad
-
-
-def _conv_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _ConvInputGrad(dout.shape, w.shape[2], dout.dtype)(
-        dout, w.reshape(-1, w.shape[-1]))
 
 
 _GEMM_Q = 448   # the K rows per block of OpenBLAS's sgemm drivers (see below)
@@ -459,11 +440,6 @@ class _ConvStep:
         # inner loop over the whole array rather than one per row.
         np.einsum("nc->c", dout, out=self.gbias)
         return None if self.input_grad is None else self.input_grad(delta, self.kernel)
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    grad_view = (np.empty_like(w), np.empty_like(bias))
-    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), grad_view, x.shape, True).forward(x)[0]
 
 
 class _ReluStep:

@@ -1,8 +1,10 @@
 """Shared fixtures and oracles for the training tests and the acceptance suite,
-and a loader for the benchmark modules whose hooks the fast suite guards."""
+encoders for dataset fixture files, and a loader for the benchmark modules
+whose hooks the fast suite guards."""
 
 import importlib.util
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +12,31 @@ from pathlib import Path
 import numpy as np
 
 import fedbalance
-from fedbalance.datasets import ClientDataset, make_toy_dataset
+from fedbalance.datasets import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ClientDataset,
+                                 make_toy_dataset)
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ReLU, forward,
                                  init_model, loss_and_grad,
                                  softmax_cross_entropy)
-from fedbalance.training import (_conv_forward, _param_views,
-                                 _pool_forward)
+from fedbalance.training import _ConvStep, _param_views, _Pool
+
+
+def encode_idx(tensor: np.ndarray) -> bytes:
+    """A 3-D image or 1-D label tensor as IDX bytes: `parse_idx`'s inverse."""
+    arr = np.ascontiguousarray(tensor, dtype=np.uint8)
+    magic = {3: IDX_IMAGE_MAGIC, 1: IDX_LABEL_MAGIC}[arr.ndim]
+    return struct.pack(f">I{arr.ndim}I", magic, *arr.shape) + arr.tobytes()
+
+
+def encode_cifar10(pixels: np.ndarray, labels: np.ndarray) -> bytes:
+    """(N, 32, 32, 3) pixels and N labels as CIFAR-10 batch records."""
+    planes = pixels.astype(np.uint8).transpose(0, 3, 1, 2).reshape(len(labels), -1)
+    return np.column_stack([labels.astype(np.uint8), planes]).tobytes()
+
+
+def conv_forward(x, w, bias):
+    """A same-padded 3x3 conv of the batch `x` through the training step."""
+    grad_view = (np.empty_like(w), np.empty_like(bias))
+    return _ConvStep(Conv3x3(*w.shape[2:]), (w, bias), grad_view, x.shape, True).forward(x)[0]
 
 
 def pool_corners(x):
@@ -38,12 +59,12 @@ def min_pool_gap(params, x):
         if isinstance(layer, Dense):
             act = act.reshape(act.shape[0], -1) @ view[0] + view[1]
         elif isinstance(layer, Conv3x3):
-            act = _conv_forward(act, view[0], view[1])
+            act = conv_forward(act, view[0], view[1])
         elif isinstance(layer, MaxPool2):
             windows = np.stack(pool_corners(act), axis=-1)
             top2 = np.sort(windows, axis=-1)[..., 2:]
             gaps.append(float((top2[..., 1] - top2[..., 0]).min()))
-            act, _ = _pool_forward(act)
+            act = _Pool(act.shape, act.dtype).forward(act)[0]
         elif isinstance(layer, ReLU):
             act = np.maximum(act, 0)
     return min(gaps)

@@ -10,7 +10,10 @@ set them. A worker round is `local_train` over five desk-shaped clients
 (1,140 images of 10x10x1 each, 9 steps of at most 128 images, the CNN), as
 one of the two workers of a desk cell trains them; its median time is
 printed per round and per step, with the Python-level calls per step that
-cProfile counts over one round. An evaluate request is `count_correct` over
+cProfile counts over one round. Then each layer step's forward and backward,
+the softmax cross-entropy and the Adam update are timed inside further
+rounds, and their medians are printed per step, with the rest of the step
+(the batch gather and the loop) as the remainder. An evaluate request is `count_correct` over
 a 500-image 10x10x1 test slice, in chunks of `EVAL_CHUNK` (128) images. A
 bounty is one `serve_bounty` of 60 mixups (k = 4, sigma = 50) from a
 600-image client, a desk requester's ask of the one peer holding the label.
@@ -19,6 +22,8 @@ of a desk cell holds plus the profile's own arrays.
 """
 
 import argparse
+import collections
+import contextlib
 import cProfile
 import os
 import pstats
@@ -26,6 +31,7 @@ import resource
 import statistics
 import sys
 import time
+from unittest import mock
 
 from fedbalance import workers
 
@@ -37,10 +43,11 @@ import numpy as np  # noqa: E402
 from fedbalance.datasets import ClientDataset  # noqa: E402
 from fedbalance.mixing import DpMixConfig  # noqa: E402
 from fedbalance.protocol import serve_bounty  # noqa: E402
+from fedbalance import training  # noqa: E402
 from fedbalance.seeding import rng_for  # noqa: E402
-from fedbalance.training import (EVAL_CHUNK, TrainConfig, _chunk_bounds,  # noqa: E402
-                                 build_model, count_correct, init_model,
-                                 local_train)
+from fedbalance.training import (EVAL_CHUNK, Softmax, TrainConfig,  # noqa: E402
+                                 _chunk_bounds, build_model, count_correct,
+                                 init_model, local_train)
 
 CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
 TEST_IMAGES = 500
@@ -53,6 +60,52 @@ def median_ms(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
+
+
+def layer_split(schema, worker_round, repeats: int) -> dict[str, float]:
+    """{part: median seconds per round} over `repeats` runs of `worker_round`
+    with each layer step's forward and backward, `softmax_cross_entropy` and
+    `adam_step` timed; "round" is the whole round's."""
+    names, seen = [], collections.Counter()
+    for layer in schema:
+        if not isinstance(layer, Softmax):   # the plan makes no step for it
+            seen[type(layer).__name__] += 1
+            names.append(f"{type(layer).__name__} {seen[type(layer).__name__]}")
+    spent = collections.Counter()
+
+    def timed(fn, part=None):
+        # Timed at class level, by the step's name, so that no plan holds a
+        # reference cycle that would keep its buffers alive until a collection.
+        def run(*args):
+            start = time.perf_counter()
+            out = fn(*args)
+            spent[part or f"{args[0].profile_name} {fn.__name__}"] += time.perf_counter() - start
+            return out
+        return run
+
+    build_plan = training._StepPlan.__init__
+
+    def build_named_plan(plan, *args):
+        build_plan(plan, *args)
+        for name, step in zip(names, plan.steps):
+            step.profile_name = name
+
+    rounds = collections.defaultdict(list)
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(training._StepPlan, "__init__", build_named_plan))
+        for cls in (training._DenseStep, training._ConvStep, training._Pool, training._ReluStep):
+            for method in (cls.forward, cls.backward):
+                patches.enter_context(mock.patch.object(cls, method.__name__, timed(method)))
+        for part in ("softmax_cross_entropy", "adam_step"):
+            patches.enter_context(
+                mock.patch.object(training, part, timed(getattr(training, part), part)))
+        worker_round()
+        for _ in range(repeats):
+            spent.clear()
+            timed(worker_round, "round")()
+            for part, seconds in spent.items():
+                rounds[part].append(seconds)
+    return {part: statistics.median(times) for part, times in rounds.items()}
 
 
 def main() -> None:
@@ -81,6 +134,14 @@ def main() -> None:
     print(f"worker round: {CLIENTS} clients, {steps} steps, median of {repeats}")
     print(f"  {round_ms:.1f} ms per round, {1e3 * round_ms / steps:.0f} us per step, "
           f"{calls / steps:.0f} Python-level calls per step")
+
+    split = layer_split(params.schema, worker_round, repeats)
+    step_ms = {part: 1e3 * seconds / steps for part, seconds in split.items()}
+    total = step_ms.pop("round")
+    print(f"inside a worker round, ms per step (medians of {repeats} timed rounds)")
+    for part, ms in step_ms.items():
+        print(f"  {part:<22} {ms:.3f}")
+    print(f"  {'rest':<22} {total - sum(step_ms.values()):.3f} of {total:.3f}")
 
     test_rng = np.random.default_rng(1)
     test_x = test_rng.random((TEST_IMAGES, *DIMS))  # float64, as a worker scales it

@@ -3,16 +3,20 @@ import configparser
 import csv
 import hashlib
 import io
+import itertools
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedbalance import experiments, serialization
+from helpers import encode_cifar10, encode_idx
+
+from fedbalance import experiments, serialization, workers
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from fedbalance.datasets import (LabeledImage, Provenance, encode_cifar10,
-                                 encode_idx, make_toy_dataset)
+from fedbalance.datasets import LabeledImage, Provenance, make_toy_dataset
 
 CONFIG_TEXT = """\
 [dataset]
@@ -254,6 +258,50 @@ def test_mix_from_tensor_directory(tmp_path):
     assert all(m.provenance is Provenance.MIXUP for m in mixed)
 
 
+def write_toy_pool(pool, dims=(8, 8, 1)):
+    """Nine toy images, three of each of labels 0-2, as tensor files."""
+    pool.mkdir()
+    pixels, labels = make_toy_dataset(3, 3, dims, seed=0)
+    for i, (p, y) in enumerate(zip(pixels, labels)):
+        serialization.save_tensor_image(
+            str(pool / f"img_{i:03d}{serialization.TENSOR_SUFFIX}"), LabeledImage(p, int(y)))
+
+
+# SHA-256 over (file name, file bytes) of every file, in name order
+PINNED_MIX = "91b34c6ac3c640cc4db023a48d7cc1b77ce6bfec98161efc0d8d82bd11036ea4"
+
+
+def test_mix_files_match_pinned_digest(tmp_path):
+    # 20 mixups span more than one block of NOISE_BLOCK streams.
+    write_toy_pool(tmp_path / "pool")
+    out = tmp_path / "mixed"
+    assert main(["mix", "--in", str(tmp_path / "pool"), "--out", str(out), "--label", "1",
+                 "--count", "20", "--k", "3", "--sigma", "50", "--seed", "4",
+                 "--ppm"]) == EXIT_OK
+    paths = sorted(out.iterdir())
+    assert len(paths) == 40
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_MIX
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--label", "5"], "config error: client 0 holds no example with label 5"),
+    (["--label", "1", "--k", "1"], "config error: mix width k must be >= 2, got 1"),
+    (["--label", "1", "--sigma", "1e38"], "config error: sigma 1e+38 noises a pixel"),
+], ids=["label-not-in-pool", "k-1", "sigma-past-float32"])
+def test_a_failing_mix_prints_one_line_and_leaves_no_out(tmp_path, capsys, args, message):
+    write_toy_pool(tmp_path / "pool")
+    out = tmp_path / "mixed"
+    assert main(["mix", "--in", str(tmp_path / "pool"), "--out", str(out), "--count", "20",
+                 *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_noise_ppm_of_two_channels_exits_3_writing_nothing(tmp_path, capsys):
     # It used to leave noise_00000.timg and an empty noise_00000.ppm.
     out = tmp_path / "noise"
@@ -289,8 +337,7 @@ def test_mix_with_a_laplace_scale_past_float32_exits_2(tmp_path, capsys):
     assert main(["mix", "--in", str(pool), "--out", str(out), "--label", "1",
                  "--count", "4", "--k", "3", "--sigma", "1e38"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: sigma 1e+38 ")
-    for path in serialization.list_tensor_images(str(out)):
-        serialization.load_tensor_image(path)
+    assert not out.exists()
 
 
 def test_mix_rejects_a_pool_of_mixed_image_sizes(tmp_path, capsys):
@@ -697,3 +744,82 @@ def test_every_key_at_a_boundary_value_exits_0_or_2(tmp_path, capsys, scheme,
             rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
             numbers = [row[f] for row in rows for f in ("global_test_acc", "mean_train_loss")]
         assert numbers and all(math.isfinite(float(n)) for n in numbers)
+
+
+# Values a key may take in a sub-second toy run, drawn alongside FUZZ_VALUES.
+VALID_VALUES = {
+    ("dataset", "kind"): st.sampled_from(["toy", "mnist", "cifar10"]),
+    ("dataset", "path"): st.just("no-such-directory"),
+    ("dataset", "subset_per_class"): st.integers(0, 3).map(str),
+    ("dataset", "toy_classes"): st.integers(1, 5).map(str),
+    ("dataset", "toy_per_class"): st.integers(1, 8).map(str),
+    ("dataset", "toy_test_per_class"): st.integers(1, 4).map(str),
+    ("dataset", "toy_dims"): st.tuples(st.integers(1, 8), st.integers(1, 8),
+                                       st.integers(1, 3)).map(lambda d: "x".join(map(str, d))),
+    ("dataset", "toy_jitter"): st.integers(0, 20).map(str),
+    ("partition", "classes_per_client"): st.integers(1, 4).map(str),
+    ("partition", "concentration"): st.floats(0.01, 10).map(repr),
+    ("partition", "num_clients"): st.integers(1, 6).map(str),
+    ("balance", "supplement_pct"): st.floats(0, 100).map(repr),
+    ("balance", "mix_fraction"): st.floats(0, 1).map(repr),
+    ("balance", "k"): st.integers(2, 5).map(str),
+    ("balance", "sigma"): st.floats(0, 100).map(repr),
+    ("balance", "deadline"): st.integers(1, 4).map(str),
+    ("balance", "capacity_fraction"): st.floats(0, 1).map(repr),
+    ("balance", "topology"): st.just("star") | st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4).map(
+            lambda edges: ",".join(f"{a}-{b}" for a, b in edges)),
+    ("noise", "base_resolution"): st.integers(1, 6).map(str),
+    ("noise", "channels_per_scale"): st.integers(1, 8).map(str),
+    ("noise", "wavelet_bank"): st.sampled_from(["oriented_gabor", "haar"]),
+    ("noise", "leaky_slope"): st.floats(-1, 1).map(repr),
+    ("train", "rounds"): st.integers(1, 2).map(str),
+    ("train", "batch_size"): st.integers(1, 16).map(str),
+    ("train", "local_epochs"): st.integers(1, 2).map(str),
+    ("train", "lr"): st.floats(1e-4, 1).map(repr),
+    ("train", "beta1"): st.floats(0, 0.999).map(repr),
+    ("train", "beta2"): st.floats(0, 0.999).map(repr),
+    ("train", "eps"): st.floats(1e-8, 1e-2).map(repr),
+    ("train", "participation_fraction"): st.floats(0.1, 1).map(repr),
+    ("run", "seed"): st.integers(0, 1000).map(str),
+}
+TRAIN_CONFIGS = st.tuples(
+    st.sampled_from(["class_skew", "dirichlet"]), st.sampled_from(["logreg", "mlp", "cnn"]),
+    st.lists(st.sampled_from(sorted(VALID_VALUES)), min_size=2, max_size=4, unique=True).flatmap(
+        lambda keys: st.tuples(*(st.tuples(st.just(key), VALID_VALUES[key]
+                                           | st.sampled_from(FUZZ_VALUES)) for key in keys))))
+
+
+def test_whole_train_configs_exit_0_2_or_3_and_a_failure_writes_nothing(tmp_path, capfd):
+    # Fresh workers inherit this test's captured stderr, so a line a worker
+    # prints is counted too; they are closed again before the capture ends.
+    workers.pool().close()
+    runs = itertools.count()
+
+    @settings(deadline=None, max_examples=100)
+    @given(config=TRAIN_CONFIGS)
+    def run_train(config):
+        scheme, model, values = config
+        path = tmp_path / "exp.cfg"
+        path.write_text(_config_text(("partition", "scheme", scheme), ("train", "model", model),
+                                     *((section, key, value)
+                                       for (section, key), value in values),
+                                     base=FUZZ_BASE))
+        out = tmp_path / f"out{next(runs)}"
+        capfd.readouterr()
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO), err
+        if code != EXIT_OK:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert not out.exists()
+        else:
+            assert err == ""
+            rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+            numbers = [row[f] for row in rows for f in ("global_test_acc", "mean_train_loss")]
+            assert numbers and all(math.isfinite(float(n)) for n in numbers)
+
+    try:
+        run_train()
+    finally:
+        workers.pool().close()

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import encode_cifar10, encode_idx
+
 from fedbalance.datasets import (PROVENANCES, BadMagic, BadRecordLength,
                                  ClientDataset, DatasetError, DimensionOverflow,
                                  InfeasibleSpec, LabeledImage, LabelOutOfRange,
-                                 PartitionSpec, Provenance, TruncatedFile, encode_cifar10,
-                                 encode_idx, load_cifar10_dir, load_mnist_dir,
+                                 PartitionSpec, Provenance, TruncatedFile,
+                                 load_cifar10_dir, load_mnist_dir,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates)
 from fedbalance.seeding import derive_seed

@@ -15,10 +15,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import encode_cifar10, encode_idx
+
 from fedbalance import serialization
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from fedbalance.datasets import (DatasetError, LabeledImage, encode_cifar10,
-                                 encode_idx, parse_cifar10, parse_idx)
+from fedbalance.datasets import DatasetError, LabeledImage, parse_cifar10, parse_idx
 from fedbalance.training import build_model, init_model
 
 FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

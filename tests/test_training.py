@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (child_digests, finite_difference_worst, gradient_check_cases,
-                     load_bench_module, min_pool_gap, pool_corners, toy_clients)
+from helpers import (child_digests, conv_forward, finite_difference_worst,
+                     gradient_check_cases, load_bench_module, min_pool_gap,
+                     pool_corners, toy_clients)
 
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
@@ -19,9 +20,8 @@ from fedbalance.training import (Conv3x3, Dense, MaxPool2, ModelParams,
                                  forward, init_model, local_train, loss_and_grad,
                                  run_round, schema_param_count,
                                  softmax_cross_entropy)
-from fedbalance.training import (_StepPlan, _chunk_bounds,
-                                 _conv_forward, _conv_input_grad, _conv_taps,
-                                 _im2col, _pool_backward, _pool_forward)
+from fedbalance.training import (_chunk_bounds, _conv_taps, _ConvInputGrad,
+                                 _Im2col, _Pool, _StepPlan)
 
 
 class TestForward:
@@ -81,7 +81,8 @@ class TestMaxPool2:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_returns_first_maximum_element(self, dtype):
-        out, _ = _pool_forward(self.pool_input(dtype))
+        x = self.pool_input(dtype)
+        out, _ = _Pool(x.shape, dtype).forward(x)
         assert out.shape == (1, 1, 1, len(self.WINDOWS))
         for c, (values, first) in enumerate(self.WINDOWS):
             got = out[0, 0, 0, c]
@@ -91,9 +92,10 @@ class TestMaxPool2:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_routes_gradient_to_the_winner(self, dtype):
         x = self.pool_input(dtype)
-        _, cache = _pool_forward(x)
+        pool = _Pool(x.shape, dtype)
+        _, winner = pool.forward(x)
         dout = np.arange(1.0, len(self.WINDOWS) + 1, dtype=dtype).reshape(1, 1, 1, -1)
-        dx = _pool_backward(dout, cache)
+        dx = pool.backward(dout, winner)
         assert dx.shape == x.shape and dx.dtype == dtype
         expected = np.zeros_like(x)
         for c, (_, first) in enumerate(self.WINDOWS):
@@ -206,7 +208,7 @@ def test_conv_input_grad_matches_one_gemm_reference(dtype):
         w = signed_zero_normals(rng, (3, 3, c_in, 16), dtype)
         for batch in ORACLE_BATCHES:
             dout = signed_zero_normals(rng, (batch, h, width, 16), dtype)
-            got = _conv_input_grad(dout, w)
+            got = _ConvInputGrad(dout.shape, c_in, dtype)(dout, w.reshape(9 * c_in, 16))
             assert got.tobytes() == conv_input_grad_reference(dout, w).tobytes()
 
 
@@ -226,7 +228,7 @@ def test_im2col_matches_tap_loop_reference(dtype, c_in):
     for h, width in ((10, 10), (5, 5), (6, 3), (1, 1)):
         for batch in ORACLE_BATCHES:
             x = signed_zero_normals(rng, (batch, h, width, c_in), dtype)
-            assert _im2col(x).tobytes() == im2col_reference(x).tobytes()
+            assert _Im2col(x.shape, dtype)(x).tobytes() == im2col_reference(x).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -238,10 +240,9 @@ def test_conv_bias_add_matches_broadcast_reference(dtype, c_in):
         bias = signed_zero_normals(rng, (c_out,), dtype)
         for batch in ORACLE_BATCHES:
             x = signed_zero_normals(rng, (batch, 5, 5, c_in), dtype)
-            cols = _im2col(x)
-            expected = cols @ w.reshape(9 * c_in, c_out)
+            expected = _Im2col(x.shape, dtype)(x) @ w.reshape(9 * c_in, c_out)
             expected += bias
-            got = _conv_forward(x, w, bias)
+            got = conv_forward(x, w, bias)
             assert got.tobytes() == expected.tobytes()
 
 
@@ -262,7 +263,8 @@ def test_conv_bias_grad_matches_row_sum_reference(dtype, c_in):
             head_then_ones.flat[0] = 1e8 if dtype == np.float32 else 1e17
             delta[..., 0] = head_then_ones
             delta[..., 1] = -0.0
-            grad = _StepPlan(params, batch, x.shape[1:]).backward(delta, [_im2col(x)])
+            cols = _Im2col(x.shape, dtype)(x)
+            grad = _StepPlan(params, batch, x.shape[1:]).backward(delta, [cols])
             expected = delta.reshape(-1, c_out).sum(axis=0)
             assert grad[-c_out:].tobytes() == expected.tobytes()
 
@@ -297,13 +299,14 @@ def test_pool_matches_strided_corner_reference(dtype):
     for h, width, c in ((10, 10, 8), (5, 5, 16), (3, 3, 2), (1, 1, 4), (6, 7, 3)):
         for batch in ORACLE_BATCHES:
             x = np.round(signed_zero_normals(rng, (batch, h, width, c), dtype) * 2) / 2
-            out, (in_shape, winner) = _pool_forward(x)
+            pool = _Pool(x.shape, dtype)
+            out, winner = pool.forward(x)
             ref_out, ref_winner = pool_forward_reference(x)
             assert out.tobytes() == ref_out.tobytes()
             assert winner.tobytes() == ref_winner.tobytes()
             dout = signed_zero_normals(rng, out.shape, dtype)
-            assert (_pool_backward(dout, (in_shape, winner)).tobytes()
-                    == pool_backward_reference(dout, winner, in_shape).tobytes())
+            assert (pool.backward(dout, winner).tobytes()
+                    == pool_backward_reference(dout, winner, x.shape).tobytes())
 
 
 BLAS_THREADS = (1, 2, 3, 4)
