@@ -10,6 +10,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import replace
 
 from . import datasets, experiments, noisegen, serialization
 from .datasets import DatasetError
@@ -39,13 +40,9 @@ def _load_pool(in_dir: str) -> datasets.ClientDataset:
 
 
 def _cmd_partition(args) -> int:
-    cfg = experiments.load_config(args.config, args.seed)
-    train, _, _ = experiments.load_train(cfg)
-    clients = datasets.partition(train, experiments.build_partition_spec(cfg))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "partition_manifest.csv")
-    serialization.write_partition_manifest(clients, path)
-    print(path)
+    cfg = replace(experiments.load_config(args.config, args.seed), supplement_pct=0)
+    experiments.write_client_files(args.out, experiments.prepare_clients(cfg), balanced=False)
+    print(os.path.join(args.out, "partition_manifest.csv"))
     return EXIT_OK
 
 
@@ -167,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--bank", default="oriented_gabor",
+    p.add_argument("--bank", default=noisegen.GeneratorConfig.wavelet_bank.value,
                    choices=[b.value for b in noisegen.WaveletBank])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ppm", action="store_true")

@@ -56,10 +56,10 @@ class ExperimentConfig:
     capacity_fraction: float = 1.0
     topology: str = "star"               # "star" or an edge list "0-1,1-2"
     # natural noise generator
-    noise_base_resolution: int = 4
-    noise_channels: int = 8
-    noise_bank: str = "oriented_gabor"
-    noise_leaky_slope: float = 0.2
+    noise_base_resolution: int = noisegen.GeneratorConfig.base_resolution
+    noise_channels: int = noisegen.GeneratorConfig.channels_per_scale
+    noise_bank: str = noisegen.GeneratorConfig.wavelet_bank.value
+    noise_leaky_slope: float = noisegen.GeneratorConfig.leaky_slope
     # training
     model: str = "cnn"
     rounds: int = 50
@@ -362,12 +362,10 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     reports: list
     final_accuracy: float
     best_accuracy: float
     tag: str
-    out_dir: str | None = None
 
 
 def config_tag(cfg: ExperimentConfig, num_classes: int) -> str:
@@ -421,8 +419,8 @@ def write_client_files(out_dir: str, prepared: PreparedClients,
     serialization.write_csv(os.path.join(out_dir, "partition_manifest.csv"),
                             prepared.partition_rows)
     if balanced:
-        serialization.write_partition_manifest(
-            prepared.clients, os.path.join(out_dir, "balance_manifest.csv"))
+        serialization.write_csv(os.path.join(out_dir, "balance_manifest.csv"),
+                                serialization.manifest_rows(prepared.clients))
         serialization.write_trace(os.path.join(out_dir, "trace.csv"), prepared.records)
 
 
@@ -469,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
             _fmt_num(cfg.supplement_pct), _fmt_num(cfg.mix_fraction),
             cfg.k, _fmt_num(cfg.sigma), cfg.rounds, cfg.seed, tag,
             f"{final_acc:.6f}", f"{best_acc:.6f}"]])
-    return ExperimentResult(cfg, reports, final_acc, best_acc, tag, out_dir)
+    return ExperimentResult(reports, final_acc, best_acc, tag)
 
 
 def grid_cells(cfg: ExperimentConfig) -> list[ExperimentConfig]:

@@ -63,11 +63,6 @@ def manifest_rows(clients: Sequence[ClientDataset]) -> list[list]:
     return rows
 
 
-def write_partition_manifest(clients: Sequence[ClientDataset], path: str) -> None:
-    """Export per-client label counts as CSV (client_id, label, count)."""
-    write_csv(path, manifest_rows(clients))
-
-
 def write_trace(path: str, records: Iterable[tuple]) -> None:
     """Write `protocol.Record`s as `trace.csv`, one row per delivered message."""
     write_csv(path, [["round", "msg_type", "src", "dst", "label", "count"], *records])

@@ -650,11 +650,11 @@ def _chunk_bounds(n: int, size: int) -> list[int]:
 EVAL_CHUNK = 128
 
 
-def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-                  bounds: Sequence[int]) -> int:
-    """Correct top-1 predictions over the chunks [bounds[i], bounds[i+1]).
+def count_correct(params: ModelParams, x: np.ndarray, labels: np.ndarray) -> int:
+    """Correct top-1 predictions over `EVAL_CHUNK`-image chunks of `x`.
     One step plan serves every chunk of a size."""
     plans = _Plans(params, np.shape(x)[1:])
+    bounds = _chunk_bounds(len(labels), EVAL_CHUNK)
     correct = 0
     for start, stop in zip(bounds, bounds[1:]):
         logits, _ = plans[stop - start].forward(x[start:stop])

@@ -121,7 +121,8 @@ class Pool:
         shares = self._share_out({c.client_id: len(c) for c in clients})
         n = len(shares)
         by_id = {c.client_id: c for c in clients}
-        # Whole evaluation chunks, in order, split across the same workers.
+        # Whole evaluation chunks, in order, split across the same workers, so
+        # the chunks `count_correct` cuts a worker's slice into are these.
         bounds = training._chunk_bounds(len(test_labels), training.EVAL_CHUNK)
         chunks = len(bounds) - 1
         requests = {}
@@ -129,8 +130,7 @@ class Pool:
             share = [by_id[cid] for cid in shares[k]] if k < n else []
             first, last = (k * chunks // n, (k + 1) * chunks // n) if k < n else (0, 0)
             lo, hi = bounds[first], bounds[last]
-            local = [b - lo for b in bounds[first:last + 1]]
-            requests[k] = ("deal", share, (test_pixels[lo:hi], test_labels[lo:hi], local))
+            requests[k] = ("deal", share, (test_pixels[lo:hi], test_labels[lo:hi]))
         self._call(requests)
         self._dealt = [weakref.ref(obj) for obj in dealt]
         self._in_use = n
@@ -214,7 +214,7 @@ def serve() -> None:
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     np.seterr(over="ignore", invalid="ignore", divide="ignore")   # see the docstring
-    clients, test = {}, ((), (), [0])   # nothing dealt yet
+    clients, test = {}, ((), ())   # nothing dealt yet
     while True:
         try:
             kind, *args = pickle.load(requests)
@@ -222,9 +222,9 @@ def serve() -> None:
             return
         try:
             if kind == "deal":
-                share, (pixels, labels, bounds) = args
+                share, (pixels, labels) = args
                 clients = {c.client_id: (c.pixels / 255.0, c.labels) for c in share}
-                test = (pixels / 255.0, labels, bounds)
+                test = (pixels / 255.0, labels)
                 del args, share, pixels   # only the scaled pixels stay
                 value = None
             elif kind == "balance":

@@ -46,8 +46,7 @@ from fedbalance.protocol import serve_bounty  # noqa: E402
 from fedbalance import training  # noqa: E402
 from fedbalance.seeding import rng_for  # noqa: E402
 from fedbalance.training import (EVAL_CHUNK, Softmax, TrainConfig,  # noqa: E402
-                                 _chunk_bounds, build_model, count_correct,
-                                 init_model, local_train)
+                                 build_model, count_correct, init_model, local_train)
 
 CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
 TEST_IMAGES = 500
@@ -145,7 +144,7 @@ def main() -> None:
 
     test_rng = np.random.default_rng(1)
     test_x = test_rng.random((TEST_IMAGES, *DIMS))  # float64, as a worker scales it
-    test = (test_x, test_rng.integers(0, 10, TEST_IMAGES), _chunk_bounds(TEST_IMAGES, EVAL_CHUNK))
+    test = (test_x, test_rng.integers(0, 10, TEST_IMAGES))
 
     def evaluate():
         return count_correct(params, *test)

@@ -18,7 +18,7 @@ from fedbalance.datasets import (PROVENANCES, BadMagic, BadRecordLength,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates)
 from fedbalance.seeding import derive_seed
-from fedbalance.serialization import write_partition_manifest
+from fedbalance.serialization import manifest_rows, write_csv
 
 
 def idx_bytes(magic, dims, payload):
@@ -322,7 +322,7 @@ def test_manifest_csv(tmp_path):
     data = make_toy_dataset(6, 3, (4, 4, 1), seed=0)
     clients = partition(data, PartitionSpec.class_skew(1, 3, seed=0))
     path = tmp_path / "manifest.csv"
-    write_partition_manifest(clients, str(path))
+    write_csv(str(path), manifest_rows(clients))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "client_id,label,count"
     assert len(lines) == 1 + 3 * 3

@@ -162,9 +162,11 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     cfg = PINNED_BALANCE
     train, _, dims, _ = load_dataset(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
-    serialization.write_partition_manifest(clients, str(tmp_path / "partition_manifest.csv"))
+    serialization.write_csv(str(tmp_path / "partition_manifest.csv"),
+                            serialization.manifest_rows(clients))
     records = balance_clients(clients, cfg, dims)
-    serialization.write_partition_manifest(clients, str(tmp_path / "balance_manifest.csv"))
+    serialization.write_csv(str(tmp_path / "balance_manifest.csv"),
+                            serialization.manifest_rows(clients))
     write_trace(str(tmp_path / "trace.csv"), records)
 
     # the fixture exercises every balance path: 32 mixups served, 16 kept

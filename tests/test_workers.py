@@ -210,6 +210,22 @@ def test_a_balance_error_in_a_worker_reaches_the_caller_as_its_own_type(tmp_path
     assert not (tmp_path / "train").exists()
 
 
+def test_partition_writes_the_balance_s_partition_manifest_and_starts_no_worker(tmp_path):
+    config = tmp_path / "cell.cfg"
+    config.write_text(TINY_CNN_CONFIG)   # supplement_pct = 50
+    degenerate = tmp_path / "degenerate.cfg"
+    degenerate.write_text(DEGENERATE_BALANCE)
+    assert main(["balance", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    workers.pool().close()
+    assert main(["partition", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    assert [p.name for p in (tmp_path / "p").iterdir()] == ["partition_manifest.csv"]
+    assert ((tmp_path / "p" / "partition_manifest.csv").read_bytes()
+            == (tmp_path / "b" / "partition_manifest.csv").read_bytes())
+    # A balance of this config fails in the workers; its partition needs none.
+    assert main(["partition", "--config", str(degenerate), "--out", str(tmp_path / "d")]) == 0
+    assert workers.pool()._procs == []
+
+
 def test_an_allocation_a_worker_is_refused_exits_2(tmp_path, capsys):
     # Each noise block would be (images, 8, 10**7, 10**7) float64, petabytes
     # past any address space, so numpy refuses it without touching memory.
