@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error (an allocation numpy refuses
-included), 3 I/O error.
+included), 3 I/O error (a worker process that died included).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .datasets import DatasetError
 from .experiments import ConfigError
 from .mixing import DpMixConfig, MixupError, mix_block
 from .seeding import derive_seed, rng_for
-from .training import NonFiniteGradient, NonFiniteParam
+from .training import NonFiniteGradient, NonFiniteParam, WorkerDied
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,10 +54,13 @@ def _stream_blocks(count: int, seed: int, *name):
 
 
 def _write_images(args, prefix: str, blocks, label: int, provenance) -> None:
-    """Create `args.out`, then write the rows of `blocks` in turn as
-    `<prefix><i:05d>` tensor files, with clamped `.ppm` previews if `args.ppm`."""
+    """Make the first block, create `args.out`, then write the rows of
+    `blocks` in turn as `<prefix><i:05d>` tensor files, with clamped `.ppm`
+    previews if `args.ppm`. A first block that fails leaves no `args.out`."""
+    rows = itertools.chain.from_iterable(blocks)
+    first = list(itertools.islice(rows, 1))
     os.makedirs(args.out, exist_ok=True)
-    for i, pixels in enumerate(itertools.chain.from_iterable(blocks)):
+    for i, pixels in enumerate(itertools.chain(first, rows)):
         base = os.path.join(args.out, f"{prefix}{i:05d}")
         serialization.save_tensor_image(base + serialization.TENSOR_SUFFIX,
                                         datasets.LabeledImage(pixels, label, provenance))
@@ -186,7 +189,7 @@ def main(argv=None) -> int:
             NonFiniteGradient, NonFiniteParam, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, DatasetError, serialization.FormatError) as exc:
+    except (OSError, DatasetError, serialization.FormatError, WorkerDied) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

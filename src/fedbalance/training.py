@@ -43,6 +43,10 @@ class NonFiniteParam(TrainingError):
     pass
 
 
+class WorkerDied(TrainingError):
+    """A worker process ended, or its pipe broke, before it replied."""
+
+
 @dataclass(frozen=True)
 class Dense:
     in_features: int

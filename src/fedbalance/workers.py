@@ -43,7 +43,7 @@ import numpy as np
 from . import experiments, training
 from .datasets import ClientDataset
 from .seeding import rng_for
-from .training import ModelParams, TrainConfig, TrainingError
+from .training import ModelParams, TrainConfig, TrainingError, WorkerDied
 
 _ENV = {
     # The workers fill the cores, so each runs one BLAS thread; no BLAS
@@ -151,7 +151,7 @@ class Pool:
     def _call(self, requests: dict[int, tuple]) -> dict[int, object]:
         """Send every request, then collect every reply. Any failure closes
         the pool: a worker's own exception is raised as it was, and a worker
-        that died raises TrainingError."""
+        that died raises WorkerDied."""
         k = None
         replies = {}
         try:
@@ -164,8 +164,8 @@ class Pool:
         except (OSError, EOFError, pickle.UnpicklingError) as exc:
             proc = self._procs[k]
             self.close(kill=True)
-            raise TrainingError(f"training worker {k} (pid {proc.pid}) died: "
-                                f"exit code {proc.returncode}") from exc
+            raise WorkerDied(f"training worker {k} (pid {proc.pid}) died: "
+                             f"exit code {proc.returncode}") from exc
         except BaseException:
             self.close(kill=True)
             raise

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import encode_cifar10, encode_idx
 
-from fedbalance import experiments, serialization, workers
+from fedbalance import datasets, experiments, serialization, workers
 from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from fedbalance.datasets import LabeledImage, Provenance, make_toy_dataset
 
@@ -311,6 +312,19 @@ def test_gen_noise_ppm_of_two_channels_exits_3_writing_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_failing_gen_noise_prints_one_line_and_leaves_no_out(tmp_path, capsys):
+    # A 1x1 image is constant, so the first block fails; it used to leave an
+    # empty --out.
+    out = tmp_path / "noise"
+    assert main(["gen-noise", "--out", str(out), "--count", "3", "--height", "1",
+                 "--width", "1", "--channels", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: generator produced a constant image twice in a row"]
+    assert not out.exists()
+    assert main(["gen-noise", "--out", str(out), "--count", "0"]) == EXIT_OK
+    assert list(out.iterdir()) == []
+
+
 def test_mix_ppm_of_a_two_channel_pool_exits_3_writing_nothing(tmp_path, capsys):
     pool = tmp_path / "pool"
     pool.mkdir()
@@ -496,6 +510,46 @@ def test_grid_reuses_a_cell_whose_data_files_are_unchanged(tmp_path, monkeypatch
     assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert ran == []
     assert grid_files(out) == before
+
+
+# SHA-256 of the pixels, then the labels, that subset_per_class = 4 keeps of
+# 45 training images at data seed 3
+PINNED_SUBSET = "010893961a144f339d034c5ed560f647217c6956ce0749c49d5e375afdfc8dcf"
+
+
+def test_subset_per_class_keeps_each_label_s_rows_in_dataset_order(tmp_path, capsys):
+    # 45 images: labels 0-4 hold five each, labels 5-9 four.
+    write_mnist_dir(tmp_path / "mnist", False, train_images=45)
+    pixels, labels = datasets.load_mnist_dir(str(tmp_path / "mnist"), "train")
+    index = {row.tobytes(): i for i, row in enumerate(pixels)}
+    base = experiments.ExperimentConfig(dataset="mnist", data_path=str(tmp_path / "mnist"),
+                                        classes_per_client=2, num_clients=5, seed=3)
+    for k in (4, 6):
+        (sub_pixels, sub_labels), _, _ = experiments.load_train(
+            replace(base, subset_per_class=k))
+        assert sub_labels.tolist() == sorted(sub_labels.tolist())
+        for label in range(10):
+            rows = [index[row.tobytes()] for row in sub_pixels[sub_labels == label]]
+            assert len(rows) == min(k, 5 if label < 5 else 4)
+            assert rows == sorted(rows) and all(labels[i] == label for i in rows)
+    cfg = replace(base, subset_per_class=4, grid_classes_per_client=(1, 2),
+                  grid_supplement_pct=(0, 50))
+    picks = [experiments.load_train(cell)[0] for cell in [cfg, *experiments.grid_cells(cfg)]]
+    assert len({cell.seed for cell in experiments.grid_cells(cfg)}) == 4
+    digests = {hashlib.sha256(p.tobytes() + y.tobytes()).hexdigest() for p, y in picks}
+    assert digests == {PINNED_SUBSET}
+    other, _, _ = experiments.load_train(replace(cfg, seed=4))
+    assert other[0].tobytes() != picks[0][0].tobytes()
+
+    path = tmp_path / "mnist.cfg"
+    path.write_text(f"[dataset]\nkind = mnist\npath = {tmp_path / 'mnist'}\n"
+                    "subset_per_class = 4\n"
+                    "[partition]\nclasses_per_client = 2\nnum_clients = 5\n"
+                    "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n[run]\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    manifest = list(csv.DictReader((out / "partition_manifest.csv").read_text().splitlines()))
+    assert sum(int(row["count"]) for row in manifest) == 40
 
 
 def test_only_train_reads_the_test_split(tmp_path):
@@ -783,11 +837,22 @@ VALID_VALUES = {
     ("train", "participation_fraction"): st.floats(0.1, 1).map(repr),
     ("run", "seed"): st.integers(0, 1000).map(str),
 }
-TRAIN_CONFIGS = st.tuples(
-    st.sampled_from(["class_skew", "dirichlet"]), st.sampled_from(["logreg", "mlp", "cnn"]),
-    st.lists(st.sampled_from(sorted(VALID_VALUES)), min_size=2, max_size=4, unique=True).flatmap(
-        lambda keys: st.tuples(*(st.tuples(st.just(key), VALID_VALUES[key]
-                                           | st.sampled_from(FUZZ_VALUES)) for key in keys))))
+
+
+def train_configs(value):
+    """(scheme, model, 2-4 ((section, key), `value(key)`) pairs) of a toy config."""
+    return st.tuples(
+        st.sampled_from(["class_skew", "dirichlet"]), st.sampled_from(["logreg", "mlp", "cnn"]),
+        st.lists(st.sampled_from(sorted(VALID_VALUES)), min_size=2, max_size=4,
+                 unique=True).flatmap(
+            lambda keys: st.tuples(*(st.tuples(st.just(key), value(key)) for key in keys))))
+
+
+def write_train_config(path, config):
+    scheme, model, values = config
+    path.write_text(_config_text(("partition", "scheme", scheme), ("train", "model", model),
+                                 *((section, key, value) for (section, key), value in values),
+                                 base=FUZZ_BASE))
 
 
 def test_whole_train_configs_exit_0_2_or_3_and_a_failure_writes_nothing(tmp_path, capfd):
@@ -797,14 +862,10 @@ def test_whole_train_configs_exit_0_2_or_3_and_a_failure_writes_nothing(tmp_path
     runs = itertools.count()
 
     @settings(deadline=None, max_examples=100)
-    @given(config=TRAIN_CONFIGS)
+    @given(config=train_configs(lambda key: VALID_VALUES[key] | st.sampled_from(FUZZ_VALUES)))
     def run_train(config):
-        scheme, model, values = config
         path = tmp_path / "exp.cfg"
-        path.write_text(_config_text(("partition", "scheme", scheme), ("train", "model", model),
-                                     *((section, key, value)
-                                       for (section, key), value in values),
-                                     base=FUZZ_BASE))
+        write_train_config(path, config)
         out = tmp_path / f"out{next(runs)}"
         capfd.readouterr()
         code = main(["train", "--config", str(path), "--out", str(out)])
@@ -818,6 +879,30 @@ def test_whole_train_configs_exit_0_2_or_3_and_a_failure_writes_nothing(tmp_path
             rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
             numbers = [row[f] for row in rows for f in ("global_test_acc", "mean_train_loss")]
             assert numbers and all(math.isfinite(float(n)) for n in numbers)
+
+    try:
+        run_train()
+    finally:
+        workers.pool().close()
+
+
+def test_whole_train_configs_write_the_same_files_with_one_or_two_workers(tmp_path,
+                                                                           monkeypatch):
+    runs = itertools.count()
+
+    @settings(deadline=None, max_examples=5)
+    @given(config=train_configs(VALID_VALUES.__getitem__))
+    def run_train(config):
+        path = tmp_path / "exp.cfg"
+        write_train_config(path, config)
+        outputs = []
+        for n in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cores", lambda: n)
+            out = tmp_path / f"out{next(runs)}"
+            code = main(["train", "--config", str(path), "--out", str(out)])
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            outputs.append((code, files))
+        assert outputs[0] == outputs[1]
 
     try:
         run_train()

@@ -18,7 +18,7 @@ import pytest
 from helpers import child_env, toy_clients
 
 from fedbalance import datasets, experiments, workers
-from fedbalance.cli import EXIT_CONFIG, main
+from fedbalance.cli import EXIT_CONFIG, EXIT_IO, main
 from fedbalance.experiments import ExperimentConfig, run_experiment
 from fedbalance.noisegen import DegenerateImage
 from fedbalance.training import (NonFiniteGradient, TrainConfig, TrainingError,
@@ -323,6 +323,46 @@ def test_a_dead_worker_ends_the_round_with_an_error_naming_it():
         run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
     assert workers.pool()._procs == []
     run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
+
+
+# `fedbalance train` on the config argv[1] into argv[2], with worker 0
+# killed just before the first train request; prints the pid of every worker
+# it started and exits with the command's code.
+DEAD_WORKER_SCRIPT = """
+import os, signal, subprocess, sys
+from fedbalance import cli, workers
+started = []
+popen = subprocess.Popen
+def recording_popen(*args, **kwargs):
+    started.append(popen(*args, **kwargs))
+    return started[-1]
+workers.subprocess.Popen = recording_popen
+train = workers.Pool.train
+def killing_train(self, *args):
+    victim = self._procs[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.wait()
+    workers.Pool.train = train
+    return train(self, *args)
+workers.Pool.train = killing_train
+code = cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(" ".join(str(p.pid) for p in started), flush=True)
+sys.exit(code)
+"""
+
+
+def test_a_dead_worker_ends_train_with_one_io_error_line(tmp_path):
+    # It used to end in a TrainingError traceback (exit 1).
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-c", DEAD_WORKER_SCRIPT,
+                          str(ROOT / "configs" / "quick_toy.cfg"), str(out)],
+                         env=child_env(), capture_output=True, text=True, timeout=300)
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert run.returncode == EXIT_IO, run.stderr
+    assert run.stderr.splitlines() == [
+        f"i/o error: training worker 0 (pid {pids[0]}) died: exit code -9"]
+    assert not out.exists()
+    assert wait_until_ended(pids) == []
 
 
 @pytest.mark.parametrize("participation", [1.0, 0.5])
