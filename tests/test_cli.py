@@ -517,7 +517,7 @@ def test_grid_reuses_a_cell_whose_data_files_are_unchanged(tmp_path, monkeypatch
 PINNED_SUBSET = "010893961a144f339d034c5ed560f647217c6956ce0749c49d5e375afdfc8dcf"
 
 
-def test_subset_per_class_keeps_each_label_s_rows_in_dataset_order(tmp_path, capsys):
+def test_subset_per_class_keeps_each_label_s_rows_in_dataset_order(tmp_path):
     # 45 images: labels 0-4 hold five each, labels 5-9 four.
     write_mnist_dir(tmp_path / "mnist", False, train_images=45)
     pixels, labels = datasets.load_mnist_dir(str(tmp_path / "mnist"), "train")

@@ -18,7 +18,7 @@ import pytest
 from helpers import child_env, toy_clients
 
 from fedbalance import datasets, experiments, workers
-from fedbalance.cli import EXIT_CONFIG, EXIT_IO, main
+from fedbalance.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from fedbalance.experiments import ExperimentConfig, run_experiment
 from fedbalance.noisegen import DegenerateImage
 from fedbalance.training import (NonFiniteGradient, TrainConfig, TrainingError,
@@ -215,14 +215,15 @@ def test_partition_writes_the_balance_s_partition_manifest_and_starts_no_worker(
     config.write_text(TINY_CNN_CONFIG)   # supplement_pct = 50
     degenerate = tmp_path / "degenerate.cfg"
     degenerate.write_text(DEGENERATE_BALANCE)
-    assert main(["balance", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    assert main(["balance", "--config", str(config), "--out", str(tmp_path / "b")]) == EXIT_OK
     workers.pool().close()
-    assert main(["partition", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    assert main(["partition", "--config", str(config), "--out", str(tmp_path / "p")]) == EXIT_OK
     assert [p.name for p in (tmp_path / "p").iterdir()] == ["partition_manifest.csv"]
     assert ((tmp_path / "p" / "partition_manifest.csv").read_bytes()
             == (tmp_path / "b" / "partition_manifest.csv").read_bytes())
     # A balance of this config fails in the workers; its partition needs none.
-    assert main(["partition", "--config", str(degenerate), "--out", str(tmp_path / "d")]) == 0
+    assert main(["partition", "--config", str(degenerate), "--out", str(tmp_path / "d")]) \
+        == EXIT_OK
     assert workers.pool()._procs == []
 
 
