@@ -7,6 +7,7 @@ included), 3 I/O error (a worker process that died included).
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import sys
@@ -39,8 +40,18 @@ def _load_pool(in_dir: str) -> datasets.ClientDataset:
     return datasets.ClientDataset.from_images(0, labeled, num_classes)
 
 
+def _load_config(args) -> experiments.ExperimentConfig:
+    """The config of a config command, once its `--out` is known to be usable:
+    an `--out` that exists and is not a directory is refused before any data
+    loads or any worker starts."""
+    cfg = experiments.load_config(args.config, args.seed)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    return cfg
+
+
 def _cmd_partition(args) -> int:
-    cfg = replace(experiments.load_config(args.config, args.seed), supplement_pct=0)
+    cfg = replace(_load_config(args), supplement_pct=0)
     experiments.write_client_files(args.out, experiments.prepare_clients(cfg), balanced=False)
     print(os.path.join(args.out, "partition_manifest.csv"))
     return EXIT_OK
@@ -110,14 +121,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    cfg = experiments.load_config(args.config, args.seed)
+    cfg = _load_config(args)
     experiments.write_client_files(args.out, experiments.prepare_clients(cfg))
     print(args.out)
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    cfg = experiments.load_config(args.config, args.seed)
+    cfg = _load_config(args)
     result = experiments.run_experiment(cfg, args.out)
     print(f"{result.tag}: final={result.final_accuracy:.4f} "
           f"best={result.best_accuracy:.4f}")
@@ -125,7 +136,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    cfg = experiments.load_config(args.config, args.seed)
+    cfg = _load_config(args)
     summary = experiments.run_grid(cfg, args.out)
     print(summary)
     return EXIT_OK

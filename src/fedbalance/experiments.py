@@ -313,7 +313,9 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
     pseudo-images never become mixup sources. An empty client's target is 0,
     so it requests nothing. The clients balance in the worker processes of
     `fedbalance.workers` (see `balance_share`); each then gains its rows here,
-    in client order. Returns the trace records in the same order.
+    in client order, and the received rows are released as they are appended,
+    so no pseudo-image is held twice. Returns the trace records in the same
+    order.
     """
     from . import workers   # here: `import fedbalance` loads neither it nor subprocess
 
@@ -329,7 +331,7 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
     records: list[Record] = []
     for client in clients:
         if client.client_id in added:
-            *rows, client_records = added[client.client_id]
+            *rows, client_records = added.pop(client.client_id)
             client.add(*rows)
             records += client_records
     return records
@@ -506,7 +508,8 @@ def run_grid(cfg: ExperimentConfig, out_dir: str) -> str:
         digest = hashlib.sha256()
         for split in ("train", "test"):
             for array in _load_split(cfg, split)[0]:
-                digest.update(array.tobytes())
+                # `tobytes()`'s bytes, with no copy of a C-contiguous split
+                digest.update(np.ascontiguousarray(array))
         data = [["data_sha256", digest.hexdigest()]]
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)

@@ -420,6 +420,38 @@ def test_io_error_exit_code(tmp_path, config_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["partition", "balance", "train", "grid"])
+def test_an_out_that_is_a_file_exits_3_before_any_data_loads(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # `train` used to run every round and only then fail to make --out, and a
+    # real-data `grid` to load both splits for its digest first.
+    write_mnist_dir(tmp_path / "mnist", False)
+    cfg = tmp_path / "mnist.cfg"
+    cfg.write_text(f"[dataset]\nkind = mnist\npath = {tmp_path / 'mnist'}\n"
+                   "[partition]\nclasses_per_client = 2\nnum_clients = 5\n"
+                   "[balance]\nsupplement_pct = 50\n"
+                   "[train]\nmodel = logreg\nrounds = 1\nbatch_size = 8\n")
+    out = tmp_path / "out"
+    out.write_text("kept")
+    called = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, call)
+
+    recording(experiments, "prepare_clients")
+    recording(datasets, "load_mnist_dir")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [
+        f"i/o error: [Errno 17] File exists: '{out}'"]
+    assert called == []
+    assert out.read_text() == "kept"
+
+
 def write_mnist_dir(directory, truncate_test_images, test_images=10, train_images=40,
                     seed=8):
     """MNIST IDX files: `train_images` training and `test_images` test images
@@ -480,20 +512,48 @@ def test_grid_reruns_a_cell_when_one_mnist_file_changed(tmp_path, name):
         lambda: (data / name).write_bytes(changed))
 
 
+def cifar10_batch(n, seed):
+    pixels = np.random.default_rng(seed).integers(0, 256, size=(n, 32, 32, 3))
+    return encode_cifar10(pixels, np.arange(n) % 10)
+
+
+def write_cifar10_dir(directory):
+    """Five training batches of 40 images and a test batch of 50."""
+    directory.mkdir()
+    for b in range(1, 6):
+        (directory / f"data_batch_{b}.bin").write_bytes(cifar10_batch(40, b))
+    (directory / "test_batch.bin").write_bytes(cifar10_batch(50, 6))
+
+
 def test_grid_reruns_a_cell_whose_cifar10_test_batch_changed(tmp_path):
     data = tmp_path / "cifar10"
-    data.mkdir()
-
-    def batch(n, seed):
-        pixels = np.random.default_rng(seed).integers(0, 256, size=(n, 32, 32, 3))
-        return encode_cifar10(pixels, np.arange(n) % 10)
-
-    for b in range(1, 6):
-        (data / f"data_batch_{b}.bin").write_bytes(batch(40, b))
-    (data / "test_batch.bin").write_bytes(batch(50, 6))
+    write_cifar10_dir(data)
     assert_resumed_grid_matches_a_fresh_one(
         tmp_path, one_cell_grid_config(tmp_path, "cifar10", data),
-        lambda: (data / "test_batch.bin").write_bytes(batch(50, 7)))
+        lambda: (data / "test_batch.bin").write_bytes(cifar10_batch(50, 7)))
+
+
+@pytest.mark.parametrize("kind, write, load", [
+    ("mnist", lambda d: write_mnist_dir(d, False, test_images=50, train_images=200),
+     datasets.load_mnist_dir),
+    ("cifar10", write_cifar10_dir, datasets.load_cifar10_dir)])
+def test_grid_data_digest_is_sha256_of_train_then_test_pixels_and_labels(
+        tmp_path, kind, write, load):
+    # Hashed in place, not through `tobytes()`; CIFAR-10's pixels are not
+    # C-contiguous, so they cannot be hashed as they are loaded.
+    data = tmp_path / kind
+    write(data)
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", one_cell_grid_config(tmp_path, kind, data),
+                 "--out", str(out)]) == EXIT_OK
+    (fingerprint,) = out.glob("cells/*/config.csv")
+    digest = hashlib.sha256()
+    for split in ("train", "test"):
+        for array in load(str(data), split):
+            digest.update(array.tobytes())
+    assert list(csv.reader(fingerprint.read_text().splitlines()))[-1] == [
+        "data_sha256", digest.hexdigest()]
+    assert load(str(data), "train")[0].flags.c_contiguous == (kind == "mnist")
 
 
 def test_grid_reuses_a_cell_whose_data_files_are_unchanged(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from fedbalance.experiments import (ConfigError, ExperimentConfig,
                                     cell_dirname, config_tag, grid_cells,
                                     load_config, load_dataset, prepare_clients,
                                     run_experiment, run_grid, write_client_files)
-from fedbalance import datasets, experiments, serialization
+from fedbalance import datasets, experiments, serialization, workers
 from fedbalance.serialization import write_trace
 from fedbalance.training import NonFiniteGradient
 from helpers import load_bench_module
@@ -182,6 +182,35 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
             digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
                 array.tobytes()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def test_balance_clients_releases_each_client_s_received_rows_as_it_appends_them(
+        monkeypatch):
+    # The pool's reply used to stay whole until `balance_clients` returned,
+    # so the main process held every pseudo-image twice.
+    received = {}   # client id -> weakref to the pixel block the pool returned
+    balance, add = workers.Pool.balance, datasets.ClientDataset.add
+
+    def recording_balance(self, *args):
+        added = balance(self, *args)
+        received.update((cid, weakref.ref(rows[0])) for cid, rows in added.items())
+        return added
+
+    extended, alive = [], []
+
+    def counting_add(self, *rows):
+        alive.append(sum(received[cid]() is not None for cid in extended))
+        extended.append(self.client_id)
+        add(self, *rows)
+
+    monkeypatch.setattr(workers.Pool, "balance", recording_balance)
+    monkeypatch.setattr(datasets.ClientDataset, "add", counting_add)
+    cfg = PINNED_BALANCE
+    train, dims, _ = experiments.load_train(cfg)
+    clients = datasets.partition(train, build_partition_spec(cfg))
+    balance_clients(clients, cfg, dims)
+    assert extended == [0, 1, 2, 3]
+    assert alive == [0, 0, 0, 0]
 
 
 def file_digests(directory: Path) -> dict[str, str]:

@@ -5,6 +5,7 @@ workers, nor on the BLAS thread count, nor on the hash seed."""
 
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -324,6 +325,38 @@ def test_a_dead_worker_ends_the_round_with_an_error_naming_it():
         run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
     assert workers.pool()._procs == []
     run_round(params, clients, clients[0].pixels, clients[0].labels, cfg, 1)
+
+
+def test_an_interrupt_while_waiting_for_a_reply_kills_every_worker(monkeypatch):
+    clients = toy_clients(3, 6, num_classes=3, dims=(4, 4, 1))
+    test = (clients[0].pixels, clients[0].labels)
+    params = init_model(build_model("logreg", (4, 4, 1), 3), 0)
+    cfg = TrainConfig(batch_size=8)
+    expected = run_round(params, clients, *test, cfg, 0)
+    procs = list(workers.pool()._procs)
+    assert procs
+    killed = []
+    kill, load = subprocess.Popen.kill, pickle.load
+
+    def recording_kill(proc):
+        killed.append(proc)
+        kill(proc)
+
+    def interrupted_load(file):   # Ctrl-C while waiting for the first reply
+        monkeypatch.setattr(pickle, "load", load)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "kill", recording_kill)
+    monkeypatch.setattr(pickle, "load", interrupted_load)
+    with pytest.raises(KeyboardInterrupt):
+        run_round(params, clients, *test, cfg, 1)
+    assert sorted(p.pid for p in killed) == sorted(p.pid for p in procs)
+    assert all(p.returncode is not None for p in procs)   # reaped
+    assert workers.pool()._procs == []
+    again = run_round(params, clients, *test, cfg, 0)
+    assert {p.pid for p in workers.pool()._procs}.isdisjoint(p.pid for p in procs)
+    assert again[0].flat.tobytes() == expected[0].flat.tobytes()
+    assert again[1] == expected[1]
 
 
 # `fedbalance train` on the config argv[1] into argv[2], with worker 0
