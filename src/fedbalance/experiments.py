@@ -312,10 +312,13 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
     balanced, so outcomes do not depend on the order clients run in and
     pseudo-images never become mixup sources. An empty client's target is 0,
     so it requests nothing. The clients balance in the worker processes of
-    `fedbalance.workers` (see `balance_share`); each then gains its rows here,
-    in client order, and the received rows are released as they are appended,
-    so no pseudo-image is held twice. Returns the trace records in the same
-    order.
+    `fedbalance.workers` (see `balance_share`), which return each balanced
+    client whole; each client here is pointed at its reply's arrays, so the
+    main process concatenates nothing and never holds a client's old and new
+    pixels together. Returns the trace records in client order.
+
+    If it raises, the clients that had a deficit are left without pixels
+    (`pixels` is None); every caller discards them.
     """
     from . import workers   # here: `import fedbalance` loads neither it nor subprocess
 
@@ -327,12 +330,12 @@ def balance_clients(clients: Sequence[ClientDataset], cfg: ExperimentConfig,
             plans[client.client_id] = deficits
     if not plans:
         return []
-    added = workers.pool().balance({c.client_id: c for c in clients}, plans, cfg, dims)
+    balanced = workers.pool().balance({c.client_id: c for c in clients}, plans, cfg, dims)
     records: list[Record] = []
     for client in clients:
-        if client.client_id in added:
-            *rows, client_records = added.pop(client.client_id)
-            client.add(*rows)
+        if client.client_id in balanced:
+            (client.pixels, client.labels, client.provenance,
+             client_records) = balanced[client.client_id]
             records += client_records
     return records
 
@@ -342,11 +345,12 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
                   dims: tuple[int, int, int]) -> dict[int, tuple]:
     """A worker's part of `balance_clients`: balance each client of `plans`
     (id -> deficits) against `snapshots`, each on streams named after its own
-    id. Returns {client id: `run_balance`'s (pixels, labels, provenance,
-    records)}."""
+    id. Returns {client id: (pixels, labels, provenance, records)}: the
+    client's whole arrays, its snapshot's rows followed by the rows
+    `run_balance` built, and `run_balance`'s records."""
     mix_cfg = DpMixConfig(cfg.k, cfg.sigma)
     topology = _parse_topology(cfg.topology)
-    added = {}
+    balanced = {}
     for cid, deficits in plans.items():
         gen_cfg = noisegen.GeneratorConfig(
             out_dims=dims, base_resolution=cfg.noise_base_resolution,
@@ -354,12 +358,15 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
             leaky_slope=cfg.noise_leaky_slope,
             wavelet_bank=noisegen.WaveletBank(cfg.noise_bank),
             seed=derive_seed(cfg.seed, "noise-state", cid))
-        added[cid] = run_balance(
+        *rows, records = run_balance(
             snapshots[cid], deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
             noisegen.init_generator(gen_cfg), derive_seed(cfg.seed, "natgen", cid),
             rng_for(cfg.seed, "balance", cid),
             capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline)
-    return added
+        client = replace(snapshots[cid])   # `add` rebinds, so the snapshot stays as it was
+        client.add(*rows)
+        balanced[cid] = (client.pixels, client.labels, client.provenance, records)
+    return balanced
 
 
 @dataclass

@@ -5,18 +5,22 @@ A cell's clients balance, and each round's clients train, in a few worker
 processes, one per usable core (capped by the number of clients), each
 running numpy with one BLAS thread. Each worker is `python -c` running
 `serve()`; it reads pickled `(kind, *args)` requests from its stdin and
-writes one pickled `(status, value)` reply per request to its stdout.
+writes one pickled `(status, value)` reply per request to its stdout. A
+reply is pickled straight into the stream, so a worker holds no second
+copy of the clients it returns; only an error is pickled first, so that an
+exception that cannot be pickled is replaced before anything is written.
 `Pool.balance` sends every worker the pre-balance snapshots and a share of
-the clients to balance, and returns the rows and trace records each client
-gained. `Pool.deal` sends each worker its clients as they are and a slice
-of the unscaled test set; a worker divides those pixels by 255 once and
-keeps only the scaled arrays. What is dealt does not depend on the model.
-Until the clients, the arrays they hold or the test set change, a round
-sends only the global parameters and the participants' ids, and each
-worker trains the participants it holds and evaluates its slice. The
-parent draws participants, averages and writes every file, in client-id
-order, so no output depends on how clients are dealt or on the order in
-which workers reply.
+the clients to balance, drops those clients' pixels once every request is
+sent, and returns each balanced client's whole arrays and trace records;
+the parent concatenates no pixels. `Pool.deal` sends each worker its
+clients as they are and a slice of the unscaled test set; a worker divides
+those pixels by 255 once and keeps only the scaled arrays. What is dealt
+does not depend on the model. Until the clients, the arrays they hold or
+the test set change, a round sends only the global parameters and the
+participants' ids, and each worker trains the participants it holds and
+evaluates its slice. The parent draws participants, averages and writes
+every file, in client-id order, so no output depends on how clients are
+dealt or on the order in which workers reply.
 
 A worker answers its requests with numpy's overflow, invalid and divide
 warnings off: a diverging run reports itself once, as the
@@ -98,15 +102,26 @@ class Pool:
                 plans: dict[int, list[tuple[int, int]]],
                 cfg: experiments.ExperimentConfig,
                 dims: tuple[int, int, int]) -> dict[int, tuple]:
-        """{client id: (pixels, labels, provenance, trace records)} that
-        balancing each client of `plans` (id -> deficits) against the
-        pre-balance `snapshots` adds; see `experiments.balance_share`."""
+        """{client id: (pixels, labels, provenance, trace records)} for each
+        client of `plans` (id -> deficits), balanced against the pre-balance
+        `snapshots`: its whole arrays, the snapshot's rows then the rows it
+        gained; see `experiments.balance_share`.
+
+        Once every worker has its request, and before any reply is read,
+        each planned client in `snapshots` drops its pixels, so the main
+        process never holds a client's old and new pixels together. A
+        failure leaves the planned clients without pixels.
+        """
         shares = self._share_out({cid: sum(n for _, n in deficits)
                                   for cid, deficits in plans.items()})
-        replies = self._call({k: ("balance", snapshots, {cid: plans[cid] for cid in ids},
-                                  cfg, dims)
-                              for k, ids in enumerate(shares) if ids})
-        return {cid: added for reply in replies.values() for cid, added in reply.items()}
+        requests = {k: ("balance", snapshots, {cid: plans[cid] for cid in ids}, cfg, dims)
+                    for k, ids in enumerate(shares) if ids}
+        with self._closing_on_failure():
+            self._send(requests)
+            for cid in plans:
+                snapshots[cid].pixels = None
+            replies = self._collect(requests)
+        return {cid: balanced for reply in replies.values() for cid, balanced in reply.items()}
 
     def deal(self, clients: list[ClientDataset], test_pixels: np.ndarray,
              test_labels: np.ndarray) -> None:
@@ -149,31 +164,52 @@ class Pool:
                                for k in range(self._in_use)}).values())
 
     def _call(self, requests: dict[int, tuple]) -> dict[int, object]:
-        """Send every request, then collect every reply. Any failure closes
-        the pool: a worker's own exception is raised as it was, and a worker
-        that died raises WorkerDied."""
-        k = None
-        replies = {}
+        """Send every request, then collect every reply."""
+        with self._closing_on_failure():
+            self._send(requests)
+            return self._collect(requests)
+
+    @contextlib.contextmanager
+    def _closing_on_failure(self):
+        """Close the pool if anything fails inside: a worker may be left
+        with a request or a reply half-sent."""
         try:
-            for k, request in requests.items():
-                stdin = self._procs[k].stdin
-                pickle.dump(request, stdin, protocol=pickle.HIGHEST_PROTOCOL)
-                stdin.flush()
-            for k in requests:
-                replies[k] = pickle.load(self._procs[k].stdout)
-        except (OSError, EOFError, pickle.UnpicklingError) as exc:
-            proc = self._procs[k]
-            self.close(kill=True)
-            raise WorkerDied(f"training worker {k} (pid {proc.pid}) died: "
-                             f"exit code {proc.returncode}") from exc
+            yield
         except BaseException:
             self.close(kill=True)
             raise
+
+    def _send(self, requests: dict[int, tuple]) -> None:
+        """Write each request to its worker (k -> request)."""
+        for k, request in requests.items():
+            try:
+                stdin = self._procs[k].stdin
+                pickle.dump(request, stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                stdin.flush()
+            except OSError as exc:
+                raise self._died(k) from exc
+
+    def _collect(self, requests: dict[int, tuple]) -> dict[int, object]:
+        """{k: reply} of each worker k that `requests` were sent to. A
+        worker's own exception is raised as it was, and a worker that died
+        raises WorkerDied."""
+        replies = {}
+        for k in requests:
+            try:
+                replies[k] = pickle.load(self._procs[k].stdout)
+            except (OSError, EOFError, pickle.UnpicklingError) as exc:
+                raise self._died(k) from exc
         errors = [value for status, value in replies.values() if status == "error"]
         if errors:
-            self.close(kill=True)
             raise errors[0]
         return {k: value for k, (_, value) in replies.items()}
+
+    def _died(self, k: int) -> WorkerDied:
+        """Close the pool, and name worker k and how it ended."""
+        proc = self._procs[k]
+        self.close(kill=True)
+        return WorkerDied(f"training worker {k} (pid {proc.pid}) died: "
+                          f"exit code {proc.returncode}")
 
     def close(self, kill: bool = False) -> None:
         """Stop every worker and wait for it: an idle worker exits when its
@@ -239,14 +275,17 @@ def serve() -> None:
                     value.append((cid, trained.flat, loss))
             else:
                 value = training.count_correct(args[0], *test)
-            reply = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
+            reply = None
         except Exception as exc:
             try:
                 reply = pickle.dumps(("error", exc), protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
                 reply = pickle.dumps(("error", TrainingError(f"{type(exc).__name__}: {exc}")))
         try:
-            replies.write(reply)
+            if reply is None:   # see the docstring
+                pickle.dump(("ok", value), replies, protocol=pickle.HIGHEST_PROTOCOL)
+            else:
+                replies.write(reply)
             replies.flush()
         except BrokenPipeError:   # the parent is gone
             return

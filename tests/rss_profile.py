@@ -4,13 +4,16 @@ and no test collects it. Linux only: it reads `/proc/<pid>/status`.
     PYTHONPATH=src python3 tests/rss_profile.py [--config configs/desk_trends.cfg]
         [--seed 0] [--mix-fraction F]
 
-It runs the config's `train` cell (its [grid] axes ignored, `mix_fraction`
-replaced when given; 0 is the benchmark's `desk_natural`) in this process,
-through `experiments.run_experiment` into a temporary `--out`. The main
-process's `VmRSS` (resident now) and `VmHWM` (its peak so far) are printed
-at the start and after each phase: the training split's load (the test
-split is loaded before it), the partition, the balance, the first deal to
-the workers, the last round and the writes. Then each worker's `VmHWM`,
+It first runs the set-up path that `benchmarks/run.py` times before any
+cell (`measure_setup`: `load_dataset`, `partition`, `init_model`), whose
+peak is the floor a cell's `peak_rss_mb` is measured against. Then it runs
+the config's `train` cell (its [grid] axes ignored, `mix_fraction` replaced
+when given; 0 is the benchmark's `desk_natural`) in this process, through
+`experiments.run_experiment` into a temporary `--out`. The main process's
+`VmRSS` (resident now) and `VmHWM` (its peak so far) are printed at the
+start and after each step: the set-up's three, then the cell's training
+split load (the test split is loaded before it), partition, balance, first
+deal to the workers, last round and writes. Then each worker's `VmHWM`,
 read while the workers are still alive. MB are MiB, as `ru_maxrss / 1024`
 gives them in `benchmarks/run.py`.
 """
@@ -22,7 +25,8 @@ import tempfile
 from dataclasses import replace
 from unittest import mock
 
-from fedbalance import datasets, experiments, workers
+from fedbalance import datasets, experiments, training, workers
+from fedbalance.seeding import derive_seed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,7 +40,7 @@ def status_mb(pid="self") -> dict[str, float]:
 
 def report(phase: str) -> None:
     mb = status_mb()
-    print(f"  {phase:<14} {mb['VmRSS']:7.1f} {mb['VmHWM']:7.1f}", flush=True)
+    print(f"  {phase:<18} {mb['VmRSS']:7.1f} {mb['VmHWM']:7.1f}", flush=True)
 
 
 def after(owner, name: str, phase: str, calls: int = 1):
@@ -64,9 +68,17 @@ def main() -> None:
     if args.mix_fraction is not None:
         cfg = replace(cfg, mix_fraction=args.mix_fraction)
 
-    print(f"main process, MB    VmRSS   VmHWM   ({os.path.relpath(args.config)}, seed {cfg.seed}, "
-          f"mix_fraction {cfg.mix_fraction})")
+    print(f"main process, MB       VmRSS   VmHWM   ({os.path.relpath(args.config)}, "
+          f"seed {cfg.seed}, mix_fraction {cfg.mix_fraction})")
     report("start")
+    train, _, dims, num_classes = experiments.load_dataset(cfg)
+    report("set-up load")
+    datasets.partition(train, experiments.build_partition_spec(cfg))
+    report("set-up partition")
+    training.init_model(training.build_model(cfg.model, dims, num_classes),
+                        derive_seed(cfg.seed, "model-init"))
+    report("set-up model")
+    del train
     with contextlib.ExitStack() as patches, tempfile.TemporaryDirectory() as out:
         for owner, name, phase, calls in (
                 (experiments, "load_train", "load", 1),
@@ -77,9 +89,9 @@ def main() -> None:
             patches.enter_context(after(owner, name, phase, calls))
         experiments.run_experiment(cfg, os.path.join(out, "cell"))
         report("writes")
-    print("workers, MB         VmHWM")
+    print("workers, MB                    VmHWM")
     for k, proc in enumerate(workers.pool()._procs):
-        print(f"  worker {k} (pid {proc.pid}) {status_mb(proc.pid)['VmHWM']:7.1f}")
+        print(f"  {f'worker {k} (pid {proc.pid})':<26} {status_mb(proc.pid)['VmHWM']:7.1f}")
 
 
 if __name__ == "__main__":

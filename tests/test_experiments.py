@@ -126,6 +126,15 @@ class TestBalancePhase:
                             for ex in added)
                 assert (mixed, noise) == (3, 1)
 
+    def test_the_target_rounds_up(self):
+        # 30% of a 7-image peak is 2.1 images: each missing label gets 3.
+        cfg = replace(TINY, toy_per_class=7, supplement_pct=30, mix_fraction=0)
+        train, dims, _ = experiments.load_train(cfg)
+        clients = datasets.partition(train, build_partition_spec(cfg))
+        assert [sorted(c.label_histogram) for c in clients] == [[0, 0, 0, 7]] * 4
+        balance_clients(clients, cfg, dims)
+        assert [sorted(c.label_histogram) for c in clients] == [[3, 3, 3, 7]] * 4
+
     def test_supplement_zero_skips_balance(self, tmp_path):
         result = run_experiment(replace(TINY, supplement_pct=0),
                                 str(tmp_path / "out"))
@@ -184,33 +193,37 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
-def test_balance_clients_releases_each_client_s_received_rows_as_it_appends_them(
-        monkeypatch):
-    # The pool's reply used to stay whole until `balance_clients` returned,
-    # so the main process held every pseudo-image twice.
-    received = {}   # client id -> weakref to the pixel block the pool returned
-    balance, add = workers.Pool.balance, datasets.ClientDataset.add
-
-    def recording_balance(self, *args):
-        added = balance(self, *args)
-        received.update((cid, weakref.ref(rows[0])) for cid, rows in added.items())
-        return added
-
-    extended, alive = [], []
-
-    def counting_add(self, *rows):
-        alive.append(sum(received[cid]() is not None for cid in extended))
-        extended.append(self.client_id)
-        add(self, *rows)
-
-    monkeypatch.setattr(workers.Pool, "balance", recording_balance)
-    monkeypatch.setattr(datasets.ClientDataset, "add", counting_add)
+def test_balance_clients_holds_no_client_s_old_and_new_pixels_together(monkeypatch):
+    # The pool's reply used to hold each client's gained rows while the main
+    # process concatenated them onto its old pixels. Now every planned
+    # client's old pixels are gone before any reply is read, and each
+    # balanced client holds the reply's own arrays.
     cfg = PINNED_BALANCE
     train, dims, _ = experiments.load_train(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
+    del train
+    old = [weakref.ref(client.pixels) for client in clients]
+    alive, replies = [], []
+    balance, collect = workers.Pool.balance, workers.Pool._collect
+
+    def checking_collect(self, requests):
+        alive.append(sum(ref() is not None for ref in old))
+        return collect(self, requests)
+
+    def recording_balance(self, *args):
+        replies.append(balance(self, *args))
+        return replies[-1]
+
+    monkeypatch.setattr(workers.Pool, "_collect", checking_collect)
+    monkeypatch.setattr(workers.Pool, "balance", recording_balance)
     balance_clients(clients, cfg, dims)
-    assert extended == [0, 1, 2, 3]
-    assert alive == [0, 0, 0, 0]
+    assert alive == [0]
+    assert sorted(replies[0]) == [0, 1, 2, 3]
+    for client in clients:
+        pixels, labels, provenance, _ = replies[0][client.client_id]
+        assert client.pixels is pixels
+        assert client.labels is labels
+        assert client.provenance is provenance
 
 
 def file_digests(directory: Path) -> dict[str, str]:

@@ -70,6 +70,20 @@ class TestServeBounty:
         assert len(resp.samples) == 50
         assert all(s.shape == DIMS and s.dtype == np.float32 for s in resp.samples)
 
+    def test_capacity_rounds_a_fractional_share_down(self):
+        # 0.3 of a 7-image label is 2.1: two mixups, not three.
+        responder = client(1, [7, 3])
+        resp = serve_bounty(responder, 0, 5, DpMixConfig(k=4), np.random.default_rng(1),
+                            capacity_fraction=0.3)
+        assert len(resp.samples) == 2
+
+    def test_k_bounds_the_pool_not_the_label(self):
+        # Two images of the label, seven in all: at k = 4 each mixup takes
+        # its anchor from the label and its fillers from the whole pool.
+        responder = client(1, [2, 5])
+        resp = serve_bounty(responder, 0, 2, DpMixConfig(k=4), np.random.default_rng(3))
+        assert len(resp.samples) == 2
+
     def test_pool_smaller_than_k_yields_empty(self):
         responder = client(1, [2, 1])          # 3 examples total
         resp = serve_bounty(responder, 0, 5, DpMixConfig(k=4), np.random.default_rng(2))

@@ -124,17 +124,17 @@ def test_no_worker_outlives_its_parent(how, tmp_path):
 
 
 def request_kinds(monkeypatch, run, *args):
-    """The kinds of request each of the pool's calls sends while `run(*args)`
-    runs."""
+    """The kinds of request each of the pool's sends carries while
+    `run(*args)` runs."""
     pool = workers.pool()
-    call = pool._call
+    send = pool._send
     kinds = []
 
-    def recording_call(requests):
+    def recording_send(requests):
         kinds.append({request[0] for request in requests.values()})
-        return call(requests)
+        send(requests)
 
-    monkeypatch.setattr(pool, "_call", recording_call)
+    monkeypatch.setattr(pool, "_send", recording_send)
     run(*args)
     return kinds
 
@@ -360,8 +360,9 @@ def test_an_interrupt_while_waiting_for_a_reply_kills_every_worker(monkeypatch):
 
 
 # `fedbalance train` on the config argv[1] into argv[2], with worker 0
-# killed just before the first train request; prints the pid of every worker
-# it started and exits with the command's code.
+# killed at the first send of kind argv[3]: just before a train request, or
+# just after a balance request; prints the pid of every worker it started
+# and exits with the command's code.
 DEAD_WORKER_SCRIPT = """
 import os, signal, subprocess, sys
 from fedbalance import cli, workers
@@ -371,25 +372,34 @@ def recording_popen(*args, **kwargs):
     started.append(popen(*args, **kwargs))
     return started[-1]
 workers.subprocess.Popen = recording_popen
-train = workers.Pool.train
-def killing_train(self, *args):
+kind = sys.argv[3]
+send = workers.Pool._send
+def killing_send(self, requests):
+    if not any(request[0] == kind for request in requests.values()):
+        return send(self, requests)
+    workers.Pool._send = send
     victim = self._procs[0]
+    if kind == "balance":
+        send(self, requests)
     os.kill(victim.pid, signal.SIGKILL)
     victim.wait()
-    workers.Pool.train = train
-    return train(self, *args)
-workers.Pool.train = killing_train
+    if kind == "train":
+        send(self, requests)
+workers.Pool._send = killing_send
 code = cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(" ".join(str(p.pid) for p in started), flush=True)
 sys.exit(code)
 """
 
 
-def test_a_dead_worker_ends_train_with_one_io_error_line(tmp_path):
-    # It used to end in a TrainingError traceback (exit 1).
+@pytest.mark.parametrize("kind", ["train", "balance"])
+def test_a_dead_worker_ends_train_with_one_io_error_line(tmp_path, kind):
+    # It used to end in a TrainingError traceback (exit 1). Killed after the
+    # balance's snapshots were sent, worker 0 dies while the main process
+    # holds the planned clients without their pixels.
     out = tmp_path / "out"
     run = subprocess.run([sys.executable, "-c", DEAD_WORKER_SCRIPT,
-                          str(ROOT / "configs" / "quick_toy.cfg"), str(out)],
+                          str(ROOT / "configs" / "quick_toy.cfg"), str(out), kind],
                          env=child_env(), capture_output=True, text=True, timeout=300)
     pids = [int(pid) for pid in run.stdout.split()]
     assert run.returncode == EXIT_IO, run.stderr
