@@ -194,10 +194,9 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
 
 
 def test_balance_clients_holds_no_client_s_old_and_new_pixels_together(monkeypatch):
-    # The pool's reply used to hold each client's gained rows while the main
-    # process concatenated them onto its old pixels. Now every planned
-    # client's old pixels are gone before any reply is read, and each
-    # balanced client holds the reply's own arrays.
+    # Every planned client's old pixels are gone before any reply is read,
+    # and each balanced client holds the reply's own arrays: the main
+    # process concatenates nothing.
     cfg = PINNED_BALANCE
     train, dims, _ = experiments.load_train(cfg)
     clients = datasets.partition(train, build_partition_spec(cfg))
