@@ -59,9 +59,11 @@ def _cmd_partition(args) -> int:
 
 def _stream_blocks(count: int, seed: int, *name):
     """`rng_for(seed, *name, i)` for i in range(count), NOISE_BLOCK streams a list."""
+    if count < 0:
+        raise ConfigError(f"--count must be >= 0, got {count}")
     ids = range(count)
-    for start in ids[::noisegen.NOISE_BLOCK]:
-        yield [rng_for(seed, *name, i) for i in ids[start:start + noisegen.NOISE_BLOCK]]
+    return ([rng_for(seed, *name, i) for i in ids[start:start + noisegen.NOISE_BLOCK]]
+            for start in ids[::noisegen.NOISE_BLOCK])
 
 
 def _write_images(args, prefix: str, blocks, label: int, provenance) -> None:

@@ -87,8 +87,8 @@ class ClientDataset:
     """A client's local multiset of examples, stored column-wise.
 
     `pixels` is (N, H, W, Ch) float32, `labels` (N,) int64 and `provenance`
-    (N,) int8 codes into PROVENANCES. `add` rebinds fresh arrays and never
-    writes into the old ones, so a shallow `dataclasses.replace` is a snapshot.
+    (N,) int8 codes into PROVENANCES. Nothing grows a client in place:
+    `balance_clients` rebinds it to the arrays `run_balance` builds anew.
     """
 
     client_id: int
@@ -118,12 +118,6 @@ class ClientDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def add(self, pixels: np.ndarray, labels: np.ndarray, provenance: np.ndarray) -> None:
-        """Append (n, H, W, Ch) pixels, (n,) labels and (n,) provenance codes."""
-        self.pixels = np.concatenate([self.pixels, pixels], dtype=np.float32)
-        self.labels = np.concatenate([self.labels, labels], dtype=np.int64)
-        self.provenance = np.concatenate([self.provenance, provenance], dtype=np.int8)
 
 
 class Scheme(enum.Enum):

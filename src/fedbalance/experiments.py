@@ -346,8 +346,8 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
     """A worker's part of `balance_clients`: balance each client of `plans`
     (id -> deficits) against `snapshots`, each on streams named after its own
     id. Returns {client id: (pixels, labels, provenance, records)}: the
-    client's whole arrays, its snapshot's rows followed by the rows
-    `run_balance` built, and `run_balance`'s records."""
+    arrays of the client `run_balance` built (its snapshot's rows, then its
+    pseudo-images) and its records; every snapshot is left as it was."""
     mix_cfg = DpMixConfig(cfg.k, cfg.sigma)
     topology = _parse_topology(cfg.topology)
     balanced = {}
@@ -358,13 +358,11 @@ def balance_share(snapshots: Mapping[int, ClientDataset],
             leaky_slope=cfg.noise_leaky_slope,
             wavelet_bank=noisegen.WaveletBank(cfg.noise_bank),
             seed=derive_seed(cfg.seed, "noise-state", cid))
-        *rows, records = run_balance(
+        client, records = run_balance(
             snapshots[cid], deficits, cfg.mix_fraction, topology, snapshots, mix_cfg,
             noisegen.init_generator(gen_cfg), derive_seed(cfg.seed, "natgen", cid),
             rng_for(cfg.seed, "balance", cid),
             capacity_fraction=cfg.capacity_fraction, deadline=cfg.deadline)
-        client = replace(snapshots[cid])   # `add` rebinds, so the snapshot stays as it was
-        client.add(*rows)
         balanced[cid] = (client.pixels, client.labels, client.provenance, records)
     return balanced
 

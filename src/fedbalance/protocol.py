@@ -117,8 +117,8 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                 peers: Mapping[int, ClientDataset], mix_cfg: DpMixConfig,
                 noise_state: GeneratorState, noise_seed: int, rng: np.random.Generator, *,
                 capacity_fraction: float, deadline: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Record]]:
-    """The pseudo-images that fill the requester's deficits, and the messages.
+                ) -> tuple[ClientDataset, list[Record]]:
+    """The requester with its deficits filled, and the messages.
 
     Per deficit (label j, quantity P): send every peer a request for
     ceil(mix_fraction * P) mixups, collect the responses if the deadline
@@ -126,9 +126,9 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
     at random, then generate the remaining P - E images as natural noise
     labeled j, image i from the stream `rng_for(noise_seed, "nat", j, i)`; so
     a label may appear only once. mix_fraction = 0 sends no requests at all.
-    Each deficit takes deadline + 1 trace rounds. Returns P rows per deficit
-    (the kept mixups, then the noise) as (pixels, labels, provenance codes,
-    records); the requester is left as it was.
+    Each deficit takes deadline + 1 trace rounds. Returns a new client that
+    holds the requester's rows, then per deficit its kept mixups and its
+    noise, with the records; the requester is left as it was.
     """
     if not (0.0 <= mix_fraction <= 1.0):
         raise ProtocolError(f"mix_fraction must be in [0, 1], got {mix_fraction}")
@@ -139,9 +139,8 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
     root = int(rng.integers(2**62))
     me = requester.client_id
     peer_ids = sorted(pid for pid in peers if pid != me)
-    rows: list[np.ndarray] = []                     # one (H, W, Ch) row each
-    labels: list[int] = []
-    kinds: list[Provenance] = []
+    blocks = [requester.pixels]         # then each deficit's kept mixups and noise
+    runs: list[tuple[int, int, int]] = []   # (label, provenance code, rows) per block
     records: list[Record] = []
 
     round_base = 0
@@ -149,7 +148,7 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         if deficit <= 0:
             continue
         quantity = math.ceil(mix_fraction * deficit)
-        collected: list[np.ndarray] = []
+        mixups = requester.pixels[:0]
         if quantity > 0:
             requests = route([Record(round_base + 1, "request", me, pid, label, quantity)
                               for pid in peer_ids], topology)
@@ -163,17 +162,20 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                                           label if samples else -1, len(samples))
                                    for pid, samples in served.items()], topology)
                 records += responses
-                for r in responses:
-                    collected.extend(served[r.src])
-        if len(collected) > quantity:
-            keep = rng.choice(len(collected), size=quantity, replace=False)
-            collected = [collected[i] for i in sorted(keep)]
+                mixups = np.concatenate([mixups, *(np.stack(served[r.src])
+                                                   for r in responses if served[r.src])])
+        if len(mixups) > quantity:
+            mixups = mixups[np.sort(rng.choice(len(mixups), size=quantity, replace=False))]
         noise = generate_block(noise_state, [rng_for(noise_seed, "nat", label, i)
-                                             for i in range(deficit - len(collected))])
-        rows += [*collected, *noise]
-        labels += [label] * deficit
-        kinds += [Provenance.MIXUP] * len(collected) + [Provenance.NATURAL_NOISE] * len(noise)
+                                             for i in range(deficit - len(mixups))])
+        blocks += [mixups, noise]
+        runs += [(label, PROVENANCES.index(Provenance.MIXUP), len(mixups)),
+                 (label, PROVENANCES.index(Provenance.NATURAL_NOISE), len(noise))]
         round_base += deadline + 1
-    codes = np.array([PROVENANCES.index(kind) for kind in kinds], dtype=np.int8)
-    return (np.stack(rows) if rows else requester.pixels[:0],
-            np.array(labels, dtype=np.int64), codes, records)
+    # (0, 3) when no deficit is positive, so the repeats stay int64
+    labels, codes, counts = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    return ClientDataset(
+        me, requester.num_classes, np.concatenate(blocks, dtype=np.float32),
+        np.concatenate([requester.labels, np.repeat(labels, counts)], dtype=np.int64),
+        np.concatenate([requester.provenance, np.repeat(codes, counts)], dtype=np.int8),
+    ), records

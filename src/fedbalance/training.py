@@ -724,7 +724,7 @@ def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],
     included). Local training and evaluation run in the worker processes of
     `fedbalance.workers`, which are sent the clients and the test set once,
     whatever the model, and keep scaled copies, so no array may change in
-    place between rounds (an `add` rebinds them, and is dealt again).
+    place between rounds (a client whose arrays are rebound is dealt again).
     Participants are drawn and averaged in client-id order, and each
     client's shuffle stream is derived from (seed, round, client id), so
     neither the order of `clients` nor the order in which workers finish

@@ -17,6 +17,11 @@ rounds, and their medians are printed per step, with the rest of the step
 a 500-image 10x10x1 test slice, in chunks of `EVAL_CHUNK` (128) images. A
 bounty is one `serve_bounty` of 60 mixups (k = 4, sigma = 50) from a
 600-image client, a desk requester's ask of the one peer holding the label.
+A client's balance is `experiments.balance_share` of client 0 of the desk
+cell (`configs/desk_trends.cfg`, seed 0) against all ten partitioned
+clients, at mix 1 and at mix 0: its noise generator's set-up, its
+`run_balance` (nine deficits of 60 pseudo-images) and the building of its
+balanced client, as a worker balances one client of its share.
 Last comes the process's peak RSS (`ru_maxrss`), which holds what a worker
 of a desk cell holds plus the profile's own arrays.
 """
@@ -25,12 +30,14 @@ import argparse
 import collections
 import contextlib
 import cProfile
+import math
 import os
 import pstats
 import resource
 import statistics
 import sys
 import time
+from dataclasses import replace
 from unittest import mock
 
 from fedbalance import workers
@@ -40,16 +47,18 @@ if any(os.environ.get(key) != value for key, value in workers._ENV.items()):
 
 import numpy as np  # noqa: E402
 
-from fedbalance.datasets import ClientDataset  # noqa: E402
+from fedbalance.datasets import ClientDataset, partition  # noqa: E402
 from fedbalance.mixing import DpMixConfig  # noqa: E402
-from fedbalance.protocol import serve_bounty  # noqa: E402
-from fedbalance import training  # noqa: E402
+from fedbalance.protocol import plan_deficits, serve_bounty  # noqa: E402
+from fedbalance import experiments, training  # noqa: E402
 from fedbalance.seeding import rng_for  # noqa: E402
 from fedbalance.training import (EVAL_CHUNK, Softmax, TrainConfig,  # noqa: E402
                                  build_model, count_correct, init_model, local_train)
 
 CLIENTS, IMAGES, DIMS = 5, 1140, (10, 10, 1)
 TEST_IMAGES = 500
+DESK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "configs", "desk_trends.cfg")
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -166,6 +175,23 @@ def main() -> None:
     bounty_ms = median_ms(bounty, repeats)
     print(f"bounty: {n} mixups, median of {repeats}")
     print(f"  {bounty_ms:.2f} ms per bounty, {1e3 * bounty_ms / n:.1f} us per mixup")
+
+    desk = experiments.load_config(DESK, 0)
+    train, dims, _ = experiments.load_train(desk)
+    snapshots = {c.client_id: c
+                 for c in partition(train, experiments.build_partition_spec(desk))}
+    peak = int(snapshots[0].label_histogram.max())
+    plans = {0: plan_deficits(snapshots[0], math.ceil(desk.supplement_pct / 100.0 * peak))}
+    print(f"client balance: {sum(q for _, q in plans[0])} pseudo-images for a "
+          f"{len(snapshots[0])}-image desk client, median of {repeats}")
+    for mix in (1.0, 0.0):
+        cfg = replace(desk, mix_fraction=mix)
+
+        def balance():
+            return experiments.balance_share(snapshots, plans, cfg, dims)
+
+        balance()
+        print(f"  mix {mix:g}: {median_ms(balance, repeats):.2f} ms per client")
     # Linux reports ru_maxrss in KiB.
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 

@@ -141,12 +141,12 @@ def test_criterion_04_protocol_conservation(monkeypatch):
 
         served.clear()
         before = len(requester)
-        *rows, records = run_balance(requester, [(1, deficit)], alpha, topology, peers,
-                                     DpMixConfig(k=3, sigma=1.0), _noise_state(scenarios),
-                                     scenarios, np.random.default_rng(scenarios),
-                                     capacity_fraction=capacity, deadline=2)
-        requester.add(*rows)
-        added = requester.examples[before:]
+        balanced, records = run_balance(requester, [(1, deficit)], alpha, topology, peers,
+                                        DpMixConfig(k=3, sigma=1.0), _noise_state(scenarios),
+                                        scenarios, np.random.default_rng(scenarios),
+                                        capacity_fraction=capacity, deadline=2)
+        assert len(requester) == before
+        added = balanced.examples[before:]
         mixed = [ex for ex in added if ex.provenance is Provenance.MIXUP]
         assert len(added) == deficit
         assert all(ex.label == 1 for ex in added)

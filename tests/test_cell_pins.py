@@ -1,9 +1,10 @@
 """SHA-256 of every file `run_experiment` writes, for a handful of
 sub-second cells: each model, both ends of the mix axis, an empty Dirichlet
-client, a peer topology that drops messages, a one-round deadline and
-partial participation. Any change to an output byte fails here, and a
-deliberate one shows as an edit to this table. The slow check runs the two
-desk cells of the benchmark and compares them with `benchmarks/golden.json`."""
+client, a peer topology that drops messages, a one-round deadline, partial
+participation, and a capacity floor that binds under two local epochs. Any
+change to an output byte fails here, and a deliberate one shows as an edit
+to this table. The slow check runs the two desk cells of the benchmark and
+compares them with `benchmarks/golden.json`."""
 
 import hashlib
 import json
@@ -32,6 +33,8 @@ CELLS = {
     "peers-drop": {"topology": "0-1,1-2", "model": "logreg"},
     "deadline-1": {"deadline": 1, "model": "mlp"},
     "participation-half": {"participation_fraction": 0.5},
+    # a holder serves floor(0.2 * 12) = 2 of the 3 mixups asked
+    "capacity-0.2-epochs-2": {"capacity_fraction": 0.2, "local_epochs": 2},
 }
 
 PINNED = {
@@ -146,6 +149,20 @@ PINNED = {
             "0a2e6bf62053cf376afb118370af3a90bb9ef1167eae81fd90087931a06f8306",
         "trace.csv":
             "53f2de631c046ab408539d3c5ccf3836df21b0ccbd4fe02b05848cea13f3e8f3",
+    },
+    "capacity-0.2-epochs-2": {
+        "balance_manifest.csv":
+            "d1cff5c6a628de3bb1735aefe3fd5d5bc3bb2db1308810c573cd5a3ecb5e52bd",
+        "metrics.csv":
+            "382202cbdce80587ede6b0d6ab50f90e9a1e5d9de02ec4d843e92fc4caebae71",
+        "model.ckpt":
+            "fa799a044de95ef073ced5a6e22e8f0ed51cac96cc9b5c58e1b2263f4958a734",
+        "partition_manifest.csv":
+            "71fcd8a2534385b7574064b560d6939d2b57c28777911bae11c846fc124c88d1",
+        "summary.csv":
+            "913fa95e3e5f83d9043d810923162e418d80a7083a4c3239972919aed7612b0f",
+        "trace.csv":
+            "45de8d4477290a45efa8b7d4a3adb2ab6b61b9d65f4cd2dc0e7297ee1533947c",
     },
 }
 

@@ -292,7 +292,8 @@ def test_mix_files_match_pinned_digest(tmp_path):
     (["--label", "5"], "config error: client 0 holds no example with label 5"),
     (["--label", "1", "--k", "1"], "config error: mix width k must be >= 2, got 1"),
     (["--label", "1", "--sigma", "1e38"], "config error: sigma 1e+38 noises a pixel"),
-], ids=["label-not-in-pool", "k-1", "sigma-past-float32"])
+    (["--label", "1", "--count", "-3"], "config error: --count must be >= 0, got -3"),
+], ids=["label-not-in-pool", "k-1", "sigma-past-float32", "negative-count"])
 def test_a_failing_mix_prints_one_line_and_leaves_no_out(tmp_path, capsys, args, message):
     write_toy_pool(tmp_path / "pool")
     out = tmp_path / "mixed"
@@ -323,6 +324,15 @@ def test_a_failing_gen_noise_prints_one_line_and_leaves_no_out(tmp_path, capsys)
     assert not out.exists()
     assert main(["gen-noise", "--out", str(out), "--count", "0"]) == EXIT_OK
     assert list(out.iterdir()) == []
+
+
+def test_gen_noise_of_a_negative_count_exits_2_and_leaves_no_out(tmp_path, capsys):
+    # It used to exit 0 and leave an empty --out.
+    out = tmp_path / "noise"
+    assert main(["gen-noise", "--out", str(out), "--count", "-3"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --count must be >= 0, got -3"]
+    assert not out.exists()
 
 
 def test_mix_ppm_of_a_two_channel_pool_exits_3_writing_nothing(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import encode_cifar10, encode_idx
 
-from fedbalance.datasets import (PROVENANCES, BadMagic, BadRecordLength,
-                                 ClientDataset, DatasetError, DimensionOverflow,
-                                 InfeasibleSpec, LabeledImage, LabelOutOfRange,
-                                 PartitionSpec, Provenance, TruncatedFile,
-                                 load_cifar10_dir, load_mnist_dir,
+from fedbalance.datasets import (BadMagic, BadRecordLength, ClientDataset,
+                                 DatasetError, DimensionOverflow, InfeasibleSpec,
+                                 LabeledImage, LabelOutOfRange, PartitionSpec,
+                                 TruncatedFile, load_cifar10_dir, load_mnist_dir,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates)
 from fedbalance.seeding import derive_seed
@@ -335,13 +333,6 @@ def test_client_dataset_histogram_recomputed():
     client = ClientDataset.from_images(
         0, [LabeledImage(p, int(y)) for p, y in zip(pixels, labels)], 3)
     assert client.label_histogram.tolist() == [4, 4, 4]
-    snapshot = replace(client)
-    client.add(np.ones((1, 4, 4, 1)), [0], [PROVENANCES.index(Provenance.NATURAL_NOISE)])
-    assert client.label_histogram.tolist() == [5, 4, 4]
-    last = client.examples[-1]
-    assert (last.label, last.provenance) == (0, Provenance.NATURAL_NOISE)
-    assert client.pixels.dtype == np.float32
-    assert (client.labels.dtype, client.provenance.dtype) == (np.int64, np.int8)
-    # add rebinds fresh arrays, so the shallow copy still holds the old rows
-    assert len(snapshot) == 12 and snapshot.label_histogram.tolist() == [4, 4, 4]
-    assert np.array_equal(snapshot.pixels, client.pixels[:12])
+    # rebinding the labels, as balance_clients does, changes the histogram
+    client.labels = client.labels[4:]
+    assert client.label_histogram.tolist() == [0, 4, 4]

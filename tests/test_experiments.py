@@ -145,8 +145,9 @@ class TestBalancePhase:
 
 # SHA-256 of everything the balance phase produces for PINNED_BALANCE: the
 # three CSVs, then each client's pixels / 255 (x) and label (y) bytes, the
-# arrays a training worker keeps. Balancing does no BLAS matmul, so these pin
-# the partition, mixup, trim and noise bytes independently of the model. A
+# arrays a training worker keeps, and its provenance codes (p), which no
+# output file holds. Balancing does no BLAS matmul, so these pin the
+# partition, mixup, trim and noise bytes independently of the model. A
 # change to any of them must be explained.
 PINNED_BALANCE = replace(TINY, classes_per_client=2, supplement_pct=50,
                          mix_fraction=0.5)
@@ -158,12 +159,16 @@ PINNED_DIGESTS = {
     "trace.csv": "766b44207a27d09d1076c98e4f25cab7e07a3cb16c84c9971b351c5e9c8f3d7b",
     "client0.x": "19ad914b63c60e46e9aade0bb4d054a090aeeab18d1ebfb97a9f33c19e687976",
     "client0.y": "86e197b876e9cab2d4014ba5aa73233ea914740f1174938f3a4bf0a792d40d6a",
+    "client0.p": "fd9e66e9a06e3c6434cd317725cf91dc3a3b7df0b4414e7c7633875e51aa0beb",
     "client1.x": "623f743459e4798187aa4c9d62356beaa3f2f876367268c974f5f6ac2b9fbca3",
     "client1.y": "7eda9cf43bec11d725096dc74b28b373fc2a2dedce57b3377868ca1923062fce",
+    "client1.p": "fd9e66e9a06e3c6434cd317725cf91dc3a3b7df0b4414e7c7633875e51aa0beb",
     "client2.x": "818e16ce27b59e0f7c7438c4c75fb450ce83530c621dc5ed41cf44ffaf09d7f1",
     "client2.y": "86e197b876e9cab2d4014ba5aa73233ea914740f1174938f3a4bf0a792d40d6a",
+    "client2.p": "fd9e66e9a06e3c6434cd317725cf91dc3a3b7df0b4414e7c7633875e51aa0beb",
     "client3.x": "c7e843323d05e17b6b6004013a0061893b23210b716b570969a4a897d896ea62",
     "client3.y": "7eda9cf43bec11d725096dc74b28b373fc2a2dedce57b3377868ca1923062fce",
+    "client3.p": "fd9e66e9a06e3c6434cd317725cf91dc3a3b7df0b4414e7c7633875e51aa0beb",
 }
 
 
@@ -187,7 +192,8 @@ def test_balance_outputs_match_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("partition_manifest.csv", "balance_manifest.csv", "trace.csv")}
     for client in clients:
-        for field, array in (("x", client.pixels / 255.0), ("y", client.labels)):
+        for field, array in (("x", client.pixels / 255.0), ("y", client.labels),
+                             ("p", client.provenance)):
             digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
                 array.tobytes()).hexdigest()
     assert digests == PINNED_DIGESTS
@@ -237,7 +243,8 @@ def test_prepared_client_files_match_pinned_digests(tmp_path):
     write_client_files(str(tmp_path), prepared)
     digests = file_digests(tmp_path)
     for client in prepared.clients:
-        for field, array in (("x", client.pixels / 255.0), ("y", client.labels)):
+        for field, array in (("x", client.pixels / 255.0), ("y", client.labels),
+                             ("p", client.provenance)):
             digests[f"client{client.client_id}.{field}"] = hashlib.sha256(
                 array.tobytes()).hexdigest()
     assert digests == PINNED_DIGESTS

@@ -111,13 +111,12 @@ def run_simple_balance(mix_fraction, requester_counts, peer_counts, *,
     peers = {i: client(i, counts, len(requester_counts))
              for i, counts in enumerate(peer_counts, start=1)}
     deficits = plan_deficits(requester, target)
-    *rows, records = run_balance(requester, deficits, mix_fraction,
-                                 topology or Topology.star(), peers,
-                                 DpMixConfig(k=k, sigma=1.0), noise_state(seed), seed,
-                                 np.random.default_rng(seed), capacity_fraction=capacity,
-                                 deadline=deadline)
-    requester.add(*rows)
-    return requester, deficits, records
+    balanced, records = run_balance(requester, deficits, mix_fraction,
+                                    topology or Topology.star(), peers,
+                                    DpMixConfig(k=k, sigma=1.0), noise_state(seed), seed,
+                                    np.random.default_rng(seed), capacity_fraction=capacity,
+                                    deadline=deadline)
+    return balanced, deficits, records
 
 
 class TestRunBalance:
@@ -167,16 +166,35 @@ class TestRunBalance:
 
     def test_never_removes_existing_examples(self):
         requester = client(0, [8, 0])
-        before = requester.pixels.copy(), requester.labels.copy()
-        *rows, _ = run_balance(requester, [(1, 4)], 0.5, Topology.star(),
-                               {1: client(1, [5, 5])}, DpMixConfig(k=2), noise_state(), 0,
-                               np.random.default_rng(0), capacity_fraction=1.0, deadline=2)
-        assert len(requester) == 8
-        requester.add(*rows)
-        assert len(requester) == 8 + 4
-        assert np.array_equal(requester.pixels[:8], before[0])
-        assert np.array_equal(requester.labels[:8], before[1])
-        assert np.all(requester.provenance[:8] == 0)
+        pixels, labels = requester.pixels, requester.labels
+        before = pixels.copy(), labels.copy()
+        balanced, _ = run_balance(requester, [(1, 4)], 0.5, Topology.star(),
+                                  {1: client(1, [5, 5])}, DpMixConfig(k=2), noise_state(), 0,
+                                  np.random.default_rng(0), capacity_fraction=1.0, deadline=2)
+        assert requester.pixels is pixels and requester.labels is labels
+        assert np.array_equal(pixels, before[0]) and np.array_equal(labels, before[1])
+        assert balanced.client_id == 0
+        assert len(balanced) == 8 + 4
+        assert np.array_equal(balanced.pixels[:8], before[0])
+        assert np.array_equal(balanced.labels[:8], before[1])
+        assert np.all(balanced.provenance[:8] == 0)
+
+    @pytest.mark.parametrize("mix_fraction, deficit, kinds", [
+        (0.0, 3, [Provenance.NATURAL_NOISE] * 3),
+        (1.0, 3, [Provenance.MIXUP] * 3),
+        (1.0, 0, []),
+    ])
+    def test_the_balanced_client_s_histogram_and_dtypes(self, mix_fraction, deficit, kinds):
+        # All noise, all mixups, and no positive deficit, where the labels
+        # and codes are repeated over no block at all.
+        balanced, _ = run_balance(client(0, [8, 0]), [(1, deficit)], mix_fraction,
+                                  Topology.star(), {1: client(1, [20, 20])}, DpMixConfig(k=2),
+                                  noise_state(), 0, np.random.default_rng(0),
+                                  capacity_fraction=1.0, deadline=2)
+        assert balanced.label_histogram.tolist() == [8, len(kinds)]
+        assert [ex.provenance for ex in balanced.examples[8:]] == kinds
+        assert balanced.pixels.dtype == np.float32
+        assert (balanced.labels.dtype, balanced.provenance.dtype) == (np.int64, np.int8)
 
     def test_determinism(self):
         a, _, ta = run_simple_balance(0.5, [8, 0, 0], [[6, 3, 2], [4, 0, 5]], seed=9)

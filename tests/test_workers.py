@@ -267,20 +267,23 @@ def test_importing_the_cli_loads_neither_the_pool_nor_subprocess():
 
 
 def test_a_client_changed_between_rounds_is_dealt_again():
-    # `add` keeps the client object and rebinds its arrays: a pool that only
-    # compared client objects would train round 1 on the rows dealt before.
+    # `balance_clients` keeps the client object and rebinds its arrays: a pool
+    # that only compared client objects would train round 1 on the rows dealt
+    # before.
     clients = toy_clients(3, 6, num_classes=3, dims=(6, 6, 1))
     extra = toy_clients(1, 2, num_classes=3, dims=(6, 6, 1), seed=1)[0]
     test = (clients[0].pixels, clients[0].labels)
     cfg = TrainConfig(batch_size=8)
     params = init_model(build_model("cnn", (6, 6, 1), 3), 0)
     params, _ = run_round(params, clients, *test, cfg, 0)
-    clients[1].add(extra.pixels, extra.labels, extra.provenance)
-    after_add = run_round(params, clients, *test, cfg, 1)
+    clients[1].pixels, clients[1].labels, clients[1].provenance = (
+        np.concatenate([getattr(clients[1], name), getattr(extra, name)])
+        for name in ("pixels", "labels", "provenance"))
+    after_rebind = run_round(params, clients, *test, cfg, 1)
     workers.pool().close()
     fresh = run_round(params, clients, *test, cfg, 1)
-    assert after_add[0].flat.tobytes() == fresh[0].flat.tobytes()
-    assert after_add[1] == fresh[1]
+    assert after_rebind[0].flat.tobytes() == fresh[0].flat.tobytes()
+    assert after_rebind[1] == fresh[1]
 
 
 def test_non_finite_gradient_in_a_worker_reaches_the_caller():
