@@ -233,34 +233,29 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
 def load_train(cfg: ExperimentConfig) -> tuple[tuple, tuple[int, int, int], int]:
     """Returns (train, dims, num_classes) for the configured dataset; train is
     a (pixels, labels) pair. The test split is not read."""
-    data_seed = _data_seed(cfg)
-    if cfg.dataset == "toy":
-        train = datasets.make_toy_dataset(cfg.toy_per_class, cfg.toy_classes,
-                                          cfg.toy_dims, derive_seed(data_seed, "toy-train"),
-                                          jitter=cfg.toy_jitter)
-        return train, cfg.toy_dims, cfg.toy_classes
     train, dims, num_classes = _load_split(cfg, "train")
-    if cfg.subset_per_class > 0:
+    if cfg.subset_per_class > 0 and cfg.dataset != "toy":
         train = _stratified_subset(train, cfg.subset_per_class, num_classes,
-                                   rng_for(data_seed, "subset"))
+                                   rng_for(_data_seed(cfg), "subset"))
     return train, dims, num_classes
 
 
 def load_test(cfg: ExperimentConfig) -> tuple:
     """The configured dataset's test split as a (pixels, labels) pair."""
-    if cfg.dataset == "toy":
-        return datasets.make_toy_dataset(cfg.toy_test_per_class, cfg.toy_classes,
-                                         cfg.toy_dims,
-                                         derive_seed(_data_seed(cfg), "toy-test"),
-                                         jitter=cfg.toy_jitter)
-    test, _, _ = _load_split(cfg, "test")
-    return test
+    return _load_split(cfg, "test")[0]
 
 
 def _load_split(cfg: ExperimentConfig, split: str) -> tuple[tuple, tuple[int, int, int], int]:
-    """One split of the configured real dataset, its image dims and its 10
-    classes. An empty split (nothing to partition, or to measure accuracy
-    over), images of other dims, or other labels are a DatasetError."""
+    """One split of the configured dataset, its image dims and its number of
+    classes. A real split that is empty (nothing to partition, or to measure
+    accuracy over), holds images of other dims, or labels past 9 is a
+    DatasetError."""
+    if cfg.dataset == "toy":
+        per_class = cfg.toy_per_class if split == "train" else cfg.toy_test_per_class
+        toy = datasets.make_toy_dataset(per_class, cfg.toy_classes, cfg.toy_dims,
+                                        derive_seed(_data_seed(cfg), f"toy-{split}"),
+                                        jitter=cfg.toy_jitter)
+        return toy, cfg.toy_dims, cfg.toy_classes
     load, dims = ((datasets.load_mnist_dir, (28, 28, 1)) if cfg.dataset == "mnist"
                   else (datasets.load_cifar10_dir, (32, 32, 3)))
     pixels, labels = load(cfg.data_path, split)

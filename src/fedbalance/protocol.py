@@ -148,7 +148,7 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
         if deficit <= 0:
             continue
         quantity = math.ceil(mix_fraction * deficit)
-        mixups = requester.pixels[:0]
+        rows: list[np.ndarray] = []     # the delivered mixups, in response order
         if quantity > 0:
             requests = route([Record(round_base + 1, "request", me, pid, label, quantity)
                               for pid in peer_ids], topology)
@@ -162,10 +162,11 @@ def run_balance(requester: ClientDataset, deficits: Sequence[tuple[int, int]],
                                           label if samples else -1, len(samples))
                                    for pid, samples in served.items()], topology)
                 records += responses
-                mixups = np.concatenate([mixups, *(np.stack(served[r.src])
-                                                   for r in responses if served[r.src])])
-        if len(mixups) > quantity:
-            mixups = mixups[np.sort(rng.choice(len(mixups), size=quantity, replace=False))]
+                rows = [row for r in responses for row in served[r.src]]
+        if len(rows) > quantity:
+            rows = [rows[i] for i in np.sort(rng.choice(len(rows), size=quantity,
+                                                         replace=False))]
+        mixups = np.stack(rows) if rows else requester.pixels[:0]
         noise = generate_block(noise_state, [rng_for(noise_seed, "nat", label, i)
                                              for i in range(deficit - len(mixups))])
         blocks += [mixups, noise]

@@ -733,13 +733,10 @@ def run_round(global_params: ModelParams, clients: Sequence[ClientDataset],
     from . import workers
 
     clients = sorted(clients, key=lambda c: c.client_id)
-    if cfg.participation_fraction < 1.0:
-        n_pick = max(1, math.ceil(cfg.participation_fraction * len(clients)))
-        pick_rng = rng_for(cfg.seed, "participation", round_index)
-        chosen = sorted(pick_rng.choice(len(clients), size=n_pick, replace=False))
-        participants = [clients[i] for i in chosen]
-    else:
-        participants = clients
+    n_pick = max(1, math.ceil(cfg.participation_fraction * len(clients)))
+    chosen = sorted(rng_for(cfg.seed, "participation", round_index).choice(
+        len(clients), size=n_pick, replace=False))
+    participants = [clients[i] for i in chosen]
 
     pool = workers.pool()
     pool.deal(clients, test_pixels, test_labels)

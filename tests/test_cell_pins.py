@@ -1,7 +1,8 @@
 """SHA-256 of every file `run_experiment` writes, for a handful of
 sub-second cells: each model, both ends of the mix axis, an empty Dirichlet
 client, a peer topology that drops messages, a one-round deadline, partial
-participation, and a capacity floor that binds under two local epochs. Any
+participation, a capacity floor that binds under two local epochs, and
+natural noise from a non-default generator over jittered toy data. Any
 change to an output byte fails here, and a deliberate one shows as an edit
 to this table. The slow check runs the two desk cells of the benchmark and
 compares them with `benchmarks/golden.json`."""
@@ -35,6 +36,10 @@ CELLS = {
     "participation-half": {"participation_fraction": 0.5},
     # a holder serves floor(0.2 * 12) = 2 of the 3 mixups asked
     "capacity-0.2-epochs-2": {"capacity_fraction": 0.2, "local_epochs": 2},
+    # every pseudo-image from a non-default generator
+    "haar-noise-jitter-5": {"mix_fraction": 0.0, "noise_bank": "haar",
+                            "noise_base_resolution": 2, "noise_channels": 3,
+                            "noise_leaky_slope": -0.5, "toy_jitter": 5},
 }
 
 PINNED = {
@@ -163,6 +168,20 @@ PINNED = {
             "913fa95e3e5f83d9043d810923162e418d80a7083a4c3239972919aed7612b0f",
         "trace.csv":
             "45de8d4477290a45efa8b7d4a3adb2ab6b61b9d65f4cd2dc0e7297ee1533947c",
+    },
+    "haar-noise-jitter-5": {
+        "balance_manifest.csv":
+            "d1cff5c6a628de3bb1735aefe3fd5d5bc3bb2db1308810c573cd5a3ecb5e52bd",
+        "metrics.csv":
+            "7cfd08474d611a23dae5cd138d94249fede7d36c0274ea62a712bde7718e7524",
+        "model.ckpt":
+            "08b8615b2c649ba2cdac699ba01711a57c854ec9071a21f5285048176867f561",
+        "partition_manifest.csv":
+            "71fcd8a2534385b7574064b560d6939d2b57c28777911bae11c846fc124c88d1",
+        "summary.csv":
+            "3540a27cbfe3ed22d3c184cb2e20350025a46323d88b0d7ddea12d3446e42284",
+        "trace.csv":
+            "562f1eec90b4b17c0de3f4c4566a583d686419ce96804b8108996a65ce876275",
     },
 }
 

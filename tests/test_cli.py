@@ -140,6 +140,10 @@ DEGENERATE_CONFIGS = {
     **{f"dirichlet-concentration-{value}": _config_text(
         ("partition", "scheme", "dirichlet"), ("partition", "concentration", value))
        for value in ("0", "-1", "nan", "inf", "1e308")},
+    "bogus-section": _config_text(("bogus", "key", "1")),
+    # each label's one example for its three holders
+    "class_skew-toy_per_class-1-classes_per_client-3": _config_text(
+        ("dataset", "toy_per_class", "1"), ("partition", "classes_per_client", "3")),
 }
 
 
@@ -332,6 +336,38 @@ def test_gen_noise_of_a_negative_count_exits_2_and_leaves_no_out(tmp_path, capsy
     assert main(["gen-noise", "--out", str(out), "--count", "-3"]) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
         "config error: --count must be >= 0, got -3"]
+    assert not out.exists()
+
+
+# Image commands over inputs they cannot use. {empty} holds no .timg file;
+# {noise8} and {noise4} hold two unlabeled gen-noise images, 8x8 and 4x4.
+UNUSABLE_IMAGE_INPUTS = {
+    "mix-of-no-timg": (["mix", "--in", "{empty}", "--label", "0"], "no .timg files under"),
+    "spectrum-of-no-timg": (["spectrum", "--in", "{empty}"], "no .timg files under"),
+    "mix-of-unlabeled-noise": (["mix", "--in", "{noise8}", "--label", "0"],
+                               "carry no labels; cannot mix"),
+    "spectrum-of-4x4-noise": (["spectrum", "--in", "{noise4}"],
+                              "not enough populated radial bins for a fit"),
+    "gen-noise-height-0": (["gen-noise", "--height", "0"], "bad output dims (0, 32, 3)"),
+}
+
+
+@pytest.mark.parametrize("args, message", UNUSABLE_IMAGE_INPUTS.values(),
+                         ids=UNUSABLE_IMAGE_INPUTS)
+def test_an_unusable_image_input_exits_2_with_one_line_and_no_out(tmp_path, capsys,
+                                                                  args, message):
+    dirs = {"empty": tmp_path / "empty"}
+    dirs["empty"].mkdir()
+    for side in (8, 4):
+        dirs[f"noise{side}"] = tmp_path / f"noise{side}"
+        assert main(["gen-noise", "--out", str(dirs[f"noise{side}"]), "--count", "2",
+                     "--height", str(side), "--width", str(side),
+                     "--channels", "1"]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([arg.format(**dirs) for arg in args] + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
     assert not out.exists()
 
 
@@ -719,9 +755,9 @@ def test_malformed_checkpoint_header_raises_format_error(tmp_path, header):
         serialization.load_checkpoint(str(path))
 
 
-# Layer sizes that are not positive ints. The first four used to raise a bare
-# TypeError while sizing the payload; the rest loaded, with a payload sized to
-# match (none at all for the last two).
+# Layer sizes that are not positive ints, or the wrong number of them. The
+# first four used to raise a bare TypeError while sizing the payload; the next
+# four loaded, with a payload sized to match (none at all for the last two).
 BAD_LAYER_SIZES = {
     "conv-null": '["conv3x3", null, 16]',
     "conv-str": '["conv3x3", "a", 8]',
@@ -731,6 +767,7 @@ BAD_LAYER_SIZES = {
     "dense-float": '["dense", 1.0, 10]',
     "dense-negative": '["dense", -1, -10]',
     "dense-zero": '["dense", 0, 0]',
+    "dense-one-size": '["dense", 3]',
 }
 
 

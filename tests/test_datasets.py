@@ -15,6 +15,7 @@ from fedbalance.datasets import (BadMagic, BadRecordLength, ClientDataset,
                                  TruncatedFile, load_cifar10_dir, load_mnist_dir,
                                  make_toy_dataset, parse_cifar10, parse_idx,
                                  partition, toy_templates)
+from fedbalance.datasets import _largest_remainder_counts
 from fedbalance.seeding import derive_seed
 from fedbalance.serialization import manifest_rows, write_csv
 
@@ -314,6 +315,16 @@ class TestPartitionDirichlet:
         clients = partition(data, PartitionSpec.dirichlet(conc, n_clients, seed))
         total = sum(c.label_histogram for c in clients)
         assert np.array_equal(total, global_histogram(data, 4))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_largest_remainders_get_the_extra_items_lower_client_first_on_a_tie(seed):
+    # 64 items over q / 256 leave remainders in exact quarters, so many tie.
+    q = np.random.default_rng(seed).multinomial(256, np.full(40, 1 / 40))
+    whole, rem = np.divmod(q * 64, 256)
+    winners = sorted(range(40), key=lambda i: (-rem[i], i))[:64 - whole.sum()]
+    whole[winners] += 1
+    assert np.array_equal(_largest_remainder_counts(64, q / 256), whole)
 
 
 def test_manifest_csv(tmp_path):

@@ -11,6 +11,8 @@ import fedbalance
 USED_OUTSIDE_SRC = {
     "load_dataset": "benchmarks/run.py times it as the set-up's load phase",
     "load_checkpoint": "the public reader of the model.ckpt files train writes",
+    "dp_labelhide": "the one-image mixup API that acceptance criterion 3 calls",
+    "sample_laplace": "the Laplace sampler API that acceptance criterion 2 calls",
 }
 
 
@@ -36,12 +38,15 @@ def _names(node) -> set[str]:
 
 def test_every_top_level_definition_is_named_elsewhere_in_src():
     package = pathlib.Path(fedbalance.__file__).parent
-    modules = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
-    defined = [stmt for module in modules for stmt in module.body
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = [stmt for module in modules.values() for stmt in module.body
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
-    # A definition's own body (a recursive call) does not count as a use.
+    # A definition's own body (a recursive call) does not count as a use, and
+    # neither does an import into the package's `__init__.py`.
     named = {}
-    for module in modules:
+    for filename, module in modules.items():
+        if filename == "__init__.py":
+            continue
         for stmt in module.body:
             for name in _names(stmt):
                 named.setdefault(name, set()).add(id(stmt))

@@ -10,6 +10,7 @@ from helpers import (child_digests, conv_forward, finite_difference_worst,
                      gradient_check_cases, load_bench_module, min_pool_gap,
                      pool_corners, toy_clients)
 
+from fedbalance import workers
 from fedbalance.datasets import make_toy_dataset
 from fedbalance.seeding import rng_for
 from fedbalance.training import (Conv3x3, Dense, MaxPool2, ModelParams,
@@ -628,6 +629,30 @@ class TestRunRound:
         _, report = run_round(params, clients, clients[0].pixels, clients[0].labels,
                               cfg, 0)
         assert len(report.client_losses) == 2   # ceil(0.4 * 5)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_participants_are_drawn_then_trained_in_client_id_order(self, monkeypatch,
+                                                                    fraction):
+        # The draw is in random order; two participants, or a float32 cast of
+        # a float64 average, would hide a FedAvg that sums in that order.
+        clients = toy_clients(5, 6, num_classes=3, dims=(4, 4, 1))
+        cfg = TrainConfig(batch_size=8, seed=2, participation_fraction=fraction)
+        params = init_model(build_model("logreg", (4, 4, 1), 3), 1)
+        sent = []
+        train = workers.Pool.train
+
+        def recording_train(pool, params, cfg, round_index, client_ids):
+            sent.append(list(client_ids))
+            return train(pool, params, cfg, round_index, client_ids)
+
+        monkeypatch.setattr(workers.Pool, "train", recording_train)
+        for rnd in range(3):
+            _, report = run_round(params, clients[::-1], clients[0].pixels,
+                                  clients[0].labels, cfg, rnd)
+            assert len(report.client_losses) == math.ceil(fraction * 5)
+        assert all(ids == sorted(ids) for ids in sent)
+        if fraction == 1.0:
+            assert sent == [[0, 1, 2, 3, 4]] * 3
 
     def test_training_learns_toy_task(self):
         clients = toy_clients(2, 30)
